@@ -10,6 +10,13 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "== closed-form advance vs stepping (release: float rounding and inlining as shipped)"
+cargo test -q --release --offline -p pphw-sim
+cargo test -q --release --offline --test sim_jump --test golden_equivalence
+
+echo "== benchmark/ self-checks (every workload at 1/100 scale, exact metrics repeat)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== static-analysis lint gate (all six benchmarks, every stage, zero diagnostics)"
 cargo run --release --offline -p pphw-bench --bin verify -- --max-severity none
 cargo run --release --offline -p pphw-bench --bin verify -- --flow --json > target/verify-report.json

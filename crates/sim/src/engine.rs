@@ -10,8 +10,14 @@
 //! flat `Vec<StageStat>` indexed by stage id and are sorted by name only
 //! when the report is built, reproducing the retired
 //! `BTreeMap<String, StageStat>` accumulation bit for bit.
+//!
+//! A controller loop whose subtree issues no DRAM stream does not step
+//! all of its iterations: once one iteration has moved every
+//! loop-carried time by the same amount, [`fast_forward`] advances the
+//! rest in closed form, whenever it can prove the result bit-identical
+//! to stepping (DESIGN.md, "Closed-form advance of periodic loops").
 
-use pphw_hw::channel::{channels, metapipeline_channels};
+use pphw_hw::channel::metapipeline_channels;
 use pphw_hw::design::{Buffer, CtrlKind, Design, DramStream, Node, StageInterner, Unit, UnitKind};
 
 use crate::dram::{Dram, SimConfig};
@@ -47,21 +53,35 @@ pub fn simulate_with_faults(
     cfg: &SimConfig,
     faults: &FaultConfig,
 ) -> Result<SimReport, SimError> {
+    run(design, cfg, faults, false)
+}
+
+/// [`simulate_with_faults`] with every loop iteration stepped: the
+/// reference the closed-form advance is tested against. Reports and
+/// errors must equal [`simulate_with_faults`]'s bit for bit.
+///
+/// # Errors
+///
+/// As [`simulate_with_faults`].
+#[doc(hidden)]
+pub fn simulate_stepping(
+    design: &Design,
+    cfg: &SimConfig,
+    faults: &FaultConfig,
+) -> Result<SimReport, SimError> {
+    run(design, cfg, faults, true)
+}
+
+fn run(
+    design: &Design,
+    cfg: &SimConfig,
+    faults: &FaultConfig,
+    stepping: bool,
+) -> Result<SimReport, SimError> {
     cfg.validate()?;
     faults.validate()?;
-    // A channel that cannot hold one producer token can never make
-    // progress: fail up front with a structured error (the static flow
-    // analyzer flags the same condition as PPHW041) instead of letting
-    // the event loop spin against the watchdog.
-    for ch in channels(design) {
-        if ch.slots() == 0 {
-            return Err(SimError::ChannelDeadlock {
-                channel: format!("{}/{}", ch.ctrl, ch.buf_name),
-            });
-        }
-    }
     let mut interner = StageInterner::new();
-    let mut root = lower_node(&design.root, &design.buffers, &mut interner);
+    let mut root = lower_node(&design.root, &design.buffers, &mut interner)?;
     let stats = interner
         .names()
         .map(|name| StageStat {
@@ -75,7 +95,7 @@ pub fn simulate_with_faults(
         dram: Dram::with_faults(cfg, faults),
         stats,
         wd: Watchdog::new(cfg.cycle_budget),
-        trace: std::env::var("PPHW_TRACE").is_ok(),
+        stepping,
         latency: cfg.dram_latency as f64,
     };
     let Timing { end, .. } = sim_node(&mut root, 0.0, &mut cx)?;
@@ -182,9 +202,8 @@ struct SimCx<'a> {
     dram: Dram<'a>,
     stats: Vec<StageStat>,
     wd: Watchdog,
-    /// `PPHW_TRACE` presence, read once per run instead of per controller
-    /// invocation.
-    trace: bool,
+    /// Step every iteration ([`simulate_stepping`]).
+    stepping: bool,
     /// `cfg.dram_latency as f64`, hoisted.
     latency: f64,
 }
@@ -223,23 +242,70 @@ struct LChannel {
     cons_end_prev: f64,
 }
 
+/// Which of the four loops [`sim_ctrl`] runs for a controller.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// A sequential controller iterating one pipelined unit.
+    SeqUnit,
+    /// Any other sequential controller.
+    Seq,
+    Parallel,
+    Metapipeline,
+}
+
 /// A lowered controller. Metapipelines carry their wavefront scratch
 /// vectors here so repeated invocations (a metapipeline nested under an
 /// iterating parent) reuse the same backing storage.
 struct LCtrl<'d> {
-    kind: CtrlKind,
-    name: &'d str,
+    shape: Shape,
+    /// Trip count (at least 1).
     iters: u64,
     stages: Vec<LNode<'d>>,
     gate_scratch: Vec<f64>,
     end_scratch: Vec<f64>,
     channels: Vec<LChannel>,
+    /// How many of the loop's [`Carried`] locals it really carries.
+    live: usize,
+    /// No unit below issues a DRAM stream.
+    dram_free: bool,
+    /// Present when the loop may be advanced in closed form: it is
+    /// `dram_free` and has more iterations than [`probe_limit`] steps
+    /// anyway.
+    jump: Option<JumpScratch>,
+}
+
+/// What [`fast_forward`] remembers about the state before the iteration
+/// it is probing. Lives in the controller so probing allocates nothing.
+struct JumpScratch {
+    /// Stat ids of the units below the controller, each once.
+    stat_ids: Vec<u32>,
+    /// The loop-carried times.
+    times: Vec<f64>,
+    /// `(invocations, busy_cycles)` per entry of `stat_ids`.
+    stats: Vec<(u64, f64)>,
 }
 
 /// A lowered design-tree node.
 enum LNode<'d> {
     Unit(LUnit<'d>),
     Ctrl(LCtrl<'d>),
+}
+
+impl LNode<'_> {
+    fn dram_free(&self) -> bool {
+        match self {
+            LNode::Unit(u) => u.streams.is_empty(),
+            LNode::Ctrl(c) => c.dram_free,
+        }
+    }
+
+    /// Adds the stat ids of the units below this node to `out`.
+    fn stat_ids(&self, out: &mut Vec<u32>) {
+        match self {
+            LNode::Unit(u) => out.push(u.id),
+            LNode::Ctrl(c) => c.stages.iter().for_each(|s| s.stat_ids(out)),
+        }
+    }
 }
 
 fn lower_unit<'d>(u: &'d Unit, interner: &mut StageInterner) -> LUnit<'d> {
@@ -266,43 +332,89 @@ fn lower_unit<'d>(u: &'d Unit, interner: &mut StageInterner) -> LUnit<'d> {
     }
 }
 
-fn lower_node<'d>(node: &'d Node, buffers: &[Buffer], interner: &mut StageInterner) -> LNode<'d> {
-    match node {
-        Node::Unit(u) => LNode::Unit(lower_unit(u, interner)),
-        Node::Ctrl(c) => {
-            let stages: Vec<LNode<'d>> = c
-                .stages
-                .iter()
-                .map(|s| lower_node(s, buffers, interner))
-                .collect();
-            let n = if c.kind == CtrlKind::Metapipeline {
-                stages.len()
-            } else {
-                0
-            };
-            // Forward channels squeezed down to a single token slot
-            // serialize their endpoints; backward (loop-carried) channels
-            // are already serialized by the wavefront itself.
-            let channels = metapipeline_channels(c, buffers)
-                .into_iter()
-                .filter(|ch| ch.slots() == 1 && !ch.is_backward())
-                .map(|ch| LChannel {
-                    producer: ch.producer,
-                    consumer: ch.consumer,
-                    cons_end_prev: 0.0,
-                })
-                .collect();
-            LNode::Ctrl(LCtrl {
-                kind: c.kind,
-                name: &c.name,
-                iters: c.iters,
-                stages,
-                gate_scratch: vec![0.0; n],
-                end_scratch: vec![0.0; n],
-                channels,
-            })
-        }
+/// Lowers the tree, visiting controllers in [`Node::visit_ctrls`] order.
+///
+/// # Errors
+///
+/// [`SimError::ChannelDeadlock`] for the first channel that cannot hold
+/// one producer token: it can never make progress, so the run fails up
+/// front (the static flow analyzer flags the same condition as PPHW041)
+/// instead of spinning against the watchdog.
+fn lower_node<'d>(
+    node: &'d Node,
+    buffers: &[Buffer],
+    interner: &mut StageInterner,
+) -> Result<LNode<'d>, SimError> {
+    let c = match node {
+        Node::Unit(u) => return Ok(LNode::Unit(lower_unit(u, interner))),
+        Node::Ctrl(c) => c,
+    };
+    let all = metapipeline_channels(c, buffers);
+    if let Some(ch) = all.iter().find(|ch| ch.slots() == 0) {
+        return Err(SimError::ChannelDeadlock {
+            channel: format!("{}/{}", ch.ctrl, ch.buf_name),
+        });
     }
+    // Forward channels squeezed down to a single token slot serialize
+    // their endpoints; backward (loop-carried) channels are already
+    // serialized by the wavefront itself.
+    let channels: Vec<LChannel> = all
+        .iter()
+        .filter(|ch| ch.slots() == 1 && !ch.is_backward())
+        .map(|ch| LChannel {
+            producer: ch.producer,
+            consumer: ch.consumer,
+            cons_end_prev: 0.0,
+        })
+        .collect();
+    let stages = c
+        .stages
+        .iter()
+        .map(|s| lower_node(s, buffers, interner))
+        .collect::<Result<Vec<_>, _>>()?;
+    let shape = match c.kind {
+        CtrlKind::Sequential if matches!(stages[..], [LNode::Unit(_)]) => Shape::SeqUnit,
+        CtrlKind::Sequential => Shape::Seq,
+        CtrlKind::Parallel => Shape::Parallel,
+        CtrlKind::Metapipeline => Shape::Metapipeline,
+    };
+    // (metapipeline scratch length, carried locals)
+    let (n, live) = match shape {
+        Shape::SeqUnit => (0, 2),
+        // Without a store stage `drain` stays at `start`, behind `t`.
+        Shape::Seq => {
+            let has_store = stages
+                .iter()
+                .any(|s| matches!(s, LNode::Unit(u) if u.is_store));
+            (0, 1 + usize::from(has_store))
+        }
+        Shape::Parallel => (0, 1),
+        Shape::Metapipeline => (stages.len(), 0),
+    };
+    let iters = c.iters.max(1);
+    let dram_free = stages.iter().all(LNode::dram_free);
+    let jump = (dram_free && iters > probe_limit(stages.len())).then(|| {
+        let mut stat_ids = Vec::new();
+        stages.iter().for_each(|s| s.stat_ids(&mut stat_ids));
+        stat_ids.sort_unstable();
+        stat_ids.dedup();
+        JumpScratch {
+            times: Vec::with_capacity(live + 2 * n + channels.len()),
+            stats: Vec::with_capacity(stat_ids.len()),
+            stat_ids,
+        }
+    });
+    Ok(LNode::Ctrl(LCtrl {
+        shape,
+        iters,
+        stages,
+        gate_scratch: vec![0.0; n],
+        end_scratch: vec![0.0; n],
+        channels,
+        live,
+        dram_free,
+        jump,
+    }))
 }
 
 fn sim_node(node: &mut LNode, start: f64, cx: &mut SimCx) -> Result<Timing, SimError> {
@@ -363,6 +475,8 @@ fn sim_unit(u: &LUnit, start: f64, cx: &mut SimCx) -> Result<Timing, SimError> {
         }
     };
 
+    #[cfg(test)]
+    tests::UNITS_STEPPED.with(|n| n.set(n.get() + 1));
     let stat = &mut cx.stats[u.id as usize];
     stat.invocations += 1;
     stat.busy_cycles += timing.end - start;
@@ -371,98 +485,309 @@ fn sim_unit(u: &LUnit, start: f64, cx: &mut SimCx) -> Result<Timing, SimError> {
     Ok(timing)
 }
 
+/// The loop-carried times a non-metapipeline loop keeps in locals (a
+/// metapipeline's live in its scratch vectors): `[gate, end]` for
+/// [`Shape::SeqUnit`], `[t, drain]` for [`Shape::Seq`], `[end, _]` for
+/// [`Shape::Parallel`]. Only the first [`LCtrl::live`] are carried.
+type Carried = [f64; 2];
+
+/// One iteration of a controller loop: `(controller, its start, carried
+/// locals, run state)`. The four bodies below are shared by the plain
+/// loops in [`sim_ctrl`] and the probing prefix in [`fast_forward`].
+type IterFn =
+    for<'d, 'a> fn(&mut LCtrl<'d>, f64, &mut Carried, &mut SimCx<'a>) -> Result<(), SimError>;
+
+/// A single pipelined unit iterated many times streams its iterations
+/// back-to-back (initiation-interval pipelining — present in every
+/// design, including the baseline; this is the paper's "pipelined
+/// parallelism within patterns").
+#[inline(always)]
+fn seq_unit_iter(
+    c: &mut LCtrl,
+    _start: f64,
+    v: &mut Carried,
+    cx: &mut SimCx,
+) -> Result<(), SimError> {
+    let t = sim_node(&mut c.stages[0], v[0], cx)?;
+    *v = [t.gate, t.end];
+    Ok(())
+}
+
+/// Multiple stages run strictly back-to-back. Posted tile stores hand
+/// their data to the store unit and let the next stage proceed; only the
+/// final drain extends the total.
+#[inline(always)]
+fn seq_iter(c: &mut LCtrl, _start: f64, v: &mut Carried, cx: &mut SimCx) -> Result<(), SimError> {
+    let [mut t, mut drain] = *v;
+    cx.wd.tick(t)?;
+    for s in &mut c.stages {
+        let is_store = matches!(s, LNode::Unit(u) if u.is_store);
+        let r = sim_node(s, t, cx)?;
+        if is_store {
+            drain = drain.max(r.end);
+            t += 4.0; // hand-off to the store FIFO
+        } else {
+            t = r.end;
+        }
+    }
+    *v = [t, drain];
+    Ok(())
+}
+
+#[inline(always)]
+fn parallel_iter(
+    c: &mut LCtrl,
+    _start: f64,
+    v: &mut Carried,
+    cx: &mut SimCx,
+) -> Result<(), SimError> {
+    let end = v[0];
+    cx.wd.tick(end)?;
+    let mut iter_end = end;
+    for s in &mut c.stages {
+        iter_end = iter_end.max(sim_node(s, end, cx)?.end);
+    }
+    v[0] = iter_end;
+    Ok(())
+}
+
+/// Wavefront with II-pipelining: stage s of iteration t starts when its
+/// input data is ready (stage s-1 of iteration t done) and the unit has
+/// accepted iteration t-1 through its pipeline (the `gate`, enforced by
+/// the double-buffer swap).
+#[inline(always)]
+fn metapipeline_iter(
+    c: &mut LCtrl,
+    start: f64,
+    _v: &mut Carried,
+    cx: &mut SimCx,
+) -> Result<(), SimError> {
+    let mut prev_stage_end = start;
+    cx.wd.tick(prev_stage_end)?;
+    for (s, stage) in c.stages.iter_mut().enumerate() {
+        let mut st = prev_stage_end.max(c.gate_scratch[s]);
+        for ch in &c.channels {
+            if ch.producer == s {
+                st = st.max(ch.cons_end_prev);
+            }
+        }
+        let t = sim_node(stage, st, cx)?;
+        c.gate_scratch[s] = t.gate;
+        c.end_scratch[s] = t.end;
+        for ch in &mut c.channels {
+            if ch.consumer == s {
+                ch.cons_end_prev = t.end;
+            }
+        }
+        prev_stage_end = t.end;
+    }
+    Ok(())
+}
+
 fn sim_ctrl(c: &mut LCtrl, start: f64, cx: &mut SimCx) -> Result<Timing, SimError> {
-    match c.kind {
-        CtrlKind::Sequential => {
-            // A single pipelined unit iterated many times streams its
-            // iterations back-to-back (initiation-interval pipelining —
-            // present in every design, including the baseline; this is the
-            // paper's "pipelined parallelism within patterns"). Multiple
-            // stages run strictly back-to-back.
-            if c.stages.len() == 1 && matches!(c.stages[0], LNode::Unit(_)) {
-                let mut gate = start;
-                let mut end = start;
-                for _ in 0..c.iters.max(1) {
-                    let t = sim_node(&mut c.stages[0], gate, cx)?;
-                    gate = t.gate;
-                    end = t.end;
-                }
-                return Ok(Timing { end, gate: end });
+    let mut v: Carried = [start; 2];
+    let end = match c.shape {
+        Shape::SeqUnit => {
+            for _ in fast_forward(c, start, &mut v, seq_unit_iter, cx)?..c.iters {
+                seq_unit_iter(c, start, &mut v, cx)?;
             }
-            // Posted tile stores hand their data to the store unit and let
-            // the next stage proceed; only the final drain extends the
-            // total.
-            let mut t = start;
-            let mut drain = start;
-            for _ in 0..c.iters.max(1) {
-                cx.wd.tick(t)?;
-                for s in &mut c.stages {
-                    let is_store = matches!(s, LNode::Unit(u) if u.is_store);
-                    let r = sim_node(s, t, cx)?;
-                    if is_store {
-                        drain = drain.max(r.end);
-                        t += 4.0; // hand-off to the store FIFO
-                    } else {
-                        t = r.end;
-                    }
-                }
-            }
-            let end = t.max(drain);
-            Ok(Timing { end, gate: end })
+            v[1]
         }
-        CtrlKind::Parallel => {
-            let mut end = start;
-            for _ in 0..c.iters.max(1) {
-                cx.wd.tick(end)?;
-                let mut iter_end = end;
-                for s in &mut c.stages {
-                    iter_end = iter_end.max(sim_node(s, end, cx)?.end);
-                }
-                end = iter_end;
+        Shape::Seq => {
+            for _ in fast_forward(c, start, &mut v, seq_iter, cx)?..c.iters {
+                seq_iter(c, start, &mut v, cx)?;
             }
-            Ok(Timing { end, gate: end })
+            v[0].max(v[1])
         }
-        CtrlKind::Metapipeline => {
-            // Wavefront with II-pipelining: stage s of iteration t starts
-            // when its input data is ready (stage s-1 of iteration t done)
-            // and the unit has accepted iteration t-1 through its pipeline
-            // (the `gate`, enforced by the double-buffer swap).
+        Shape::Parallel => {
+            for _ in fast_forward(c, start, &mut v, parallel_iter, cx)?..c.iters {
+                parallel_iter(c, start, &mut v, cx)?;
+            }
+            v[0]
+        }
+        Shape::Metapipeline => {
             c.gate_scratch.fill(start);
             c.end_scratch.fill(start);
             for ch in &mut c.channels {
                 ch.cons_end_prev = start;
             }
-            for it in 0..c.iters.max(1) {
-                let mut prev_stage_end = start;
-                cx.wd.tick(prev_stage_end)?;
-                for (s, stage) in c.stages.iter_mut().enumerate() {
-                    let mut st = prev_stage_end.max(c.gate_scratch[s]);
-                    for ch in &c.channels {
-                        if ch.producer == s {
-                            st = st.max(ch.cons_end_prev);
-                        }
-                    }
-                    let t = sim_node(stage, st, cx)?;
-                    if cx.trace && it < 4 {
-                        eprintln!(
-                            "meta {} it{} stage{} start {:.0} gate {:.0} end {:.0}",
-                            c.name, it, s, st, t.gate, t.end
-                        );
-                    }
-                    c.gate_scratch[s] = t.gate;
-                    c.end_scratch[s] = t.end;
-                    for ch in &mut c.channels {
-                        if ch.consumer == s {
-                            ch.cons_end_prev = t.end;
-                        }
-                    }
-                    prev_stage_end = t.end;
-                }
+            for _ in fast_forward(c, start, &mut v, metapipeline_iter, cx)?..c.iters {
+                metapipeline_iter(c, start, &mut v, cx)?;
             }
-            let end = c.end_scratch.iter().copied().fold(start, f64::max);
-            Ok(Timing { end, gate: end })
+            c.end_scratch.iter().copied().fold(start, f64::max)
+        }
+    };
+    Ok(Timing { end, gate: end })
+}
+
+/// Times the closed-form advance may touch are multiples of `1 / GRID`
+/// no larger than `GRID_MAX`: 20 + 32 bits, so every sum of two of them
+/// that stays in range is exact in `f64`.
+const GRID_BITS: u32 = 20;
+const GRID: f64 = (1u64 << GRID_BITS) as f64;
+const GRID_MAX: f64 = (1u64 << 32) as f64;
+/// `GRID_MAX` in `1 / GRID` units.
+const GRID_MAX_UNITS: u64 = 1 << (32 + GRID_BITS);
+
+/// `x` in `1 / GRID` units, if it lies on the grid.
+fn on_grid(x: f64) -> Option<u64> {
+    let scaled = x * GRID; // exact: a power of two
+    let units = scaled as u64;
+    ((0.0..=GRID_MAX).contains(&x) && units as f64 == scaled).then_some(units)
+}
+
+/// How many iterations [`fast_forward`] steps, at most, while it waits
+/// for a loop over `stages` stages to settle: the wavefront fills in
+/// about one iteration per stage.
+fn probe_limit(stages: usize) -> u64 {
+    stages as u64 + 4
+}
+
+/// The loop-carried times of `c`'s current invocation: the live locals,
+/// then every stage's gate and end, then the single-slot channels.
+fn carried<'s>(c: &'s mut LCtrl, v: &'s mut Carried) -> impl Iterator<Item = &'s mut f64> {
+    v[..c.live]
+        .iter_mut()
+        .chain(&mut c.gate_scratch)
+        .chain(&mut c.end_scratch)
+        .chain(c.channels.iter_mut().map(|ch| &mut ch.cons_end_prev))
+}
+
+/// Runs the first iterations of a loop that draws nothing from DRAM and,
+/// once one of them has moved every loop-carried time by the same λ > 0,
+/// advances as many of the remaining ones as it can prove exact in
+/// closed form. Returns how many iterations are done; the caller steps
+/// the rest.
+///
+/// Below such a loop every time is `start` plus integers combined by
+/// `max`/`min`, and nested loops reset their state on entry, so an
+/// iteration is a function of the carried times alone (a metapipeline
+/// reads `start` only in a `max` with its first stage's gate, which is
+/// never earlier) that commutes with shifting them all by λ: iteration
+/// *i + k* repeats iteration *i*, `kλ` later, with the same invocation
+/// counts and busy times. That holds for the `f64` values only while
+/// every add is exact, hence the grid: `k` is cut so that no time and no
+/// `busy_cycles` sum passes `GRID_MAX`. It is also cut so that no
+/// skipped iteration could have tripped the watchdog — every time shown
+/// to it while iteration *i* runs is at most the largest carried time
+/// after *i* — which leaves the iteration that does trip it to the
+/// caller's plain loop. Nothing is drawn from the fault generator, so
+/// all of this holds under fault injection too.
+#[inline(always)]
+fn fast_forward(
+    c: &mut LCtrl,
+    start: f64,
+    v: &mut Carried,
+    step: IterFn,
+    cx: &mut SimCx,
+) -> Result<u64, SimError> {
+    // A loop that cannot advance pays these two tests and nothing else;
+    // one that starts off the grid pays a call.
+    if c.jump.is_none() || cx.stepping {
+        return Ok(0);
+    }
+    probe(c, start, v, step, cx)
+}
+
+#[inline(never)]
+fn probe(
+    c: &mut LCtrl,
+    start: f64,
+    v: &mut Carried,
+    step: IterFn,
+    cx: &mut SimCx,
+) -> Result<u64, SimError> {
+    if on_grid(start).is_none() {
+        return Ok(0);
+    }
+    let Some(mut before) = c.jump.take() else {
+        return Ok(0);
+    };
+    let done = probe_with(c, &mut before, start, v, step, cx);
+    c.jump = Some(before);
+    done
+}
+
+fn probe_with(
+    c: &mut LCtrl,
+    before: &mut JumpScratch,
+    start: f64,
+    v: &mut Carried,
+    step: IterFn,
+    cx: &mut SimCx,
+) -> Result<u64, SimError> {
+    let limit = probe_limit(c.stages.len());
+    for done in 1..=limit {
+        before.times.clear();
+        before.times.extend(carried(c, v).map(|t| *t));
+        before.stats.clear();
+        before.stats.extend(before.stat_ids.iter().map(|&id| {
+            let s = &cx.stats[id as usize];
+            (s.invocations, s.busy_cycles)
+        }));
+        let events = cx.wd.events;
+        step(c, start, v, cx)?;
+        if let Some(lambda) = uniform_shift(&before.times, carried(c, v)) {
+            let remaining = c.iters - done;
+            let now = carried(c, v).map(|t| *t);
+            let k = exact_iterations(now, before, lambda, events, remaining, cx);
+            let shift = k as f64 * lambda;
+            carried(c, v).for_each(|t| *t += shift);
+            for (&id, &(invocations, busy)) in before.stat_ids.iter().zip(&before.stats) {
+                let s = &mut cx.stats[id as usize];
+                s.invocations += k * (s.invocations - invocations);
+                s.busy_cycles += k as f64 * (s.busy_cycles - busy);
+            }
+            cx.wd.events += k * (cx.wd.events - events);
+            return Ok(done + k);
         }
     }
+    Ok(limit)
+}
+
+/// The amount by which every time in `after` exceeds its counterpart in
+/// `before`, if that is one positive amount.
+fn uniform_shift<'s>(before: &[f64], after: impl Iterator<Item = &'s mut f64>) -> Option<f64> {
+    let mut shifts = after.zip(before).map(|(after, before)| *after - before);
+    let lambda = shifts.next()?;
+    (lambda > 0.0 && shifts.all(|s| s == lambda)).then_some(lambda)
+}
+
+/// How many of the `remaining` iterations can be skipped with every
+/// skipped `f64` add exact and no watchdog trip among them (see
+/// [`fast_forward`]): `0` as soon as one value is off the grid.
+fn exact_iterations(
+    times: impl Iterator<Item = f64>,
+    before: &JumpScratch,
+    lambda: f64,
+    events_before: u64,
+    remaining: u64,
+    cx: &SimCx,
+) -> u64 {
+    let (Some(lambda), Some(limit)) = (on_grid(lambda), on_grid(cx.wd.budget.min(GRID_MAX))) else {
+        return 0;
+    };
+    let mut latest = 0;
+    for t in times {
+        match on_grid(t) {
+            Some(t) => latest = latest.max(t),
+            None => return 0,
+        }
+    }
+    let events_per_iter = (cx.wd.events - events_before).max(1);
+    let mut k = remaining
+        .min(limit.saturating_sub(latest) / lambda)
+        .min(MAX_EVENTS.saturating_sub(cx.wd.events) / events_per_iter);
+    for (&id, &(_, busy)) in before.stat_ids.iter().zip(&before.stats) {
+        let (Some(busy), Some(now)) = (on_grid(busy), on_grid(cx.stats[id as usize].busy_cycles))
+        else {
+            return 0;
+        };
+        if now > busy {
+            k = k.min((GRID_MAX_UNITS - now) / (now - busy));
+        }
+    }
+    k
 }
 
 #[cfg(test)]
@@ -470,6 +795,76 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use pphw_hw::design::{BufId, Buffer, BufferKind, Ctrl, DesignStyle};
+
+    thread_local! {
+        /// Units this thread really stepped: the report cannot tell a
+        /// stepped invocation from one advanced over.
+        pub(super) static UNITS_STEPPED: std::cell::Cell<u64> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    /// Simulates, returning `(invocations reported, units stepped)`.
+    fn reported_and_stepped(d: &Design, cfg: &SimConfig) -> (u64, u64) {
+        UNITS_STEPPED.with(|n| n.set(0));
+        let report = simulate(d, cfg);
+        let stepped = UNITS_STEPPED.with(std::cell::Cell::get);
+        assert_eq!(
+            Ok(&report),
+            simulate_stepping(d, cfg, &FaultConfig::none()).as_ref()
+        );
+        (report.stages.iter().map(|s| s.invocations).sum(), stepped)
+    }
+
+    /// A 100-word tile load (1.5 cycles of transfer on the default
+    /// substrate) feeding a DRAM-free metapipeline of `iters` iterations,
+    /// three tiles long.
+    fn tile_then_inner(iters: u64, first: u64, second: u64) -> Design {
+        let mut a = compute_unit(first, 1);
+        a.name = "a".into();
+        a.reads.clear();
+        let inner = Node::Ctrl(Ctrl {
+            name: "inner".into(),
+            kind: CtrlKind::Metapipeline,
+            iters,
+            stages: vec![Node::Unit(a), Node::Unit(compute_unit(second, 1))],
+        });
+        design(
+            CtrlKind::Metapipeline,
+            3,
+            vec![Node::Unit(load_unit(100)), inner],
+        )
+    }
+
+    #[test]
+    fn periodic_dram_free_loop_is_advanced_on_dyadic_substrates() {
+        let d = tile_then_inner(4096, 9, 2);
+        for (name, cfg) in SimConfig::named_variants() {
+            let (reported, stepped) = reported_and_stepped(&d, &cfg);
+            assert_eq!(reported, 3 + 3 * 4096 * 2, "{name}");
+            assert!(stepped < 40, "{name}: stepped {stepped} units");
+        }
+    }
+
+    #[test]
+    fn off_grid_substrate_steps_every_iteration() {
+        // 7 bursts at 76.8 bytes per cycle: the load ends off the grid.
+        let cfg = SimConfig::default()
+            .with_clock_mhz(250.0)
+            .with_dram_gbps(19.2)
+            .with_burst_bytes(64);
+        let (reported, stepped) = reported_and_stepped(&tile_then_inner(4096, 9, 2), &cfg);
+        assert_eq!(stepped, reported);
+    }
+
+    #[test]
+    fn loop_whose_stages_drift_apart_keeps_stepping() {
+        // The second stage is the slower one: the first runs ahead of it
+        // by 7 more cycles every iteration, so no single shift describes
+        // an iteration.
+        let (reported, stepped) =
+            reported_and_stepped(&tile_then_inner(4096, 2, 9), &SimConfig::default());
+        assert_eq!(stepped, reported);
+    }
 
     /// Shadows the fallible entry point: every design in these timing
     /// tests is valid and in budget.

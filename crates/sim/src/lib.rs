@@ -38,7 +38,7 @@ pub mod fault;
 pub mod report;
 
 pub use dram::{Dram, SimConfig};
-pub use engine::{simulate, simulate_with_faults};
+pub use engine::{simulate, simulate_stepping, simulate_with_faults};
 pub use error::SimError;
 pub use fault::{FaultConfig, FaultStats};
 pub use report::{SimReport, StageStat};

@@ -51,6 +51,88 @@ const GOLDEN_FAULT: &[(&str, u64)] = &[
     ("kmeans", 0xa9d976d74b87b54b),
 ];
 
+/// Fingerprints on the substrates the default-substrate tables above do
+/// not reach: the other two named variants (dyadic bytes/cycle, where
+/// the simulator may advance periodic loops in closed form) and one
+/// non-dyadic substrate (250 MHz x 19.2 GB/s = 76.8 B/cycle in 64-byte
+/// bursts of 5/6 cycle each, where it must step). Fault-free at every level plus the seeded-fault run of
+/// the metapipelined design, captured from the all-stepping engine at
+/// commit `cc25689`.
+const GOLDEN_SUBSTRATE: &[(&str, &str, &str, u64)] = &[
+    ("outerprod", "fast-clock", "baseline", 0xeedec1293d151d33),
+    ("outerprod", "low-bw", "baseline", 0xec076c111528ea90),
+    ("outerprod", "c250g19b64", "baseline", 0x0436a63253795665),
+    ("outerprod", "fast-clock", "tiled", 0x6c6d606cf2806e8d),
+    ("outerprod", "low-bw", "tiled", 0xb000403ef30c9d61),
+    ("outerprod", "c250g19b64", "tiled", 0xd35227332b327d6b),
+    ("outerprod", "fast-clock", "meta", 0xce72eabc9b93b2dd),
+    ("outerprod", "fast-clock", "faulted", 0x6534c2523c0083d6),
+    ("outerprod", "low-bw", "meta", 0x1178b0cf2db72ea5),
+    ("outerprod", "low-bw", "faulted", 0x25193ed58c201274),
+    ("outerprod", "c250g19b64", "meta", 0x04d351d6c8217c1f),
+    ("outerprod", "c250g19b64", "faulted", 0x30887f4773b2635a),
+    ("sumrows", "fast-clock", "baseline", 0xaadfc50dac9a4d28),
+    ("sumrows", "low-bw", "baseline", 0xfd0713b40a96cba3),
+    ("sumrows", "c250g19b64", "baseline", 0xdd929625640fd26c),
+    ("sumrows", "fast-clock", "tiled", 0x6a4ce9d75089b4d0),
+    ("sumrows", "low-bw", "tiled", 0x30e028f3808fabec),
+    ("sumrows", "c250g19b64", "tiled", 0x7c623d33244f580e),
+    ("sumrows", "fast-clock", "meta", 0x218db5d62e1b6832),
+    ("sumrows", "fast-clock", "faulted", 0x1f312310d8b7af4e),
+    ("sumrows", "low-bw", "meta", 0x2d9d67b08658afa1),
+    ("sumrows", "low-bw", "faulted", 0xd6879551463ce750),
+    ("sumrows", "c250g19b64", "meta", 0x0dd2048f0537dd20),
+    ("sumrows", "c250g19b64", "faulted", 0x79eba834d6ab47c8),
+    ("gemm", "fast-clock", "baseline", 0x7a51b9a8f53ced17),
+    ("gemm", "low-bw", "baseline", 0x95ad5d3c43956bf6),
+    ("gemm", "c250g19b64", "baseline", 0x2a670955c4e5a9ce),
+    ("gemm", "fast-clock", "tiled", 0xffcb4b5a4634cff1),
+    ("gemm", "low-bw", "tiled", 0x2fa4bcceaba30851),
+    ("gemm", "c250g19b64", "tiled", 0xfa8cac7328dbee2e),
+    ("gemm", "fast-clock", "meta", 0x388425f44912d143),
+    ("gemm", "fast-clock", "faulted", 0x4db121d39a173584),
+    ("gemm", "low-bw", "meta", 0xecf574b265a969fe),
+    ("gemm", "low-bw", "faulted", 0xa72e066bfbdf7713),
+    ("gemm", "c250g19b64", "meta", 0xfe704083b90b066d),
+    ("gemm", "c250g19b64", "faulted", 0xbfbeac25834e1d65),
+    ("tpchq6", "fast-clock", "baseline", 0xe76c34d4bc27b746),
+    ("tpchq6", "low-bw", "baseline", 0xe520b23b8ef9f62d),
+    ("tpchq6", "c250g19b64", "baseline", 0xe191357587223775),
+    ("tpchq6", "fast-clock", "tiled", 0x332e7a5ad639e700),
+    ("tpchq6", "low-bw", "tiled", 0x48a52701c835e811),
+    ("tpchq6", "c250g19b64", "tiled", 0x9d77ff135022bbab),
+    ("tpchq6", "fast-clock", "meta", 0xda78d6fe85053d23),
+    ("tpchq6", "fast-clock", "faulted", 0x89e8eb1ce86b8bfb),
+    ("tpchq6", "low-bw", "meta", 0x69c3a0b93f4e5dd7),
+    ("tpchq6", "low-bw", "faulted", 0x926422fa8e32d565),
+    ("tpchq6", "c250g19b64", "meta", 0xefff6afb70e9c761),
+    ("tpchq6", "c250g19b64", "faulted", 0xc3a0c8806af0f204),
+    ("gda", "fast-clock", "baseline", 0x41f5ed85ae584381),
+    ("gda", "low-bw", "baseline", 0xb1202700b8a0156a),
+    ("gda", "c250g19b64", "baseline", 0x7fe37189f17ed7e7),
+    ("gda", "fast-clock", "tiled", 0x2ee6384e8bb77169),
+    ("gda", "low-bw", "tiled", 0xc138d263e29f01b5),
+    ("gda", "c250g19b64", "tiled", 0xee432c96be72174d),
+    ("gda", "fast-clock", "meta", 0x7a3203529cd79ee9),
+    ("gda", "fast-clock", "faulted", 0x3bbc070887c710c8),
+    ("gda", "low-bw", "meta", 0xa0baaf174ff42e9d),
+    ("gda", "low-bw", "faulted", 0xe0ac87487e87c07d),
+    ("gda", "c250g19b64", "meta", 0xc3cf94fa7af345a2),
+    ("gda", "c250g19b64", "faulted", 0xfd0eb41825b67e73),
+    ("kmeans", "fast-clock", "baseline", 0x2f27b4de9dead3a8),
+    ("kmeans", "low-bw", "baseline", 0x819fc93071119920),
+    ("kmeans", "c250g19b64", "baseline", 0x26a9e64be2235c0f),
+    ("kmeans", "fast-clock", "tiled", 0x89fd28cdad6e402a),
+    ("kmeans", "low-bw", "tiled", 0x5e0db15aabe392c0),
+    ("kmeans", "c250g19b64", "tiled", 0x1ffae33235e9fb02),
+    ("kmeans", "fast-clock", "meta", 0x0940d6f9974fd582),
+    ("kmeans", "fast-clock", "faulted", 0x1a07f30e82d6723c),
+    ("kmeans", "low-bw", "meta", 0xb3c9c4ad4ae77247),
+    ("kmeans", "low-bw", "faulted", 0xefd26dde036584bd),
+    ("kmeans", "c250g19b64", "meta", 0x4aa0e3cb6d781704),
+    ("kmeans", "c250g19b64", "faulted", 0xe8d06e8b7806e9dc),
+];
+
 /// `explore` fingerprints over a fixed two-substrate space.
 const GOLDEN_DSE: &[(&str, u64)] = &[
     ("outerprod", 0x4d644f66c3c27159),
@@ -237,6 +319,74 @@ fn simulate_with_faults_matches_pre_optimisation_fingerprints() {
                 "{} [faulted]: fingerprint {got:#018x} != golden {want:#018x}",
                 spec.name
             ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "drifted reports:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The substrates of [`GOLDEN_SUBSTRATE`].
+fn golden_substrates() -> Vec<(&'static str, SimConfig)> {
+    let mut out: Vec<_> = SimConfig::named_variants()
+        .into_iter()
+        .filter(|(name, _)| *name != "max4")
+        .collect();
+    out.push((
+        "c250g19b64",
+        SimConfig::default()
+            .with_clock_mhz(250.0)
+            .with_dram_gbps(19.2)
+            .with_burst_bytes(64),
+    ));
+    out
+}
+
+#[test]
+fn simulate_matches_stepping_fingerprints_on_every_substrate() {
+    let mut failures = Vec::new();
+    for spec in all_benchmarks() {
+        let prog = (spec.program)();
+        for level in OptLevel::all() {
+            let compiled =
+                compile(&prog, &base_options(&spec).opt(level)).expect("benchmark compiles");
+            for (substrate, cfg) in golden_substrates() {
+                let mut runs = vec![(
+                    level_tag(level),
+                    compiled.simulate(&cfg).expect("benchmark simulates"),
+                )];
+                if level == OptLevel::Metapipelined {
+                    runs.push((
+                        "faulted",
+                        compiled
+                            .simulate_with_faults(&cfg, &golden_faults())
+                            .expect("benchmark simulates under faults"),
+                    ));
+                }
+                for (tag, report) in runs {
+                    let got = fingerprint_sim(&report);
+                    if print_mode() {
+                        println!(
+                            "    (\"{}\", \"{substrate}\", \"{tag}\", {got:#018x}),",
+                            spec.name
+                        );
+                        continue;
+                    }
+                    let want = GOLDEN_SUBSTRATE
+                        .iter()
+                        .find(|(n, s, t, _)| *n == spec.name && *s == substrate && *t == tag)
+                        .map(|(_, _, _, f)| *f)
+                        .expect("fingerprint recorded");
+                    if got != want {
+                        failures.push(format!(
+                            "{} [{substrate}, {tag}]: fingerprint {got:#018x} != golden {want:#018x}",
+                            spec.name
+                        ));
+                    }
+                }
+            }
         }
     }
     assert!(
