@@ -9,9 +9,8 @@
 //!  [--quick] [--budget BYTES] [--area-frac F] [--json PATH] [--csv PATH]
 //!  [--cache PATH] [--strategy exhaustive|guided] [--sample N] [--top-k N]
 //!  [--explore N] [--seed N] [--objective min-cycles|cycles-area|area-cap]
-//!  [--area-cap F] [--shard I/N] [--max-simulated-frac F]
-//!  [--cap-permilles N,N,...] [--capacity-mode as-generated|inferred]
-//!  [--merge-cache SRC...]`
+//!  [--area-cap F] [--shard I/N] [--cap-permilles N,N,...]
+//!  [--capacity-mode as-generated|inferred] [--merge-cache SRC...]`
 //!
 //! - `--bench NAME`   restrict to one benchmark (default: all six)
 //! - `--threads N`    worker threads (0 = one per core; results are
@@ -39,8 +38,6 @@
 //!   (by stable candidate fingerprint); run all `N` shards with separate
 //!   `--cache` files, then `--merge-cache` them — a rerun over the
 //!   merged cache is bit-identical to an unsharded run
-//! - `--max-simulated-frac F` assert the sweep simulated at most this
-//!   fraction of the enumerated space (CI teeth for guided runs)
 //! - `--cap-permilles N,N,...` additionally sweep channel-capacity
 //!   scales (permille of the generated depth; `1000` = as generated).
 //!   Scales below 500 statically deadlock every exact-token channel and
@@ -58,7 +55,6 @@
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Instant;
 
 use pphw::dse::explore_with_caches;
 use pphw_apps::all_benchmarks;
@@ -86,7 +82,6 @@ struct Args {
     objective: Option<String>,
     area_cap: Option<f64>,
     shard: Option<Shard>,
-    max_simulated_frac: Option<f64>,
     cap_permilles: Option<Vec<u32>>,
     capacity_mode: CapacityMode,
     merge_sources: Vec<String>,
@@ -110,7 +105,6 @@ fn parse_args() -> Args {
         objective: None,
         area_cap: None,
         shard: None,
-        max_simulated_frac: None,
         cap_permilles: None,
         capacity_mode: CapacityMode::AsGenerated,
         merge_sources: Vec::new(),
@@ -176,13 +170,6 @@ fn parse_args() -> Args {
                 let spec = val(&argv, &mut i, "--shard");
                 args.shard = Some(
                     Shard::parse(&spec).unwrap_or_else(|| panic!("--shard I/N, got `{spec}`")),
-                );
-            }
-            "--max-simulated-frac" => {
-                args.max_simulated_frac = Some(
-                    val(&argv, &mut i, "--max-simulated-frac")
-                        .parse()
-                        .expect("--max-simulated-frac F"),
                 );
             }
             "--cap-permilles" => {
@@ -334,7 +321,7 @@ fn main() {
     let preloaded = eval_cache.len();
     let designs = Arc::new(DesignCache::new());
 
-    let mut table: Vec<(String, DseReport, f64)> = Vec::new();
+    let mut table: Vec<(String, DseReport)> = Vec::new();
     for spec in &specs {
         let base = sweep_base_options(spec, args.budget);
         let mut space = sweep_space(spec, args.quick, &sim_variants);
@@ -352,7 +339,6 @@ fn main() {
             shard: args.shard,
             ..DseConfig::default()
         };
-        let t0 = Instant::now();
         let report = match explore_with_caches(
             &(spec.program)(),
             &base,
@@ -375,23 +361,7 @@ fn main() {
             }
             Err(e) => panic!("{}: search failed: {e}", spec.name),
         };
-        let secs = t0.elapsed().as_secs_f64();
-
-        if let Some(cap) = args.max_simulated_frac {
-            #[allow(clippy::cast_precision_loss)]
-            let frac = report.stats.simulated as f64 / report.stats.exhaustive.max(1) as f64;
-            assert!(
-                frac <= cap,
-                "{}: simulated {:.1}% of the {}-point space (cap {:.0}%)",
-                spec.name,
-                frac * 100.0,
-                report.stats.exhaustive,
-                cap * 100.0
-            );
-        }
-
         print!("{}", report.summary());
-        println!("  search wall-clock: {secs:.2}s (threads={})", args.threads);
         if let Some(p) = &args.json {
             export(p, spec.name, multi, &report.to_json());
         }
@@ -399,23 +369,22 @@ fn main() {
             export(p, spec.name, multi, &report.to_csv());
         }
         println!();
-        table.push((spec.name.to_string(), report, secs));
+        table.push((spec.name.to_string(), report));
     }
 
     println!(
-        "{:<12} {:<34} {:>12} {:>8} {:>14} {:>8}",
-        "benchmark", "best config", "cycles", "area", "evals/points", "wall"
+        "{:<12} {:<34} {:>12} {:>8} {:>14}",
+        "benchmark", "best config", "cycles", "area", "evals/points"
     );
-    for (name, r, secs) in &table {
+    for (name, r) in &table {
         println!(
-            "{:<12} {:<34} {:>12} {:>8.4} {:>7}/{:<6} {:>7.2}s",
+            "{:<12} {:<34} {:>12} {:>8.4} {:>7}/{:<6}",
             name,
             r.best.label,
             r.best.cycles,
             r.best.area_score,
             r.stats.evaluated,
-            r.stats.exhaustive,
-            secs
+            r.stats.exhaustive
         );
     }
 

@@ -23,6 +23,7 @@
 use pphw_apps::all_benchmarks;
 use pphw_frontend::parse_program;
 use pphw_ir::interp::{Interpreter, ScalarVal, Value};
+use pphw_ir::json::escape;
 use pphw_ir::pretty::emit_program;
 use pphw_ir::span::line_col;
 use pphw_ir::types::{DType, ScalarType, Type};
@@ -90,24 +91,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// JSON-escapes a string (same minimal escaping the verify report uses).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A seeded random input value matching a declared input type. Returns an
@@ -211,9 +194,9 @@ fn main() {
                         let (line, col) = line_col(&src, e.span.start);
                         format!(
                             "{{\"code\":{},\"message\":{},\"file\":{},\"span\":{{\"start\":{},\"end\":{},\"line\":{line},\"col\":{col}}}}}",
-                            json_str(e.code),
-                            json_str(&e.message),
-                            json_str(file),
+                            escape(e.code),
+                            escape(&e.message),
+                            escape(file),
                             e.span.start,
                             e.span.end
                         )
@@ -222,7 +205,7 @@ fn main() {
                     .join(",");
                 println!(
                     "{{\"file\":{},\"error_count\":{},\"parse_errors\":[{body}]}}",
-                    json_str(file),
+                    escape(file),
                     errs.len()
                 );
             } else {
@@ -246,7 +229,7 @@ fn main() {
     if args.json {
         println!(
             "{{\"file\":{},\"error_count\":{errors},\"report\":{}}}",
-            json_str(file),
+            escape(file),
             report.to_json()
         );
     } else {

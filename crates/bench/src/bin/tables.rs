@@ -8,12 +8,16 @@
 //! * `--fig5`    k-means strip-mined vs interchanged IR
 //! * `--fig5c`   k-means memory traffic / on-chip storage table
 //! * `--fig6`    k-means hardware block diagram (textual)
+//! * `--ablation` the design choices DESIGN.md calls out, one table each:
+//!   metapipelining on/off, gemm tile size, k-means interchange on/off,
+//!   accumulator elision on/off, gda outer-product parallelism
 //!
 //! With no arguments, prints everything.
 
 use pphw::{compile, CompileOptions, OptLevel};
 use pphw_ir::pretty::print_program;
 use pphw_ir::size::Size;
+use pphw_sim::SimConfig;
 use pphw_transform::cost::analyze_cost;
 use pphw_transform::{strip_mine_program, tile_program, tile_program_no_interchange, TileConfig};
 
@@ -44,6 +48,13 @@ fn main() {
     }
     if want("--fig6") {
         fig6();
+    }
+    if want("--ablation") {
+        ablation_metapipeline();
+        ablation_tile_size();
+        ablation_interchange();
+        ablation_elision();
+        ablation_gda_parallelism();
     }
 }
 
@@ -260,4 +271,115 @@ fn fig6() {
     let compiled = compile(&prog, &opts).expect("kmeans compiles");
     println!("{}", compiled.design.to_diagram());
     println!("--- emitted MaxJ ---\n{}", compiled.emit_hgl());
+}
+
+/// Ablation: the same tiled IR scheduled sequentially vs metapipelined.
+fn ablation_metapipeline() {
+    header("Ablation — metapipelining on/off (same tiled IR)");
+    let sim = SimConfig::default();
+    for spec in pphw_apps::all_benchmarks() {
+        let prog = (spec.program)();
+        let base = CompileOptions::new(&(spec.sizes)())
+            .tiles(&(spec.tiles)())
+            .inner_par(spec.inner_par);
+        let cycles = |level| {
+            let compiled = compile(&prog, &base.clone().opt(level)).expect("compiles");
+            compiled.simulate(&sim).expect("simulates").cycles
+        };
+        let (cs, cm) = (cycles(OptLevel::Tiled), cycles(OptLevel::Metapipelined));
+        println!(
+            "  {:<10} sequential {cs:>12} cyc   metapipelined {cm:>12} cyc   gain {:>5.2}x",
+            spec.name,
+            cs as f64 / cm as f64
+        );
+    }
+}
+
+/// Ablation: gemm tile size, locality against buffer area.
+fn ablation_tile_size() {
+    header("Ablation — gemm tile size (cycles vs on-chip bytes)");
+    let prog = pphw_apps::simple::gemm_program();
+    let sizes = [("m", 256), ("n", 256), ("p", 256)];
+    for b in [16i64, 32, 64, 128] {
+        let opts = CompileOptions::new(&sizes)
+            .tiles(&[("m", b), ("n", b), ("p", b)])
+            .opt(OptLevel::Metapipelined);
+        let compiled = compile(&prog, &opts).expect("compiles");
+        let report = compiled.simulate(&SimConfig::default()).expect("simulates");
+        println!(
+            "  tile {b:>4}: {:>12} cyc  {:>12} DRAM words  {:>10} on-chip bytes",
+            report.cycles,
+            report.dram_words,
+            compiled.design.on_chip_bytes()
+        );
+    }
+}
+
+/// The k-means configuration the interchange and elision ablations share.
+fn kmeans_ablation_cfg() -> (pphw_ir::Program, [(&'static str, i64); 3], TileConfig) {
+    let sizes = [("n", 16384), ("k", 16), ("d", 32)];
+    let cfg = TileConfig::new(&[("n", 512), ("k", 8)], &sizes);
+    (pphw_apps::kmeans::kmeans_program(), sizes, cfg)
+}
+
+/// Ablation: k-means with and without interchange (the Figure 5a vs 5b
+/// traffic).
+fn ablation_interchange() {
+    header("Ablation — k-means interchange on/off (Figure 5 traffic)");
+    let (prog, sizes, cfg) = kmeans_ablation_cfg();
+    let env = Size::env(&sizes);
+    let reads = |tiled: &pphw_ir::Program| analyze_cost(tiled).total_reads(&env).expect("reads");
+    let rs = reads(&tile_program_no_interchange(&prog, &cfg).expect("strip"));
+    let ri = reads(&tile_program(&prog, &cfg).expect("tile"));
+    println!(
+        "  strip-mined DRAM reads {rs:>12}   interchanged {ri:>12}   reduction {:.1}x",
+        rs as f64 / ri as f64
+    );
+    assert!(ri < rs, "interchange must reduce traffic");
+}
+
+/// Ablation: accumulator elision on the k-means tile merge. gemm's tiled
+/// update is real compute (the interchanged map-of-fold), so elision
+/// correctly never fires there; k-means' outer tile merge is a pure
+/// elementwise merge and is the paper's motivating case.
+fn ablation_elision() {
+    header("Ablation — accumulator elision on/off (kmeans tile merge)");
+    let (prog, sizes, cfg) = kmeans_ablation_cfg();
+    let tiled = tile_program(&prog, &cfg).expect("tiles");
+    let env = Size::env(&sizes);
+    for elide in [true, false] {
+        let hw = pphw_hw::HwConfig {
+            elide_accumulators: elide,
+            ..pphw_hw::HwConfig::default()
+        };
+        let design = pphw_hw::generate(&tiled, &env, &hw, pphw_hw::DesignStyle::Metapipelined)
+            .expect("generates");
+        let report = pphw_sim::simulate(&design, &SimConfig::default()).expect("simulates");
+        println!(
+            "  elide={elide:<5} {:>12} cyc  {:>8.0} mem blocks  {} buffers",
+            report.cycles,
+            pphw_hw::design_area(&design).mem,
+            design.buffers.len()
+        );
+    }
+}
+
+/// Ablation: parallelism factor of gda's outer-product stage.
+fn ablation_gda_parallelism() {
+    header("Ablation — gda outer-product parallelism sweep");
+    let prog = pphw_apps::gda::gda_program();
+    for par in [64u32, 128, 256, 512] {
+        let opts = CompileOptions::new(&[("n", 4096), ("d", 32)])
+            .tiles(&[("n", 256)])
+            .inner_par(128)
+            .meta_inner_par(par)
+            .opt(OptLevel::Metapipelined);
+        let compiled = compile(&prog, &opts).expect("compiles");
+        let report = compiled.simulate(&SimConfig::default()).expect("simulates");
+        println!(
+            "  par {par:>4}: {:>10} cyc  logic {:>9.0}",
+            report.cycles,
+            compiled.area().logic
+        );
+    }
 }

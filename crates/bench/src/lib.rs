@@ -1,9 +1,11 @@
 //! # pphw-bench — harness regenerating the paper's tables and figures
 //!
-//! Shared helpers for the `figure7` and `tables` binaries and the
-//! Criterion benchmarks. The paper's headline numbers (Figure 7) are
-//! regenerated by compiling every benchmark of Table 5 at the three
-//! optimization levels and simulating each design.
+//! Shared helpers for the `figure7`, `tables`, `dse`, `verify`, `parse`
+//! and `faults` binaries and for the `benchmark/` workloads. The paper's
+//! headline numbers (Figure 7) are regenerated by compiling every
+//! benchmark of Table 5 at the three optimization levels and simulating
+//! each design. Nothing here times anything: wall-clock numbers come from
+//! `benchmark/` alone.
 
 pub mod sweep;
 

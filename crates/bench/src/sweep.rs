@@ -1,5 +1,6 @@
-//! Shared search-space construction for the `dse` and `perf` binaries,
-//! so the sweep they time is the sweep the driver exposes.
+//! Shared search-space construction for the `dse` binary and the
+//! `benchmark/` workloads, so the sweep the benchmark times is the sweep
+//! the driver exposes.
 
 use pphw::CompileOptions;
 use pphw_apps::BenchSpec;

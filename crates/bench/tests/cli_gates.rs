@@ -1,0 +1,178 @@
+//! The command-line surfaces as CI gates: each test runs a real binary of
+//! this crate and checks what only the binary can get wrong — flag
+//! parsing, exit codes, the JSON it prints, the cache files it writes.
+//! What the numbers mean is asserted at library level by the workspace's
+//! root tests (`verify`, `flow_crosscheck`, `dse`, `dse_guided`,
+//! `frontend_corpus`).
+
+use std::collections::BTreeSet;
+use std::path::Path;
+use std::process::Command;
+
+use pphw_server::json::{parse_json, Json};
+use pphw_testkit::TempDir;
+
+const DSE: &str = env!("CARGO_BIN_EXE_dse");
+
+/// One of this crate's binaries with whitespace-separated `args`.
+fn cli(exe: &str, args: &str) -> Command {
+    let mut cmd = Command::new(exe);
+    cmd.args(args.split_whitespace());
+    cmd
+}
+
+/// Runs `cmd` to completion; it must exit 0. Returns its stdout.
+fn run(cmd: &mut Command) -> String {
+    let out = cmd.output().unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
+    assert!(
+        out.status.success(),
+        "{cmd:?} exited with {}:\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+    v.get(key).unwrap_or_else(|| panic!("no `{key}` in {v:?}"))
+}
+
+fn count(v: &Json, key: &str) -> u64 {
+    field(v, key)
+        .as_u64()
+        .unwrap_or_else(|| panic!("`{key}` is not a count in {v:?}"))
+}
+
+fn items<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+    field(v, key)
+        .as_arr()
+        .unwrap_or_else(|| panic!("`{key}` is not an array in {v:?}"))
+}
+
+/// A DSE report with the cache hit/miss tallies cut out: they legitimately
+/// differ between a cold and a warm run; no other byte may. They are the
+/// last two `stats` keys, so the cut runs to the object's closing brace.
+fn without_cache_counters(report: &str) -> String {
+    let start = report.find("\"cache_hits\":").expect("cache counters");
+    let end = start + report[start..].find('}').expect("stats object closes");
+    format!("{}{}", &report[..start], &report[end..])
+}
+
+#[test]
+fn verify_flow_json_reports_six_clean_benchmarks() {
+    let stdout = run(&mut cli(env!("CARGO_BIN_EXE_verify"), "--flow --json"));
+    let report = parse_json(&stdout).expect("verify --json prints one JSON value");
+    assert_eq!(count(&report, "error_count"), 0);
+    assert_eq!(count(&report, "warning_count"), 0);
+    let runs = items(&report, "runs");
+    let benches: BTreeSet<&str> = runs
+        .iter()
+        .map(|r| field(r, "bench").as_str().expect("bench name"))
+        .collect();
+    assert_eq!(benches.len(), 6, "{benches:?}");
+
+    let mut flows = 0;
+    for run in runs {
+        assert_eq!(count(field(run, "report"), "error_count"), 0, "{run:?}");
+        // Source stages carry no design, hence no flow view.
+        let Some(flow) = run.get("flow") else {
+            continue;
+        };
+        flows += 1;
+        assert!(
+            items(flow, "inferred").is_empty(),
+            "non-minimal depths: {run:?}"
+        );
+        let channels = items(flow, "channels");
+        for channel in channels {
+            assert!(count(channel, "slots") >= 2, "undersized channel: {run:?}");
+        }
+        if !channels.is_empty() {
+            let bottleneck = field(flow, "bottleneck").as_str();
+            assert!(bottleneck.is_some_and(|b| !b.is_empty()), "{run:?}");
+        }
+    }
+    assert_eq!(flows, 6 * 3, "one flow view per benchmark and level");
+}
+
+#[test]
+fn guided_dse_reports_at_most_30_percent_simulated() {
+    let stdout = run(&mut cli(
+        DSE,
+        "--bench sumrows --threads 2 --strategy guided --sample 8 --top-k 8 --explore 2 --json -",
+    ));
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("{\"name\":"))
+        .expect("`--json -` prints the report on stdout");
+    let report = parse_json(line).expect("report is JSON");
+    let stats = field(&report, "stats");
+    let (simulated, space) = (count(stats, "simulated"), count(stats, "exhaustive"));
+    assert!(count(stats, "sampled") > 0, "{stats:?}");
+    assert!(
+        simulated > 0 && simulated * 10 <= space * 3,
+        "guided simulated {simulated} of {space} enumerated points (cap 30%)"
+    );
+}
+
+#[test]
+fn three_shards_merge_to_the_unsharded_report() {
+    // Every cache and report lands in the scratch directory the runs
+    // share as their working directory.
+    let dir = TempDir::new("cli-shard-merge");
+    let dse = |args: &str| run(cli(DSE, args).current_dir(dir.path()));
+    for i in 0..3 {
+        dse(&format!(
+            "--quick --threads 2 --shard {i}/3 --cache shard{i}.pphwc"
+        ));
+    }
+    dse("--cache merged.pphwc --merge-cache shard0.pphwc shard1.pphwc shard2.pphwc");
+
+    // A rerun over the merged cache measures nothing new, and but for the
+    // hit/miss tallies its reports are the cold unsharded run's, byte for
+    // byte.
+    dse("--quick --threads 2 --cache merged.pphwc --json warm.json");
+    dse("--quick --threads 2 --json cold.json");
+    for spec in pphw_apps::all_benchmarks() {
+        // With several benchmarks the name goes before the extension.
+        let read = |run: &str| {
+            let path = dir.path().join(format!("{run}-{}.json", spec.name));
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"))
+        };
+        let (warm, cold) = (read("warm"), read("cold"));
+        let stats = parse_json(&warm).expect("report is JSON");
+        let stats = field(&stats, "stats");
+        assert_eq!(
+            count(stats, "cache_misses"),
+            0,
+            "{}: shards left holes",
+            spec.name
+        );
+        assert!(count(stats, "cache_hits") > 0, "{}", spec.name);
+        assert_eq!(
+            without_cache_counters(&warm),
+            without_cache_counters(&cold),
+            "{}: merged-cache report differs from the unsharded one",
+            spec.name
+        );
+    }
+}
+
+#[test]
+fn every_example_ppl_parses_and_verifies_clean() {
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut files: Vec<_> = std::fs::read_dir(&examples)
+        .unwrap_or_else(|e| panic!("{examples:?}: {e}"))
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ppl"))
+        .collect();
+    files.sort();
+    assert!(
+        files.len() >= 6,
+        "expected >= 6 .ppl files, found {files:?}"
+    );
+    for file in &files {
+        let stdout = run(cli(env!("CARGO_BIN_EXE_parse"), "").arg(file));
+        assert!(stdout.contains("verify: clean"), "{file:?}: {stdout}");
+    }
+}

@@ -25,7 +25,6 @@
 //! assert!(report.cycles > 0);
 //! ```
 
-pub mod autotune;
 pub mod dse;
 
 use pphw_hw::design::DesignStyle;

@@ -33,36 +33,6 @@ fn sumrows_program() -> Program {
     b.finish(vec![out])
 }
 
-fn gemm_program() -> Program {
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
-}
-
 #[test]
 fn indivisible_tile_is_a_compile_error() {
     let prog = sumrows_program();
@@ -250,65 +220,4 @@ fn opt_level_display_names() {
         OptLevel::Metapipelined.to_string(),
         "+tiling+metapipelining"
     );
-}
-
-#[test]
-fn autotune_finds_a_good_gemm_tile() {
-    use pphw::autotune::autotune;
-    let prog = gemm_program();
-    let base = CompileOptions::new(&[("m", 128), ("n", 128), ("p", 128)]);
-    let sim = SimConfig::default();
-    let result = autotune(&prog, &base, &["m", "n", "p"], &sim, 64).expect("tunes");
-    assert!(!result.evaluated.is_empty());
-    // The best config is at least as fast as the smallest-tile config.
-    let worst = result.evaluated.last().expect("non-empty");
-    assert!(result.best.cycles <= worst.cycles);
-    // And beats an arbitrary small tiling by a sane margin.
-    let small =
-        compile(&prog, &base.clone().tiles(&[("m", 4), ("n", 4), ("p", 4)])).expect("compiles");
-    assert!(
-        result.best.cycles <= small.simulate(&sim).expect("simulates").cycles,
-        "autotuned {} vs 4x4x4 {}",
-        result.best.cycles,
-        small.simulate(&sim).expect("simulates").cycles
-    );
-    // The chosen design respects the budget.
-    assert!(result.best.on_chip_bytes <= base.on_chip_budget_bytes);
-}
-
-#[test]
-fn autotune_rejects_unknown_dimension() {
-    let prog = sumrows_program();
-    let base = CompileOptions::new(&[("m", 64), ("n", 64)]);
-    let r = pphw::autotune::autotune(&prog, &base, &["zzz"], &SimConfig::default(), 8);
-    assert!(matches!(r, Err(pphw::autotune::TuneError::UnknownDim(_))));
-}
-
-#[test]
-fn autotune_reports_no_feasible_config_under_tiny_budget() {
-    // Gemm's interchanged (b_m, b_n) accumulator tile is mandatory and
-    // needs at least 4x4x4 = 64 bytes; a 16-byte budget rejects every
-    // candidate, analytically or at the post-compile check.
-    let prog = gemm_program();
-    let mut base = CompileOptions::new(&[("m", 32), ("n", 32), ("p", 32)]);
-    base.on_chip_budget_bytes = 16;
-    let r = pphw::autotune::autotune(&prog, &base, &["m", "n", "p"], &SimConfig::default(), 64);
-    assert!(matches!(
-        r,
-        Err(pphw::autotune::TuneError::NoFeasibleConfig)
-    ));
-}
-
-#[test]
-fn autotune_counts_skipped_configurations() {
-    // A budget that admits small gemm tiles but rejects the largest ones:
-    // the shim surfaces the engine's prune + infeasible tally as `skipped`.
-    let prog = gemm_program();
-    let mut base = CompileOptions::new(&[("m", 32), ("n", 32), ("p", 32)]);
-    base.on_chip_budget_bytes = 2 * 1024;
-    let r = pphw::autotune::autotune(&prog, &base, &["m", "n", "p"], &SimConfig::default(), 64)
-        .expect("small tiles fit");
-    assert!(!r.evaluated.is_empty());
-    assert!(r.skipped > 0, "large tiles must be skipped");
-    assert!(r.best.on_chip_bytes <= base.on_chip_budget_bytes);
 }

@@ -3,6 +3,7 @@
 //! serialization dependency).
 
 use pphw_hw::Area;
+use pphw_ir::json::escape;
 
 /// One evaluated (feasible) point of the search space.
 #[derive(Debug, Clone)]
@@ -136,15 +137,11 @@ pub struct DseReport {
     pub stats: DseStats,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn point_json(p: &EvaluatedPoint) -> String {
     let tiles = p
         .tiles
         .iter()
-        .map(|(k, v)| format!("{{\"dim\":\"{}\",\"tile\":{v}}}", json_escape(k)))
+        .map(|(k, v)| format!("{{\"dim\":{},\"tile\":{v}}}", escape(k)))
         .collect::<Vec<_>>()
         .join(",");
     let predicted = match p.predicted_cycles {
@@ -156,13 +153,13 @@ fn point_json(p: &EvaluatedPoint) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\"label\":\"{}\",\"tiles\":[{tiles}],\"inner_par\":{},\"sim\":\"{}\",\
+        "{{\"label\":{},\"tiles\":[{tiles}],\"inner_par\":{},\"sim\":{},\
          \"cycles\":{},\"dram_words\":{},\"on_chip_bytes\":{},\
          \"area\":{{\"logic\":{},\"ff\":{},\"mem\":{}}},\"area_score\":{},\
          \"predicted_cycles\":{predicted},\"prediction_error\":{pred_err}}}",
-        json_escape(&p.label),
+        escape(&p.label),
         p.inner_par,
-        json_escape(&p.sim_label),
+        escape(&p.sim_label),
         p.cycles,
         p.dram_words,
         p.on_chip_bytes,
@@ -194,19 +191,20 @@ impl DseReport {
             .iter()
             .map(|f| {
                 format!(
-                    "{{\"label\":\"{}\",\"error\":\"{}\"}}",
-                    json_escape(&f.label),
-                    json_escape(&f.error)
+                    "{{\"label\":{},\"error\":{}}}",
+                    escape(&f.label),
+                    escape(&f.error)
                 )
             })
             .collect::<Vec<_>>()
             .join(",");
         let s = &self.stats;
         // `cache_hits`/`cache_misses` must stay the last two stats keys:
-        // the perf harness masks the counters from `"cache_hits"` to the
-        // object's closing brace when comparing warm and cold reports.
+        // comparisons of warm against cold reports (the benchmark's
+        // `dse_warm_replay` check, `crates/bench/tests/cli_gates.rs`) mask
+        // from `"cache_hits"` to the object's closing brace.
         format!(
-            "{{\"name\":\"{}\",\"best\":{},\"frontier\":[{frontier}],\
+            "{{\"name\":{},\"best\":{},\"frontier\":[{frontier}],\
              \"evaluated\":[{evaluated}],\"failures\":[{failures}],\
              \"stats\":{{\"exhaustive\":{},\
              \"pruned_tile\":{},\"pruned_verify\":{},\"pruned_flow\":{},\
@@ -215,7 +213,7 @@ impl DseReport {
              \"sampled\":{},\"ranked\":{},\"simulated\":{},\
              \"skipped_model\":{},\"shard_skipped\":{},\
              \"cache_hits\":{},\"cache_misses\":{}}}}}",
-            json_escape(&self.name),
+            escape(&self.name),
             point_json(&self.best),
             s.exhaustive,
             s.pruned_tile,
@@ -460,8 +458,8 @@ mod tests {
         assert!(j.contains("\"skipped_model\":1"), "{j}");
         let csv = guided.to_csv();
         assert!(csv.contains(",11.0,"), "{csv}");
-        // New stats keys must precede the cache counters so the perf
-        // harness's counter masking cannot swallow them.
+        // New stats keys must precede the cache counters so masking the
+        // counters (see `to_json`) cannot swallow them.
         let stats_tail = j.split("\"sampled\"").nth(1).unwrap();
         assert!(stats_tail.contains("\"cache_hits\""));
         let s = guided.summary();

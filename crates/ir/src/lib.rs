@@ -35,6 +35,7 @@ pub mod equiv;
 pub mod expr;
 pub mod infer;
 pub mod interp;
+pub mod json;
 pub mod path;
 pub mod pattern;
 pub mod pretty;

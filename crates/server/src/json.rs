@@ -161,30 +161,10 @@ pub fn parse_json(src: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
-/// Escapes a string for embedding in hand-written JSON output (the same
-/// minimal escaping the verify report and parse bin use, plus control
-/// characters).
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Quotes and escapes a string for embedding in hand-written JSON output:
+/// the workspace's one escaper, re-exported where the wire code and its
+/// clients look for it.
+pub use pphw_ir::json::escape;
 
 /// Serializes a [`Json`] value back to text (object fields in stored
 /// order, numbers via Rust's shortest-roundtrip `{}` formatting). Used to

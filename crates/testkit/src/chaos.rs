@@ -301,6 +301,31 @@ impl Drop for ChaosProxy {
     }
 }
 
+/// Request `i` of client `client` in the chaos tests' deterministic
+/// population, as one wire-protocol line: ping / simulate / verify over
+/// three benchmarks at two sizes. Restricted to methods whose replay is
+/// exactly reproducible from the eval-cache journal (simulate
+/// short-circuits on an eval hit *before* touching the design cache; ping
+/// builds nothing; verify compiles only its design-level analysis target,
+/// once per distinct benchmark), so a recovery check can demand zero
+/// misses and bound the design builds by the distinct verified benches.
+#[must_use]
+pub fn population_line(client: usize, i: usize) -> String {
+    let id = client * 1000 + i;
+    let benches = ["sumrows", "outerprod", "gemm"];
+    let bench = benches[(client + i) % benches.len()];
+    let scale = if i.is_multiple_of(2) { 8 } else { 16 };
+    match i % 4 {
+        0 => format!("{{\"id\":{id},\"method\":\"ping\"}}"),
+        1 | 2 => format!(
+            "{{\"id\":{id},\"method\":\"simulate\",\"bench\":\"{bench}\",\
+             \"sizes\":{{\"m\":{scale},\"n\":{scale},\"p\":{scale}}},\
+             \"tiles\":{{\"m\":4,\"n\":4}},\"inner_par\":4}}"
+        ),
+        _ => format!("{{\"id\":{id},\"method\":\"verify\",\"bench\":\"{bench}\"}}"),
+    }
+}
+
 /// Forwards `from` → `to` one chunk at a time, applying the scheduled
 /// fault per chunk, until EOF, error, stop, or a scheduled disconnect.
 fn pump(

@@ -8,23 +8,24 @@
 //!   `rand` replacement behind every seeded workload);
 //! * [`prop`] — a minimal property-testing harness with input shrinking
 //!   and `PPHW_PROP_SEED` replay (the `proptest` replacement);
-//! * [`bench`] — a wall-clock micro-benchmark timer (the `criterion`
-//!   replacement for `harness = false` bench targets);
 //! * [`differential`] — the interpreter ↔ tiling ↔ simulator differential
 //!   harness that executes the paper's "tiling preserves semantics" claim
 //!   (§4) as a randomized cross-check over seeded size/tile sweeps;
 //! * [`chaos`] — a deterministic fault-injecting TCP proxy (seeded
 //!   delays, trickle writes, torn bytes, duplicated chunks, mid-stream
 //!   disconnects) for hardening the serving stack against hostile
-//!   networks.
+//!   networks;
+//! * [`tempdir`] — a scratch directory removed on drop, for the tests
+//!   that drive real binaries.
 
-pub mod bench;
 pub mod chaos;
 pub mod differential;
 pub mod prop;
 pub mod rng;
+pub mod tempdir;
 
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, Fault, FaultSchedule};
 pub use differential::{run_case, run_differential, DiffCase, DiffError, DiffOptions, DiffReport};
 pub use prop::Check;
 pub use rng::Rng;
+pub use tempdir::TempDir;

@@ -39,6 +39,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use pphw_hw::design::Design;
+use pphw_ir::json::escape;
 use pphw_ir::program::Program;
 
 /// Stable diagnostic codes. The numeric ranges group the families:
@@ -382,7 +383,7 @@ impl VerifyReport {
         let mut out = String::from("{\"error_count\":");
         out.push_str(&self.error_count().to_string());
         if let Some(file) = &self.file {
-            out.push_str(&format!(",\"file\":\"{}\"", escape_json(file)));
+            out.push_str(&format!(",\"file\":{}", escape(file)));
         }
         out.push_str(",\"diagnostics\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {
@@ -390,11 +391,11 @@ impl VerifyReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\"message\":\"{}\"",
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"path\":{},\"message\":{}",
                 d.code.code(),
                 d.severity,
-                escape_json(&d.path),
-                escape_json(&d.message)
+                escape(&d.path),
+                escape(&d.message)
             ));
             if let Some(s) = &d.span {
                 out.push_str(&format!(
@@ -420,21 +421,6 @@ impl VerifyReport {
             })
             .collect::<String>()
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs the program-level analyzers (IR verifier + race detector).

@@ -24,7 +24,8 @@ use pphw_dse::cache::EvalCache;
 use pphw_dse::JournalConfig;
 use pphw_server::json::{parse_json, Json};
 use pphw_server::{codes, CallOutcome, Client, Limits, RetryClient, RetryConfig, Server, Service};
-use pphw_testkit::chaos::{ChaosConfig, ChaosProxy};
+use pphw_testkit::chaos::{population_line, ChaosConfig, ChaosProxy};
+use pphw_testkit::TempDir;
 
 fn spawn_daemon(
     limits: Limits,
@@ -49,31 +50,6 @@ fn shutdown(
     c.call("{\"id\":\"bye\",\"method\":\"shutdown\"}")
         .expect("shutdown");
     handle.join().expect("join")
-}
-
-/// A deterministic mixed population: ping / simulate / verify, the same
-/// methods the chaos load harness uses.
-fn population_line(client: usize, i: usize) -> String {
-    let id = client * 1000 + i;
-    let benches = ["sumrows", "outerprod", "gemm"];
-    let bench = benches[(client + i) % benches.len()];
-    let scale = if i.is_multiple_of(2) { 8 } else { 16 };
-    match i % 4 {
-        0 => format!("{{\"id\":{id},\"method\":\"ping\"}}"),
-        1 | 2 => format!(
-            "{{\"id\":{id},\"method\":\"simulate\",\"bench\":\"{bench}\",\
-             \"sizes\":{{\"m\":{scale},\"n\":{scale},\"p\":{scale}}},\
-             \"tiles\":{{\"m\":4,\"n\":4}},\"inner_par\":4}}"
-        ),
-        _ => format!("{{\"id\":{id},\"method\":\"verify\",\"bench\":\"{bench}\"}}"),
-    }
-}
-
-fn fresh_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pphw-chaos-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
 }
 
 #[test]
@@ -154,8 +130,8 @@ fn every_request_through_chaos_reaches_exactly_one_typed_outcome() {
 
 #[test]
 fn daemon_killed_without_shutdown_recovers_from_the_journal_alone() {
-    let dir = fresh_dir("kill-recovery");
-    let snapshot = dir.join("evals.pphwc");
+    let dir = TempDir::new("chaos-kill-recovery");
+    let snapshot = dir.path().join("evals.pphwc");
 
     // First life: journaled cache, every append synced, serve a workload,
     // then tear the server down WITHOUT checkpointing or saving — the
@@ -223,7 +199,6 @@ fn daemon_killed_without_shutdown_recovers_from_the_journal_alone() {
     assert_eq!(s.eval_hits, first_life_misses);
     drop(c);
     shutdown(&addr, handle);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

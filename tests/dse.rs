@@ -87,6 +87,26 @@ fn dse_is_deterministic_across_thread_counts_on_real_pipeline() {
         }
         reference = Some(report);
     }
+
+    // The winner is at least as fast as the smallest tiling compiled and
+    // simulated directly, and respects the on-chip budget.
+    let best = reference.expect("ran").best;
+    let small = pphw::compile(
+        &prog,
+        &base
+            .clone()
+            .tiles(&[("m", 4), ("n", 4), ("p", 4)])
+            .inner_par(16),
+    )
+    .expect("4x4x4 compiles");
+    let small_cycles = small.simulate_default().expect("simulates").cycles;
+    assert!(
+        best.cycles <= small_cycles,
+        "best {} ({} cycles) lost to the 4x4x4 tiling ({small_cycles} cycles)",
+        best.label,
+        best.cycles
+    );
+    assert!(best.on_chip_bytes <= base.on_chip_budget_bytes);
 }
 
 #[test]
@@ -117,6 +137,8 @@ fn prefilter_reduces_evaluations_without_changing_the_best() {
         "prefilter must reduce evaluations: {:?}",
         pruned.stats
     );
+    assert!(!pruned.evaluated.is_empty(), "small tiles must fit");
+    assert!(pruned.best.on_chip_bytes <= budget);
     // Every pruned point was only *analytically* rejected; the survivors
     // still cover the space, so cache misses equal survivors.
     assert_eq!(
@@ -221,25 +243,32 @@ fn persistent_cache_round_trips_through_a_real_search() {
         .with_inner_pars(&[8, 16]);
     let cfg = DseConfig::default();
 
-    let dir = std::env::temp_dir().join("pphw-dse-persist");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("evals.pphwc");
+    let dir = pphw_testkit::TempDir::new("dse-persist");
+    let path = dir.path().join("evals.pphwc");
 
     let cache = EvalCache::new();
     let first = explore_with_cache(&prog, &base, &space, &cfg, &cache).expect("search");
     cache.save(&path).expect("save");
 
-    // A fresh process would reload the file: everything must replay from
-    // disk with zero evaluator work and an identical report.
+    // A fresh process would reload the file and start with an empty
+    // compile-artifact cache: everything must replay from disk with zero
+    // evaluator work — not one design compiled — and a report identical
+    // but for the hit/miss counters.
     let reloaded = EvalCache::load(&path).expect("load");
-    let second = explore_with_cache(&prog, &base, &space, &cfg, &reloaded).expect("search");
+    let designs = Arc::new(DesignCache::new());
+    let mut second =
+        explore_with_caches(&prog, &base, &space, &cfg, &reloaded, Arc::clone(&designs))
+            .expect("search");
     assert_eq!(second.stats.cache_misses, 0, "warm from disk");
     assert_eq!(second.stats.cache_hits as usize, second.stats.evaluated);
-    assert_eq!(second.best.label, first.best.label);
-    assert_eq!(second.best.cycles, first.best.cycles);
-    assert_eq!(second.frontier.len(), first.frontier.len());
-
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        designs.builds(),
+        0,
+        "an eval hit must not reach the compiler"
+    );
+    second.stats.cache_hits = first.stats.cache_hits;
+    second.stats.cache_misses = first.stats.cache_misses;
+    assert_eq!(second.to_json(), first.to_json());
 }
 
 /// The static-legality stage of the prefilter: a fold whose combine is

@@ -8,7 +8,8 @@
 //! 1. **Guided optimality** — for each of the three objective modes
 //!    (min-cycles, cycles-then-area, fastest-under-area-cap), the guided
 //!    search returns exactly the winner an exhaustive sweep returns,
-//!    while simulating strictly fewer points.
+//!    while simulating strictly fewer points — at most 30% of the `dse`
+//!    driver's full-size sumrows space.
 //! 2. **Thread independence** — the guided report is identical on 1 and
 //!    4 worker threads.
 //! 3. **Shard-merge equivalence** — splitting a guided search into
@@ -26,6 +27,7 @@ use std::sync::Arc;
 use pphw::dse::{explore_with_caches, DesignArtifact};
 use pphw::CompileOptions;
 use pphw_apps::{all_benchmarks, BenchSpec};
+use pphw_bench::sweep::{sweep_base_options, sweep_sim_variants, sweep_space};
 use pphw_dse::cache::{DesignCache, EvalCache};
 use pphw_dse::{
     pow2_divisors, DseConfig, DseReport, GuidedConfig, Objective, SearchSpace, Shard, Strategy,
@@ -88,8 +90,10 @@ fn explore(
 /// 324-point 3-dimension ones alike — is genuinely subsampled while
 /// leaving margin for near-ties the model cannot order (substrate
 /// siblings whose true cycles differ by a fraction of a percent). The
-/// aggressive ≤10% slice is exercised on the ≥10^5-point space by the
-/// `perf` benchmark, where ties are far apart in the ranking.
+/// aggressive slices are exercised where ties are far apart in the
+/// ranking: ≤30% on the `dse` driver's sumrows space at the end of the
+/// first test, 0.2% on the 131072-point space by the benchmark's
+/// `dse_guided_big` workload.
 fn guided_for(space_len: usize) -> Strategy {
     Strategy::Guided(GuidedConfig {
         sample: (space_len / 6).max(8),
@@ -187,6 +191,51 @@ fn guided_matches_exhaustive_on_every_benchmark_and_objective() {
             );
         }
     }
+
+    // How much guided search saves where it is meant to be used: on the
+    // `dse` driver's own full-size sumrows space, 8 calibration samples +
+    // the model's top 8 + 2 explored find the exhaustive winner from at
+    // most 30% of the enumerated points.
+    let spec = all_benchmarks()
+        .into_iter()
+        .find(|s| s.name == "sumrows")
+        .expect("sumrows");
+    let budget = 256 * 1024;
+    let space = sweep_space(&spec, false, &sweep_sim_variants(false));
+    let run = |strategy| {
+        let cfg = DseConfig {
+            threads: 2,
+            on_chip_budget_bytes: budget,
+            strategy,
+            ..DseConfig::default()
+        };
+        explore_with_caches(
+            &(spec.program)(),
+            &sweep_base_options(&spec, budget),
+            &space,
+            &cfg,
+            &evals,
+            Arc::clone(&designs),
+        )
+        .expect("sumrows search")
+    };
+    let exhaustive = run(Strategy::Exhaustive);
+    let guided = run(Strategy::Guided(GuidedConfig {
+        sample: 8,
+        top_k: 8,
+        explore: 2,
+        ..GuidedConfig::default()
+    }));
+    assert_eq!(
+        (guided.best.label.as_str(), guided.best.cycles),
+        (exhaustive.best.label.as_str(), exhaustive.best.cycles)
+    );
+    assert!(
+        guided.stats.simulated * 10 <= guided.stats.exhaustive * 3,
+        "guided simulated {} of {} enumerated points (cap 30%)",
+        guided.stats.simulated,
+        guided.stats.exhaustive
+    );
 }
 
 #[test]

@@ -342,4 +342,30 @@ fn dse_sweep_with_doomed_substrate_records_failures_and_completes() {
         }
         reference = Some(report);
     }
+
+    // A failure's error is free text (a `PphwError`, or the deep
+    // verifier's newline-separated diagnostics): whatever it holds, the
+    // JSON report must stay parseable and give the text back unchanged.
+    let mut report = reference.expect("ran");
+    report.failures.push(pphw_dse::FailedPoint {
+        label: "m=4 par=8 sim=\"quoted\"".into(),
+        error: "PPHW041 at root\\b: zero slots\n\tsecond line\r\u{1}".into(),
+    });
+    let json = pphw_server::json::parse_json(&report.to_json()).expect("report is valid JSON");
+    let parsed: Vec<(&str, &str)> = json
+        .get("failures")
+        .and_then(|f| f.as_arr())
+        .expect("failures array")
+        .iter()
+        .map(|f| {
+            let field = |k| f.get(k).and_then(|v| v.as_str()).expect("string field");
+            (field("label"), field("error"))
+        })
+        .collect();
+    let written: Vec<(&str, &str)> = report
+        .failures
+        .iter()
+        .map(|f| (f.label.as_str(), f.error.as_str()))
+        .collect();
+    assert_eq!(parsed, written);
 }
