@@ -856,6 +856,53 @@ mod tests {
         );
     }
 
+    /// Keys and fingerprints are on-disk and cross-process identities: a
+    /// cache file written by an earlier build must keep hitting. These
+    /// literals were captured before the design-point path was unified
+    /// and are never edited to make a change pass.
+    #[test]
+    fn key_and_fingerprint_literals_are_pinned() {
+        let salt = "opt=Metapipelined;interchange=true;budget=6291456";
+        let s = sizes(&[("m", 64), ("n", 32)]);
+        let plain = cand(&[("m", 8), ("n", 4)], 16);
+        let mut low_bw = cand(&[("n", 16)], 64);
+        low_bw.sim_label = "low-bw".into();
+        low_bw.sim = SimConfig::default().with_dram_gbps(38.4);
+        let mut scaled = cand(&[("m", 8), ("n", 4)], 16);
+        scaled.cap_permille = 500;
+        let keys = |c: &Candidate| {
+            (
+                config_key("sumrows", &s, salt, c),
+                design_key("sumrows", &s, salt, c),
+                crate::shard::fingerprint("sumrows", c),
+            )
+        };
+        assert_eq!(
+            keys(&plain),
+            (
+                0x4a0e_a876_af0a_f7c6,
+                0x122a_24ca_55ec_df13,
+                0x2256_a6e6_d2ee_c007
+            )
+        );
+        assert_eq!(
+            keys(&low_bw),
+            (
+                0xe77c_a592_c33d_8b0f,
+                0xd26a_b8d5_3935_d19d,
+                0xef28_3045_b343_a1d9
+            )
+        );
+        assert_eq!(
+            keys(&scaled),
+            (
+                0x2c5c_aa80_62e4_2cec,
+                0x9c5e_ede9_bcf5_a9a5,
+                0x8345_070a_70e9_19f7
+            )
+        );
+    }
+
     #[test]
     fn hit_and_miss_counters_track_lookups() {
         let cache = EvalCache::new();

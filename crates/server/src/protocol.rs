@@ -869,6 +869,30 @@ mod tests {
         assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
+    /// The response memo is keyed by these: literals captured before the
+    /// diagnostic file name joined the fingerprint (`bench` requests carry
+    /// no file, so they must not move) and never edited to make a change
+    /// pass.
+    #[test]
+    fn bench_request_fingerprints_are_pinned() {
+        let fp = |line: &str| Request::decode(line, &lim()).unwrap().fingerprint();
+        assert_eq!(
+            fp("{\"id\":1,\"method\":\"simulate\",\"bench\":\"gemm\",\
+                \"tiles\":{\"m\":8,\"n\":4},\"inner_par\":32,\"opt\":\"tiled\",\
+                \"sim\":{\"clock_mhz\":200},\"cycle_budget\":100000}"),
+            0x0311_4fd9_ca7e_9842
+        );
+        assert_eq!(
+            fp(
+                "{\"method\":\"dse\",\"bench\":\"sumrows\",\"sizes\":{\"m\":64},\
+                \"tile_candidates\":{\"m\":[4,8],\"n\":[4]},\"inner_pars\":[4,16],\
+                \"sims\":[\"max4\"],\"strategy\":\"guided\",\"sample\":4,\"top_k\":2,\
+                \"explore\":1,\"seed\":7,\"area_cap\":0.5}"
+            ),
+            0x86d8_e0be_c73b_c4dd
+        );
+    }
+
     #[test]
     fn dse_strategy_and_objective_decode_with_defaults_and_overrides() {
         let d = Request::decode("{\"method\":\"dse\",\"bench\":\"sumrows\"}", &lim()).unwrap();
