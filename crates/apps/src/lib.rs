@@ -12,6 +12,7 @@ pub mod kmeans;
 pub mod simple;
 pub mod tpchq6;
 
+use pphw::CompileOptions;
 use pphw_ir::interp::Value;
 use pphw_ir::size::SizeEnv;
 use pphw_ir::Program;
@@ -45,6 +46,19 @@ impl BenchSpec {
     /// Convenience: default size pairs as a `SizeEnv`.
     pub fn env(&self) -> SizeEnv {
         pphw_ir::size::Size::env(&(self.sizes)())
+    }
+
+    /// The paper's configuration of this benchmark as compile options:
+    /// Table 5 sizes and tiles, §6.1 parallelism, and the hand-parallelized
+    /// stage override where §6.2 reports one.
+    pub fn options(&self) -> CompileOptions {
+        let mut opts = CompileOptions::new(&(self.sizes)())
+            .tiles(&(self.tiles)())
+            .inner_par(self.inner_par);
+        if let Some(mp) = self.meta_par {
+            opts = opts.meta_inner_par(mp);
+        }
+        opts
     }
 }
 
@@ -124,6 +138,19 @@ pub fn all_benchmarks() -> Vec<BenchSpec> {
             meta_par: None,
         },
     ]
+}
+
+/// The Table 5 benchmark called `name`.
+///
+/// # Errors
+///
+/// A message naming the unknown benchmark and listing the known ones.
+pub fn benchmark(name: &str) -> Result<BenchSpec, String> {
+    let found = all_benchmarks().into_iter().find(|s| s.name == name);
+    found.ok_or_else(|| {
+        let known: Vec<&str> = all_benchmarks().iter().map(|s| s.name).collect();
+        format!("unknown benchmark `{name}`; known: {}", known.join(", "))
+    })
 }
 
 #[cfg(test)]

@@ -60,11 +60,10 @@ use pphw::dse::explore_with_caches;
 use pphw_apps::all_benchmarks;
 use pphw_bench::sweep::{sweep_base_options, sweep_sim_variants, sweep_space};
 use pphw_dse::cache::{DesignCache, EvalCache};
-use pphw_dse::{
-    CapacityMode, DseConfig, DseError, DseReport, GuidedConfig, Objective, Shard, Strategy,
-};
+use pphw_dse::{CapacityMode, DseConfig, DseError, DseReport, Objective, Shard, Strategy};
 use pphw_hw::AreaBudget;
 
+#[derive(Default)]
 struct Args {
     bench: Option<String>,
     threads: usize,
@@ -74,7 +73,7 @@ struct Args {
     json: Option<String>,
     csv: Option<String>,
     cache: Option<String>,
-    guided: bool,
+    strategy: Option<String>,
     sample: Option<usize>,
     top_k: Option<usize>,
     explore: Option<usize>,
@@ -87,93 +86,54 @@ struct Args {
     merge_sources: Vec<String>,
 }
 
+/// The value after the flag at `argv[*i]`.
+fn val(argv: &[String], i: &mut usize) -> String {
+    *i += 1;
+    argv.get(*i)
+        .unwrap_or_else(|| panic!("{} needs a value", argv[*i - 1]))
+        .clone()
+}
+
+/// That value as a number.
+fn num<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
+    let text = val(argv, i);
+    text.parse()
+        .unwrap_or_else(|_| panic!("{} takes a number, got `{text}`", argv[*i - 1]))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
-        bench: None,
-        threads: 0,
-        quick: false,
         budget: 256 * 1024,
         area_frac: 1.0,
-        json: None,
-        csv: None,
-        cache: None,
-        guided: false,
-        sample: None,
-        top_k: None,
-        explore: None,
-        seed: None,
-        objective: None,
-        area_cap: None,
-        shard: None,
-        cap_permilles: None,
-        capacity_mode: CapacityMode::AsGenerated,
-        merge_sources: Vec::new(),
+        ..Args::default()
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let val = |argv: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-            .clone()
-    };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--bench" => args.bench = Some(val(&argv, &mut i, "--bench")),
-            "--threads" => {
-                args.threads = val(&argv, &mut i, "--threads")
-                    .parse()
-                    .expect("--threads N");
-            }
+            "--bench" => args.bench = Some(val(&argv, &mut i)),
+            "--threads" => args.threads = num(&argv, &mut i),
             "--quick" => args.quick = true,
-            "--budget" => {
-                args.budget = val(&argv, &mut i, "--budget")
-                    .parse()
-                    .expect("--budget BYTES");
-            }
-            "--area-frac" => {
-                args.area_frac = val(&argv, &mut i, "--area-frac")
-                    .parse()
-                    .expect("--area-frac F");
-            }
-            "--json" => args.json = Some(val(&argv, &mut i, "--json")),
-            "--csv" => args.csv = Some(val(&argv, &mut i, "--csv")),
-            "--cache" => args.cache = Some(val(&argv, &mut i, "--cache")),
-            "--strategy" => match val(&argv, &mut i, "--strategy").as_str() {
-                "exhaustive" => args.guided = false,
-                "guided" => args.guided = true,
-                other => panic!("--strategy must be `exhaustive` or `guided`, got `{other}`"),
-            },
-            "--sample" => {
-                args.sample = Some(val(&argv, &mut i, "--sample").parse().expect("--sample N"));
-            }
-            "--top-k" => {
-                args.top_k = Some(val(&argv, &mut i, "--top-k").parse().expect("--top-k N"));
-            }
-            "--explore" => {
-                args.explore = Some(
-                    val(&argv, &mut i, "--explore")
-                        .parse()
-                        .expect("--explore N"),
-                );
-            }
-            "--seed" => args.seed = Some(val(&argv, &mut i, "--seed").parse().expect("--seed N")),
-            "--objective" => args.objective = Some(val(&argv, &mut i, "--objective")),
-            "--area-cap" => {
-                args.area_cap = Some(
-                    val(&argv, &mut i, "--area-cap")
-                        .parse()
-                        .expect("--area-cap F"),
-                );
-            }
+            "--budget" => args.budget = num(&argv, &mut i),
+            "--area-frac" => args.area_frac = num(&argv, &mut i),
+            "--json" => args.json = Some(val(&argv, &mut i)),
+            "--csv" => args.csv = Some(val(&argv, &mut i)),
+            "--cache" => args.cache = Some(val(&argv, &mut i)),
+            "--strategy" => args.strategy = Some(val(&argv, &mut i)),
+            "--sample" => args.sample = Some(num(&argv, &mut i)),
+            "--top-k" => args.top_k = Some(num(&argv, &mut i)),
+            "--explore" => args.explore = Some(num(&argv, &mut i)),
+            "--seed" => args.seed = Some(num(&argv, &mut i)),
+            "--objective" => args.objective = Some(val(&argv, &mut i)),
+            "--area-cap" => args.area_cap = Some(num(&argv, &mut i)),
             "--shard" => {
-                let spec = val(&argv, &mut i, "--shard");
+                let spec = val(&argv, &mut i);
                 args.shard = Some(
                     Shard::parse(&spec).unwrap_or_else(|| panic!("--shard I/N, got `{spec}`")),
                 );
             }
             "--cap-permilles" => {
-                let list = val(&argv, &mut i, "--cap-permilles");
+                let list = val(&argv, &mut i);
                 args.cap_permilles = Some(
                     list.split(',')
                         .map(|p| {
@@ -184,7 +144,7 @@ fn parse_args() -> Args {
                         .collect(),
                 );
             }
-            "--capacity-mode" => match val(&argv, &mut i, "--capacity-mode").as_str() {
+            "--capacity-mode" => match val(&argv, &mut i).as_str() {
                 "as-generated" => args.capacity_mode = CapacityMode::AsGenerated,
                 "inferred" => args.capacity_mode = CapacityMode::InferredMinimal,
                 other => {
@@ -209,24 +169,13 @@ fn parse_args() -> Args {
     args
 }
 
-/// The ranking objective the flags describe. `--area-cap F` alone
-/// implies `--objective area-cap`.
-fn objective_from(args: &Args) -> Objective {
-    match args.objective.as_deref() {
-        Some("min-cycles") => Objective::MinCycles,
-        Some("cycles-area") | None if args.area_cap.is_none() => Objective::CyclesThenArea,
-        Some("cycles-area") => {
-            panic!("--area-cap only makes sense with --objective area-cap")
-        }
-        Some("area-cap") | None => Objective::FastestUnderAreaCap {
-            area_cap: args
-                .area_cap
-                .unwrap_or_else(|| panic!("--objective area-cap needs --area-cap F")),
-        },
-        Some(other) => {
-            panic!("--objective must be `min-cycles`, `cycles-area`, or `area-cap`, got `{other}`")
-        }
-    }
+/// Refuses a flag combination the shared parsers reject: prints their
+/// message and exits before anything is swept.
+fn or_refuse<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("dse: {e}");
+        exit(2);
+    })
 }
 
 /// Merge mode: union every source cache (journals included) into the
@@ -238,8 +187,8 @@ fn merge_caches(target_path: &str, sources: &[String]) {
         let other = EvalCache::load_including_journal(Path::new(src));
         match target.merge_from(&other) {
             Ok(stats) => println!(
-                "merge: {src}: {} inserted, {} identical, {} failed skipped",
-                stats.inserted, stats.identical, stats.failed_skipped
+                "merge: {src}: {} inserted, {} identical",
+                stats.inserted, stats.identical
             ),
             Err(e) => {
                 eprintln!("merge: {src}: {e}; target left untouched");
@@ -283,25 +232,22 @@ fn main() {
         merge_caches(target, &args.merge_sources);
         return;
     }
-    let specs: Vec<_> = all_benchmarks()
-        .into_iter()
-        .filter(|s| args.bench.as_deref().is_none_or(|b| b == s.name))
-        .collect();
-    assert!(!specs.is_empty(), "no benchmark named {:?}", args.bench);
+    let specs = match &args.bench {
+        Some(name) => vec![or_refuse(pphw_apps::benchmark(name))],
+        None => all_benchmarks(),
+    };
     let multi = specs.len() > 1;
 
-    let strategy = if args.guided {
-        let d = GuidedConfig::default();
-        Strategy::Guided(GuidedConfig {
-            sample: args.sample.unwrap_or(d.sample),
-            top_k: args.top_k.unwrap_or(d.top_k),
-            explore: args.explore.unwrap_or(d.explore),
-            seed: args.seed.unwrap_or(d.seed),
-        })
-    } else {
-        Strategy::Exhaustive
-    };
-    let objective = objective_from(&args);
+    // The same vocabulary and the same refusals as the daemon's `dse`
+    // method (`--area-cap F` alone implies `--objective area-cap`).
+    let strategy = or_refuse(Strategy::parse(
+        args.strategy.as_deref(),
+        args.sample,
+        args.top_k,
+        args.explore,
+        args.seed,
+    ));
+    let objective = or_refuse(Objective::parse(args.objective.as_deref(), args.area_cap));
 
     let sim_variants = sweep_sim_variants(args.quick);
 
@@ -337,7 +283,6 @@ fn main() {
             capacity_mode: args.capacity_mode,
             objective,
             shard: args.shard,
-            ..DseConfig::default()
         };
         let report = match explore_with_caches(
             &(spec.program)(),

@@ -14,7 +14,6 @@
 
 use pphw::{compile, OptLevel};
 use pphw_apps::all_benchmarks;
-use pphw_bench::options_for;
 use pphw_sim::{FaultConfig, SimConfig};
 
 fn main() {
@@ -67,7 +66,7 @@ fn main() {
 
     for spec in all_benchmarks() {
         let prog = (spec.program)();
-        let opts = options_for(&spec).opt(OptLevel::Metapipelined);
+        let opts = spec.options().opt(OptLevel::Metapipelined);
         let compiled = compile(&prog, &opts).expect("benchmark compiles");
         let clean = compiled.simulate(&sim).expect("simulates");
 

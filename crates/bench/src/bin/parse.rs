@@ -20,12 +20,10 @@
 //! input types (`--sizes` binds size variables; unbound ones default to 8)
 //! and the program runs on the reference interpreter.
 
-use pphw_apps::all_benchmarks;
 use pphw_frontend::parse_program;
 use pphw_ir::interp::{Interpreter, ScalarVal, Value};
 use pphw_ir::json::escape;
 use pphw_ir::pretty::emit_program;
-use pphw_ir::span::line_col;
 use pphw_ir::types::{DType, ScalarType, Type};
 use pphw_verify::{verify_program, VerifyConfig};
 
@@ -155,11 +153,10 @@ fn main() {
 
     // --emit <bench>: print the canonical text of a builder benchmark.
     if let Some(name) = &args.emit {
-        let Some(spec) = all_benchmarks().into_iter().find(|s| s.name == name) else {
-            let known: Vec<&str> = all_benchmarks().iter().map(|s| s.name).collect();
-            eprintln!("unknown benchmark `{name}`; known: {}", known.join(", "));
+        let spec = pphw_apps::benchmark(name).unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
-        };
+        });
         print!("{}", emit_program(&(spec.program)()));
         return;
     }
@@ -190,17 +187,7 @@ fn main() {
             if args.json {
                 let body = errs
                     .iter()
-                    .map(|e| {
-                        let (line, col) = line_col(&src, e.span.start);
-                        format!(
-                            "{{\"code\":{},\"message\":{},\"file\":{},\"span\":{{\"start\":{},\"end\":{},\"line\":{line},\"col\":{col}}}}}",
-                            escape(e.code),
-                            escape(&e.message),
-                            escape(file),
-                            e.span.start,
-                            e.span.end
-                        )
-                    })
+                    .map(|e| e.to_json(&src, file))
                     .collect::<Vec<_>>()
                     .join(",");
                 println!(

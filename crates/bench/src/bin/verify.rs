@@ -18,11 +18,11 @@
 //!   diagnostics (e.g. `PPHW044` over-provisioned channels) never force
 //!   a nonzero exit
 
-use pphw::{compile, OptLevel};
+use pphw::{compile, flow_timing, OptLevel};
 use pphw_apps::all_benchmarks;
-use pphw_bench::options_for;
 use pphw_hw::channel::{channels, Channel};
-use pphw_verify::flow::{infer_capacities, predict_bottleneck, CapacityChange, FlowTiming};
+use pphw_sim::SimConfig;
+use pphw_verify::flow::{infer_capacities, predict_bottleneck, CapacityChange};
 use pphw_verify::{verify_program, VerifyConfig, VerifyReport};
 
 /// The highest severity the run tolerates without exiting nonzero.
@@ -121,9 +121,11 @@ fn main() {
         i += 1;
     }
 
+    // The bottleneck is predicted for the board the other bins simulate.
+    let timing = flow_timing(&SimConfig::default());
     let mut rows: Vec<Row> = Vec::new();
     for spec in all_benchmarks() {
-        let base = options_for(&spec);
+        let base = spec.options();
         let cfg = VerifyConfig {
             inner_par: spec.inner_par,
             on_chip_budget_bytes: Some(base.on_chip_budget_bytes),
@@ -145,10 +147,7 @@ fn main() {
                         let mut sized = compiled.design.clone();
                         FlowInfo {
                             channels: channels(&compiled.design),
-                            bottleneck: predict_bottleneck(
-                                &compiled.design,
-                                &FlowTiming::default(),
-                            ),
+                            bottleneck: predict_bottleneck(&compiled.design, &timing),
                             inferred: infer_capacities(&mut sized),
                         }
                     }),

@@ -31,15 +31,10 @@ pub fn paper_speedups(name: &str) -> Option<(f64, f64)> {
         .map(|(_, t, m)| (*t, *m))
 }
 
-/// Default compile options for a benchmark spec.
+/// Default compile options for a benchmark spec ([`BenchSpec::options`];
+/// `benchmark/` imports it under this name).
 pub fn options_for(spec: &BenchSpec) -> CompileOptions {
-    let mut opts = CompileOptions::new(&(spec.sizes)())
-        .tiles(&(spec.tiles)())
-        .inner_par(spec.inner_par);
-    if let Some(mp) = spec.meta_par {
-        opts = opts.meta_inner_par(mp);
-    }
-    opts
+    spec.options()
 }
 
 /// Runs the three-level evaluation for one benchmark.
@@ -50,7 +45,7 @@ pub fn options_for(spec: &BenchSpec) -> CompileOptions {
 /// be valid.
 pub fn evaluate_benchmark(spec: &BenchSpec, sim: &SimConfig) -> Evaluation {
     let prog = (spec.program)();
-    evaluate(&prog, &options_for(spec), sim)
+    evaluate(&prog, &spec.options(), sim)
         .unwrap_or_else(|e| panic!("{} failed to compile: {e}", spec.name))
 }
 

@@ -115,6 +115,38 @@ fn guided_dse_reports_at_most_30_percent_simulated() {
     );
 }
 
+/// The `dse` binary and the daemon's `dse` method parse objectives and
+/// strategies with one parser each (`Objective::parse`, `Strategy::parse`),
+/// so the binary refuses what the daemon answers with `EPROTO` — by exit
+/// code, with the parser's message, before anything is swept.
+#[test]
+fn dse_refuses_area_cap_without_the_capped_objective() {
+    for (flags, message) in [
+        (
+            "--objective min-cycles --area-cap 0.5",
+            "an area cap only makes sense with objective `area-cap`",
+        ),
+        (
+            "--objective area-cap",
+            "objective `area-cap` needs an area cap",
+        ),
+        (
+            "--sample 4",
+            "sample, top-k, explore and seed tune the `guided` strategy only",
+        ),
+    ] {
+        let mut cmd = cli(DSE, &format!("--quick --bench sumrows {flags}"));
+        let out = cmd.output().unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim_end(),
+            format!("dse: {message}"),
+            "{cmd:?}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd:?} swept before refusing");
+    }
+}
+
 #[test]
 fn three_shards_merge_to_the_unsharded_report() {
     // Every cache and report lands in the scratch directory the runs

@@ -7,6 +7,12 @@
 //! and enforces the authoritative post-compile on-chip budget check that
 //! the analytic prefilter only approximates.
 //!
+//! Every caller that turns a design point into a design and its numbers —
+//! the engine, the `dse` binary, the serving daemon — does so through
+//! [`CompileEvaluator::artifact`] and [`Compiled::measure`], so compile
+//! options, cache salt, budget verdict and measurement are each decided
+//! once.
+//!
 //! ```no_run
 //! use pphw::dse::{explore_program, CompileEvaluator};
 //! use pphw::CompileOptions;
@@ -26,7 +32,7 @@ use std::sync::Arc;
 use pphw_dse::cache::{design_key, DesignCache, EvalCache};
 use pphw_dse::report::DseReport;
 use pphw_dse::space::{Candidate, SearchSpace};
-use pphw_dse::{DseConfig, DseError, EvalOutcome, Evaluate, Measurement};
+use pphw_dse::{DseConfig, DseError, EvalOutcome, Evaluate};
 
 pub use pphw_dse::CapacityMode;
 use pphw_ir::program::Program;
@@ -34,28 +40,17 @@ use pphw_verify::flow;
 
 use crate::{compile, CompileOptions, Compiled};
 
-/// The substrate-independent result of compiling one candidate: either a
-/// generated design that fits the on-chip budget, or the reason it cannot
-/// exist. Shared by every simulation variant of the same tile/parallelism
-/// point through a [`DesignCache`], so a sweep with N substrate configs
-/// compiles each distinct design once, not N times.
+/// The substrate-independent result of compiling one candidate: a
+/// generated design that fits the on-chip budget (boxed: ~400 bytes beside
+/// a thin error string), or the reason it cannot exist. Shared by every
+/// simulation variant of the same tile/parallelism point through a
+/// [`DesignCache`], so a sweep with N substrate configs compiles each
+/// distinct design once, not N times.
 ///
 /// The budget verdict is cacheable because the budget is part of the
 /// evaluator's salt (and therefore of the design key); an artifact is
 /// never consulted under a different budget.
-#[derive(Debug)]
-pub enum DesignArtifact {
-    /// Compilation succeeded and the design fits the on-chip budget.
-    Ready {
-        /// The compiled program + design (boxed: the variant is ~400
-        /// bytes and shares an enum with a thin error string).
-        compiled: Box<Compiled>,
-        /// `compiled.design.on_chip_bytes()`, precomputed.
-        on_chip_bytes: u64,
-    },
-    /// Compilation failed or the design exceeds the on-chip budget.
-    Infeasible(String),
-}
+pub type DesignArtifact = Result<Box<Compiled>, String>;
 
 /// Evaluates a candidate by compiling the program with the candidate's
 /// tile sizes and parallelism factor and simulating the generated design
@@ -75,16 +70,10 @@ pub struct CompileEvaluator<'a> {
 }
 
 impl<'a> CompileEvaluator<'a> {
-    /// Creates an evaluator for the program under the given base options,
-    /// with a private (per-evaluator) design cache.
-    #[must_use]
-    pub fn new(prog: &'a Program, base: &CompileOptions) -> CompileEvaluator<'a> {
-        CompileEvaluator::with_design_cache(prog, base, Arc::new(DesignCache::new()))
-    }
-
-    /// Like [`CompileEvaluator::new`] but shares a caller-owned design
-    /// cache, so consecutive sweeps (or a driver inspecting hit counters)
-    /// see compile reuse across evaluator instances.
+    /// Creates an evaluator for the program under the given base options
+    /// over a caller-owned design cache, so consecutive sweeps and direct
+    /// requests (or a driver inspecting hit counters) see compile reuse
+    /// across evaluator instances.
     #[must_use]
     pub fn with_design_cache(
         prog: &'a Program,
@@ -107,28 +96,24 @@ impl<'a> CompileEvaluator<'a> {
         self
     }
 
-    /// The compile-artifact cache this evaluator consults.
+    /// The candidate's design, built at most once per design key in the
+    /// shared [`DesignCache`]: every substrate variant of one
+    /// tile/parallelism point — and every direct request for it — shares
+    /// the artifact, never a second compile.
     #[must_use]
-    pub fn design_cache(&self) -> &DesignCache<DesignArtifact> {
-        &self.designs
-    }
-
-    fn options_for(&self, c: &Candidate) -> CompileOptions {
-        let mut opts = self.base.clone().tiles(&c.tile_pairs());
-        opts.inner_par = c.inner_par;
-        opts.meta_inner_par = None;
-        opts
+    pub fn artifact(&self, c: &Candidate) -> Arc<DesignArtifact> {
+        let key = design_key(&self.prog.name, &self.base.sizes, &self.cache_salt(), c);
+        self.designs.get_or_compute(key, || self.build_artifact(c))
     }
 
     /// Compiles the candidate's design and applies the authoritative
     /// post-compile on-chip budget check (the analytic prefilter bounds
     /// this from below but cannot see double buffering or banking).
     fn build_artifact(&self, c: &Candidate) -> DesignArtifact {
-        let opts = self.options_for(c);
-        let mut compiled = match compile(self.prog, &opts) {
-            Ok(compiled) => compiled,
-            Err(e) => return DesignArtifact::Infeasible(e.to_string()),
-        };
+        let mut opts = self.base.clone().tiles(&c.tile_pairs());
+        opts.inner_par = c.inner_par;
+        opts.meta_inner_par = None;
+        let mut compiled = compile(self.prog, &opts).map_err(|e| e.to_string())?;
         // Resize channels per the candidate's swept scale, then (when
         // requested) normalize to the flow analyzer's minimal safe
         // depths. Both happen before the budget check and the area model,
@@ -142,43 +127,28 @@ impl<'a> CompileEvaluator<'a> {
         }
         let on_chip_bytes = compiled.design.on_chip_bytes();
         if on_chip_bytes > opts.on_chip_budget_bytes {
-            return DesignArtifact::Infeasible(format!(
+            return Err(format!(
                 "design needs {on_chip_bytes} on-chip bytes, budget is {}",
                 opts.on_chip_budget_bytes
             ));
         }
-        DesignArtifact::Ready {
-            compiled: Box::new(compiled),
-            on_chip_bytes,
-        }
+        Ok(Box::new(compiled))
     }
 }
 
 impl Evaluate for CompileEvaluator<'_> {
     fn evaluate(&self, c: &Candidate) -> EvalOutcome {
-        let key = design_key(&self.prog.name, &self.base.sizes, &self.cache_salt(), c);
-        let artifact = self.designs.get_or_compute(key, || self.build_artifact(c));
-        let (compiled, on_chip_bytes) = match &*artifact {
-            DesignArtifact::Ready {
-                compiled,
-                on_chip_bytes,
-            } => (compiled, *on_chip_bytes),
-            DesignArtifact::Infeasible(e) => return EvalOutcome::Infeasible(e.clone()),
-        };
-        // A simulation failure (invalid substrate, cycle-budget overrun)
-        // is not an infeasible *design* — record it as a failed
-        // evaluation so the report says what was lost and the cache does
-        // not pin the failure.
-        let report = match compiled.simulate(&c.sim) {
-            Ok(report) => report,
-            Err(e) => return EvalOutcome::Failed(e.to_string()),
-        };
-        EvalOutcome::Feasible(Measurement {
-            cycles: report.cycles,
-            dram_words: report.dram_words,
-            on_chip_bytes,
-            area: compiled.area(),
-        })
+        match &*self.artifact(c) {
+            Ok(compiled) => match compiled.measure(&c.sim) {
+                Ok(m) => EvalOutcome::Feasible(m),
+                // A simulation failure (invalid substrate, cycle-budget
+                // overrun) is not an infeasible *design* — record it as a
+                // failed evaluation so the report says what was lost and
+                // the cache does not pin the failure.
+                Err(e) => EvalOutcome::Failed(e.to_string()),
+            },
+            Err(why) => EvalOutcome::Infeasible(why.clone()),
+        }
     }
 
     fn cache_salt(&self) -> String {
@@ -200,12 +170,10 @@ impl Evaluate for CompileEvaluator<'_> {
         // Compile-only: the design (and its area) is independent of the
         // candidate's substrate, so this shares the same cached artifact
         // the full evaluation would build — never a simulation.
-        let key = design_key(&self.prog.name, &self.base.sizes, &self.cache_salt(), c);
-        let artifact = self.designs.get_or_compute(key, || self.build_artifact(c));
-        match &*artifact {
-            DesignArtifact::Ready { compiled, .. } => Some(compiled.area()),
-            DesignArtifact::Infeasible(_) => None,
-        }
+        (*self.artifact(c))
+            .as_ref()
+            .ok()
+            .map(|compiled| compiled.area())
     }
 }
 
@@ -222,30 +190,21 @@ pub fn explore_program(
     space: &SearchSpace,
     cfg: &DseConfig,
 ) -> Result<DseReport, DseError> {
-    explore_with_cache(prog, base, space, cfg, &EvalCache::new())
+    explore_with_caches(
+        prog,
+        base,
+        space,
+        cfg,
+        &EvalCache::new(),
+        Arc::new(DesignCache::new()),
+    )
 }
 
-/// Like [`explore_program`] but reuses a caller-owned cache, so repeated
-/// or overlapping searches only compile points they have not seen.
-///
-/// # Errors
-///
-/// Returns [`DseError`] if the space is empty or no candidate survives
-/// both the prefilter and compilation.
-pub fn explore_with_cache(
-    prog: &Program,
-    base: &CompileOptions,
-    space: &SearchSpace,
-    cfg: &DseConfig,
-    cache: &EvalCache,
-) -> Result<DseReport, DseError> {
-    explore_with_caches(prog, base, space, cfg, cache, Arc::new(DesignCache::new()))
-}
-
-/// Like [`explore_with_cache`] but additionally shares a caller-owned
-/// compile-artifact cache, so each distinct design (tile config ×
-/// parallelism) compiles exactly once per sweep no matter how many
-/// substrate variants sample it, and drivers can report
+/// Like [`explore_program`] but reuses a caller-owned measurement cache,
+/// so repeated or overlapping searches only evaluate points they have not
+/// seen, and a caller-owned compile-artifact cache, so each distinct
+/// design (tile config × parallelism) compiles exactly once no matter how
+/// many substrate variants or sweeps sample it, and drivers can report
 /// [`DesignCache::builds`] / [`DesignCache::hits`] afterwards.
 ///
 /// # Errors

@@ -27,6 +27,7 @@
 
 pub mod dse;
 
+use pphw_dse::Measurement;
 use pphw_hw::design::DesignStyle;
 use pphw_hw::{design_area, generate, Area, HwConfig, HwError};
 use pphw_ir::interp::{EvalError, Interpreter, Value};
@@ -35,9 +36,25 @@ use pphw_ir::size::{Size, SizeEnv};
 use pphw_sim::{simulate, simulate_with_faults, FaultConfig, SimConfig, SimError, SimReport};
 use pphw_transform::cost::{analyze_cost, CostReport};
 use pphw_transform::{tile_program, tile_program_no_interchange, TileConfig, TileError};
+use pphw_verify::flow::FlowTiming;
 
 pub use pphw_hw::Design;
 pub use pphw_verify::{VerifyConfig, VerifyReport};
+
+/// The static busy-cycle predictor's view of a simulation substrate.
+/// `pphw-verify` sits below the simulator and cannot read a [`SimConfig`]
+/// itself, so this is where one becomes a [`FlowTiming`]: a prediction
+/// and the simulation it is checked against always describe one board.
+#[must_use]
+pub fn flow_timing(sim: &SimConfig) -> FlowTiming {
+    FlowTiming {
+        bytes_per_cycle: sim.bytes_per_cycle(),
+        dram_latency: sim.dram_latency,
+        burst_bytes: sim.burst_bytes,
+        word_bytes: sim.word_bytes,
+        sync_gap: sim.sync_gap,
+    }
+}
 
 /// Installs the deep (semantic) verifier into the transform pipeline's
 /// per-pass checkpoint, once per process. After this, every tiling pass
@@ -216,11 +233,6 @@ pub enum PphwError {
     Eval(EvalError),
 }
 
-/// Historical name for [`PphwError`], kept for the compile-stage entry
-/// points ([`compile`], [`evaluate`]). The variants are shared: a
-/// `CompileError` from [`compile`] can only be `Tile` or `Hw`.
-pub type CompileError = PphwError;
-
 impl std::fmt::Display for PphwError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -310,6 +322,24 @@ impl Compiled {
         design_area(&self.design)
     }
 
+    /// Simulates the design on one substrate and pairs the report with the
+    /// design's footprint and area: the one step from (design, substrate)
+    /// to a [`Measurement`], for sweeps, the daemon and [`evaluate`] alike.
+    ///
+    /// # Errors
+    ///
+    /// [`PphwError::Sim`] for an invalid substrate or a cycle-budget
+    /// overrun — a failed *simulation*, which says nothing about the design.
+    pub fn measure(&self, sim: &SimConfig) -> Result<Measurement, PphwError> {
+        let report = self.simulate(sim)?;
+        Ok(Measurement {
+            cycles: report.cycles,
+            dram_words: report.dram_words,
+            on_chip_bytes: self.design.on_chip_bytes(),
+            area: self.area(),
+        })
+    }
+
     /// Memory traffic / on-chip storage analysis of the transformed IR
     /// (the Figure 5c table).
     pub fn cost(&self) -> CostReport {
@@ -350,8 +380,9 @@ impl Compiled {
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] if tiling or hardware generation fails.
-pub fn compile(prog: &Program, opts: &CompileOptions) -> Result<Compiled, CompileError> {
+/// Returns [`PphwError::Tile`] or [`PphwError::Hw`] if tiling or hardware
+/// generation fails.
+pub fn compile(prog: &Program, opts: &CompileOptions) -> Result<Compiled, PphwError> {
     install_verifier();
     let transformed = match opts.opt {
         OptLevel::Baseline => prog.clone(),
@@ -455,23 +486,21 @@ pub fn evaluate(
     prog: &Program,
     opts: &CompileOptions,
     sim: &SimConfig,
-) -> Result<Evaluation, CompileError> {
+) -> Result<Evaluation, PphwError> {
     let mut rows = Vec::new();
     let mut base_cycles = None;
     let mut base_area = None;
     for level in OptLevel::all() {
-        let compiled = compile(prog, &opts.clone().opt(level))?;
-        let report = compiled.simulate(sim)?;
-        let area = compiled.area();
-        let bc = *base_cycles.get_or_insert(report.cycles);
-        let ba = *base_area.get_or_insert(area);
+        let m = compile(prog, &opts.clone().opt(level))?.measure(sim)?;
+        let bc = *base_cycles.get_or_insert(m.cycles);
+        let ba = *base_area.get_or_insert(m.area);
         rows.push(EvalRow {
             opt: level,
-            cycles: report.cycles,
-            speedup: bc as f64 / report.cycles.max(1) as f64,
-            relative_area: area.relative_to(ba),
-            area,
-            dram_words: report.dram_words,
+            cycles: m.cycles,
+            speedup: bc as f64 / m.cycles.max(1) as f64,
+            relative_area: m.area.relative_to(ba),
+            area: m.area,
+            dram_words: m.dram_words,
         });
     }
     Ok(Evaluation {

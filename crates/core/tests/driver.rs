@@ -3,7 +3,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pphw::{compile, evaluate, CompileError, CompileOptions, OptLevel};
+use pphw::{compile, evaluate, CompileOptions, OptLevel, PphwError};
 use pphw_hw::design::{CtrlKind, DesignStyle};
 use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::pattern::Init;
@@ -40,7 +40,7 @@ fn indivisible_tile_is_a_compile_error() {
         .tiles(&[("m", 33)])
         .opt(OptLevel::Tiled);
     match compile(&prog, &opts) {
-        Err(CompileError::Tile(_)) => {}
+        Err(PphwError::Tile(_)) => {}
         other => panic!("expected tile error, got {other:?}"),
     }
 }

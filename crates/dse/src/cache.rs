@@ -17,8 +17,9 @@
 //!   to disk ([`EvalCache::save`] / [`EvalCache::load`]) in a versioned,
 //!   checksummed binary format. A truncated, corrupt, or
 //!   version-mismatched file degrades to a cold cache — a typed
-//!   [`CacheFileError`] or a silent miss, never a panic — and
-//!   [`EvalOutcome::Failed`] entries are never persisted.
+//!   [`CacheFileError`] or a silent miss, never a panic.
+//!   [`EvalCache::insert`] refuses [`EvalOutcome::Failed`], so a failure
+//!   is never held, journaled, saved or merged — a later sweep retries it.
 //!
 //! For crash safety beyond cooperative shutdown, a cache can be opened
 //! *journaled* ([`EvalCache::open_journaled`]): every insert is also
@@ -33,7 +34,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use pphw_hw::Area;
 
-use crate::journal::{Journal, JournalConfig, JournalStats};
+use crate::journal::{encode_record, parse_record, Journal, JournalConfig, JournalStats};
 use crate::space::Candidate;
 use crate::{EvalOutcome, Measurement};
 
@@ -223,21 +224,22 @@ impl EvalCache {
         out
     }
 
-    /// Stores a measurement. On a journaled cache the entry is also
-    /// appended to the write-ahead journal (unless it is an
-    /// [`EvalOutcome::Failed`], which is never persisted), and the journal
+    /// Stores a measurement — unless it is an [`EvalOutcome::Failed`],
+    /// which says nothing about the design point and is dropped here, the
+    /// one place that rule lives: the table, the journal, snapshots and
+    /// merges therefore never see one, and a later sweep retries the
+    /// point instead of replaying the failure. On a journaled cache the
+    /// entry is also appended to the write-ahead journal, and the journal
     /// is compacted into a fresh snapshot once it outgrows its size
     /// threshold. The in-memory insert always happens first, so a
     /// snapshot written by compaction is always a superset of what the
     /// journal recorded.
     pub fn insert(&self, key: u64, outcome: EvalOutcome) {
-        let journal_worthy = !matches!(outcome, EvalOutcome::Failed(_));
-        if journal_worthy {
-            self.table().insert(key, outcome.clone());
-            self.journal_append(key, &outcome);
-        } else {
-            self.table().insert(key, outcome);
+        if matches!(outcome, EvalOutcome::Failed(_)) {
+            return;
         }
+        self.table().insert(key, outcome.clone());
+        self.journal_append(key, &outcome);
     }
 
     /// Locks the journal slot, recovering from poisoning (the journal's
@@ -308,35 +310,30 @@ impl EvalCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Serializes every persistable entry to `path`, atomically (written
-    /// to a uniquely-named sibling temp file, then renamed — safe under
+    /// Serializes every entry to `path`, atomically (written to a
+    /// uniquely-named sibling temp file, then renamed — safe under
     /// concurrent savers: readers always see a complete image, and the
-    /// last completed save wins). [`EvalOutcome::Failed`]
-    /// entries are skipped: a later sweep should retry a failure, not
-    /// replay it. The format is the versioned, checksummed layout
-    /// documented on [`CacheFileError`].
+    /// last completed save wins). The format is the versioned,
+    /// checksummed layout documented on [`CacheFileError`]; its entries
+    /// are the journal's records ([`encode_record`]).
     ///
     /// # Errors
     ///
     /// [`CacheFileError::Io`] if the file cannot be written.
     pub fn save(&self, path: &Path) -> Result<(), CacheFileError> {
         let table = self.table();
-        let mut entries: Vec<(u64, Vec<u8>)> = table
+        let mut records: Vec<(u64, Vec<u8>)> = table
             .iter()
-            .filter(|(_, out)| !matches!(out, EvalOutcome::Failed(_)))
-            .map(|(&key, out)| (key, encode_outcome(out)))
+            .map(|(&key, out)| (key, encode_record(key, out)))
             .collect();
         drop(table);
-        entries.sort_by_key(|(key, _)| *key);
-        let mut bytes = Vec::with_capacity(16 + entries.len() * 64);
+        records.sort_by_key(|(key, _)| *key);
+        let mut bytes = Vec::with_capacity(20 + records.len() * 80);
         bytes.extend_from_slice(&CACHE_MAGIC);
         bytes.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (key, payload) in &entries {
-            bytes.extend_from_slice(&key.to_le_bytes());
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(payload);
-            bytes.extend_from_slice(&entry_checksum(*key, payload).to_le_bytes());
+        bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for (_, record) in &records {
+            bytes.extend_from_slice(record);
         }
         // The temp name must be unique per save: concurrent savers (e.g.
         // two daemons pointed at the same cache file, or a sweep racing a
@@ -379,15 +376,9 @@ impl EvalCache {
         {
             let mut table = cache.table();
             for entry in 0..count {
-                let key = r.u64()?;
-                let len = r.u32()? as usize;
-                let payload = r.take(len)?;
-                let checksum = r.u64()?;
-                if checksum != entry_checksum(key, payload) {
-                    return Err(CacheFileError::Corrupt { entry });
-                }
-                let outcome = decode_outcome(payload).ok_or(CacheFileError::Corrupt { entry })?;
+                let (key, outcome, next) = parse_record(&bytes, r.pos, entry)?;
                 table.insert(key, outcome);
+                r.pos = next;
             }
             if !r.at_end() {
                 return Err(CacheFileError::TrailingBytes);
@@ -501,10 +492,6 @@ impl EvalCache {
     /// Any divergence aborts the merge *before* anything is inserted —
     /// self is untouched on error — because a divergent entry means a
     /// salt/version mismatch and neither value can be trusted.
-    /// [`EvalOutcome::Failed`] entries in `other` are never merged (same
-    /// rule as persistence: a failure should be retried, not replayed);
-    /// `Failed` entries in `self` are overwritten by a feasible result
-    /// from `other`, which is exactly the retry succeeding elsewhere.
     ///
     /// Entries land through [`EvalCache::insert`], so merging into a
     /// journaled cache is itself crash-safe.
@@ -524,31 +511,19 @@ impl EvalCache {
         {
             let table = self.table();
             for (key, theirs) in &incoming {
-                if matches!(theirs, EvalOutcome::Failed(_)) {
-                    continue;
-                }
-                match table.get(key) {
-                    Some(EvalOutcome::Failed(_)) | None => {}
-                    Some(ours) => {
-                        if encode_outcome(ours) != encode_outcome(theirs) {
-                            return Err(CacheMergeError::Divergent { key: *key });
-                        }
+                if let Some(ours) = table.get(key) {
+                    if encode_outcome(ours) != encode_outcome(theirs) {
+                        return Err(CacheMergeError::Divergent { key: *key });
                     }
                 }
             }
         }
         for (key, theirs) in incoming {
-            if matches!(theirs, EvalOutcome::Failed(_)) {
-                stats.failed_skipped += 1;
-                continue;
-            }
-            let existing = self.table().get(&key).cloned();
-            match existing {
-                Some(EvalOutcome::Failed(_)) | None => {
-                    self.insert(key, theirs);
-                    stats.inserted += 1;
-                }
-                Some(_) => stats.identical += 1,
+            if self.table().contains_key(&key) {
+                stats.identical += 1;
+            } else {
+                self.insert(key, theirs);
+                stats.inserted += 1;
             }
         }
         Ok(stats)
@@ -581,8 +556,6 @@ pub struct MergeStats {
     pub inserted: u64,
     /// Entries present in both caches and byte-identical (kept as-is).
     pub identical: u64,
-    /// [`EvalOutcome::Failed`] entries in the source, skipped by policy.
-    pub failed_skipped: u64,
 }
 
 /// Why [`EvalCache::merge_from`] refused to merge.
@@ -714,8 +687,9 @@ pub(crate) fn encode_outcome(out: &EvalOutcome) -> Vec<u8> {
             b.extend_from_slice(reason.as_bytes());
             b
         }
-        // Never reached: `save` filters Failed out. Encoded defensively as
-        // an empty Infeasible so a future caller cannot corrupt the file.
+        // Never reached: `EvalCache::insert` refuses Failed, so no table,
+        // journal or merge holds one. Encoded as an empty Infeasible so the
+        // match stays exhaustive without a panic path.
         EvalOutcome::Failed(_) => vec![1, 0, 0, 0, 0],
     }
 }
@@ -752,9 +726,9 @@ pub(crate) fn decode_outcome(payload: &[u8]) -> Option<EvalOutcome> {
 
 /// A bounds-checked little-endian byte reader: every read that would run
 /// past the end is [`CacheFileError::Truncated`], never a panic.
-struct Reader<'b> {
-    bytes: &'b [u8],
-    pos: usize,
+pub(crate) struct Reader<'b> {
+    pub(crate) bytes: &'b [u8],
+    pub(crate) pos: usize,
 }
 
 impl<'b> Reader<'b> {
@@ -762,7 +736,7 @@ impl<'b> Reader<'b> {
         Reader { bytes, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'b [u8], CacheFileError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'b [u8], CacheFileError> {
         let end = self.pos.checked_add(n).ok_or(CacheFileError::Truncated)?;
         let slice = self
             .bytes
@@ -772,16 +746,17 @@ impl<'b> Reader<'b> {
         Ok(slice)
     }
 
-    fn u32(&mut self) -> Result<u32, CacheFileError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CacheFileError> {
+        let bytes = self.take(N)?.try_into();
+        bytes.map_err(|_| CacheFileError::Truncated)
     }
 
-    fn u64(&mut self) -> Result<u64, CacheFileError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    pub(crate) fn u32(&mut self) -> Result<u32, CacheFileError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, CacheFileError> {
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn at_end(&self) -> bool {
@@ -857,9 +832,8 @@ mod tests {
     }
 
     /// Keys and fingerprints are on-disk and cross-process identities: a
-    /// cache file written by an earlier build must keep hitting. These
-    /// literals were captured before the design-point path was unified
-    /// and are never edited to make a change pass.
+    /// cache file written by an earlier build must keep hitting, so these
+    /// literals are never edited to make a change pass.
     #[test]
     fn key_and_fingerprint_literals_are_pinned() {
         let salt = "opt=Metapipelined;interchange=true;budget=6291456";
@@ -998,7 +972,20 @@ mod tests {
         let dir = std::env::temp_dir().join("pphw-cache-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("evals.pphwc");
-        sample_cache().save(&path).unwrap();
+        let cache = sample_cache();
+        cache.save(&path).unwrap();
+        // The file is the header plus the journal's record framing, one
+        // record per entry in key order.
+        let mut want = [
+            &CACHE_MAGIC[..],
+            &CACHE_VERSION.to_le_bytes(),
+            &2u64.to_le_bytes(),
+        ]
+        .concat();
+        for key in [1u64, 2] {
+            want.extend(encode_record(key, &cache.get(key).unwrap()));
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), want);
         let loaded = EvalCache::load(&path).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(
@@ -1072,8 +1059,7 @@ mod tests {
             stats,
             MergeStats {
                 inserted: 1,
-                identical: 1,
-                failed_skipped: 0
+                identical: 1
             }
         );
         assert_eq!(a.len(), 3);
@@ -1102,9 +1088,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_never_imports_failed_and_lets_success_replace_failed() {
+    fn insert_refuses_failed_so_a_merge_only_ever_sees_results() {
         let a = EvalCache::new();
         a.insert(5, EvalOutcome::Failed("transient here".into()));
+        assert!(a.is_empty(), "a failure is not a cache entry");
         let b = EvalCache::new();
         b.insert(5, outcome(555));
         b.insert(6, EvalOutcome::Failed("transient there".into()));
@@ -1113,8 +1100,7 @@ mod tests {
             stats,
             MergeStats {
                 inserted: 1,
-                identical: 0,
-                failed_skipped: 1
+                identical: 0
             }
         );
         assert_eq!(a.get(5), Some(outcome(555)), "retry success wins");
@@ -1157,8 +1143,7 @@ mod tests {
             stats,
             MergeStats {
                 inserted: 1,
-                identical: 1,
-                failed_skipped: 0
+                identical: 1
             }
         );
         assert_eq!(

@@ -78,6 +78,47 @@ pub enum Strategy {
     Guided(GuidedConfig),
 }
 
+impl Strategy {
+    /// The strategy a name and the guided tuning values describe — the
+    /// one parser behind the daemon's `strategy` field and the `dse`
+    /// binary's `--strategy` flag. No name means exhaustive; tuning
+    /// values left out take [`GuidedConfig::default`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown strategy, or saying that tuning
+    /// values were given without the guided strategy that reads them.
+    pub fn parse(
+        name: Option<&str>,
+        sample: Option<usize>,
+        top_k: Option<usize>,
+        explore: Option<usize>,
+        seed: Option<u64>,
+    ) -> Result<Strategy, String> {
+        let d = GuidedConfig::default();
+        match name {
+            None | Some("exhaustive") => {
+                if sample.or(top_k).or(explore).is_some() || seed.is_some() {
+                    return Err(
+                        "sample, top-k, explore and seed tune the `guided` strategy only"
+                            .to_string(),
+                    );
+                }
+                Ok(Strategy::Exhaustive)
+            }
+            Some("guided") => Ok(Strategy::Guided(GuidedConfig {
+                sample: sample.unwrap_or(d.sample),
+                top_k: top_k.unwrap_or(d.top_k),
+                explore: explore.unwrap_or(d.explore),
+                seed: seed.unwrap_or(d.seed),
+            })),
+            Some(other) => Err(format!(
+                "unknown strategy `{other}`; known: exhaustive, guided"
+            )),
+        }
+    }
+}
+
 /// What "best" means.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Objective {
@@ -97,6 +138,36 @@ pub enum Objective {
 }
 
 impl Objective {
+    /// The objective a name and an area cap describe — the one parser
+    /// behind the daemon's `objective`/`area_cap` fields and the `dse`
+    /// binary's `--objective`/`--area-cap` flags. A cap alone implies
+    /// `area-cap`; no name and no cap is the default order.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown objective, a cap that is not a
+    /// positive finite number, `area-cap` without a cap, or a cap beside
+    /// an objective that would ignore it.
+    pub fn parse(name: Option<&str>, area_cap: Option<f64>) -> Result<Objective, String> {
+        if area_cap.is_some_and(|cap| !(cap.is_finite() && cap > 0.0)) {
+            return Err("the area cap must be a positive finite number".to_string());
+        }
+        match (name, area_cap) {
+            (None | Some("cycles-area"), None) => Ok(Objective::CyclesThenArea),
+            (Some("min-cycles"), None) => Ok(Objective::MinCycles),
+            (None | Some("area-cap"), Some(area_cap)) => {
+                Ok(Objective::FastestUnderAreaCap { area_cap })
+            }
+            (Some("area-cap"), None) => Err("objective `area-cap` needs an area cap".to_string()),
+            (Some("min-cycles" | "cycles-area"), Some(_)) => {
+                Err("an area cap only makes sense with objective `area-cap`".to_string())
+            }
+            (Some(other), _) => Err(format!(
+                "unknown objective `{other}`; known: min-cycles, cycles-area, area-cap"
+            )),
+        }
+    }
+
     /// The total order this objective ranks feasible points with.
     #[must_use]
     pub fn cmp_points(&self, a: &EvaluatedPoint, b: &EvaluatedPoint) -> Ordering {
@@ -123,6 +194,11 @@ impl Objective {
     }
 }
 
+/// Attempts per candidate when the evaluator panics. A candidate that
+/// fails both is recorded as an [`EvalOutcome::Failed`] in the report; the
+/// sweep always completes.
+const EVAL_ATTEMPTS: usize = 2;
+
 /// Engine knobs.
 #[derive(Debug, Clone)]
 pub struct DseConfig {
@@ -134,16 +210,6 @@ pub struct DseConfig {
     pub on_chip_budget_bytes: u64,
     /// Area budget for the analytic prefilter.
     pub area_budget: AreaBudget,
-    /// Run the analytic prefilter (disable to force exhaustive
-    /// evaluation, e.g. to measure what pruning saves).
-    pub prefilter: bool,
-    /// Cap on the number of candidates evaluated after pruning (in
-    /// canonical enumeration order; `usize::MAX` = no cap).
-    pub max_evals: usize,
-    /// Total attempts per candidate when the evaluator panics (`1` = no
-    /// retry). A candidate that fails every attempt is recorded as a
-    /// [`EvalOutcome::Failed`] in the report; the sweep always completes.
-    pub eval_attempts: usize,
     /// Exhaustive or model-guided measurement.
     pub strategy: Strategy,
     /// How the evaluator sizes each candidate's channels (honored by
@@ -165,9 +231,6 @@ impl Default for DseConfig {
             threads: 0,
             on_chip_budget_bytes: 6 * 1024 * 1024,
             area_budget: AreaBudget::full_device(),
-            prefilter: true,
-            max_evals: usize::MAX,
-            eval_attempts: 2,
             strategy: Strategy::Exhaustive,
             capacity_mode: CapacityMode::default(),
             objective: Objective::CyclesThenArea,
@@ -230,46 +293,29 @@ pub fn explore(
     };
 
     // Analytic prefilter: reject before compiling.
-    let survivors: Vec<Candidate> = if cfg.prefilter {
-        let decisions = prefilter(
-            prog,
-            space.sizes(),
-            &candidates,
-            cfg.on_chip_budget_bytes,
-            &cfg.area_budget,
-        );
-        candidates
-            .into_iter()
-            .zip(decisions)
-            .filter_map(|(c, d)| match d {
-                PruneDecision::Keep => Some(c),
-                PruneDecision::Tile(_) => {
-                    stats.pruned_tile += 1;
-                    None
-                }
-                PruneDecision::Illegal(_) => {
-                    stats.pruned_verify += 1;
-                    None
-                }
-                PruneDecision::Flow(_) => {
-                    stats.pruned_flow += 1;
-                    None
-                }
-                PruneDecision::Budget { .. } => {
-                    stats.pruned_budget += 1;
-                    None
-                }
-                PruneDecision::Area => {
-                    stats.pruned_area += 1;
-                    None
-                }
-            })
-            .collect()
-    } else {
-        candidates
-    };
-    let mut survivors = survivors;
-    survivors.truncate(cfg.max_evals);
+    let decisions = prefilter(
+        prog,
+        space.sizes(),
+        &candidates,
+        cfg.on_chip_budget_bytes,
+        &cfg.area_budget,
+    );
+    let survivors: Vec<Candidate> = candidates
+        .into_iter()
+        .zip(decisions)
+        .filter_map(|(c, d)| {
+            let pruned = match d {
+                PruneDecision::Keep => return Some(c),
+                PruneDecision::Tile(_) => &mut stats.pruned_tile,
+                PruneDecision::Illegal(_) => &mut stats.pruned_verify,
+                PruneDecision::Flow(_) => &mut stats.pruned_flow,
+                PruneDecision::Budget { .. } => &mut stats.pruned_budget,
+                PruneDecision::Area => &mut stats.pruned_area,
+            };
+            *pruned += 1;
+            None
+        })
+        .collect();
     let n = survivors.len();
 
     // Stable identity per survivor: drives both sharding and the guided
@@ -285,25 +331,22 @@ pub fn explore(
     // counted after the parallel section so the tallies are
     // scheduling-independent. Each job runs under panic isolation with
     // bounded retry, so one crashing candidate is a recorded failure, not
-    // a lost sweep. Failed outcomes (panics, simulation budget overruns)
-    // are never cached: a later sweep should retry them, not replay the
-    // failure.
+    // a lost sweep. (`EvalCache::insert` refuses `Failed` outcomes, so a
+    // later sweep retries them instead of replaying the failure.)
     let salt = evaluator.cache_salt();
     let measure = |indices: &[usize]| -> Vec<(usize, EvalOutcome, bool)> {
         let subset: Vec<Candidate> = indices.iter().map(|&i| survivors[i].clone()).collect();
         let outcomes: Vec<Result<(EvalOutcome, bool), String>> = crate::pool::run_indexed_isolated(
             cfg.resolved_threads(),
             &subset,
-            cfg.eval_attempts.max(1),
+            EVAL_ATTEMPTS,
             |_, c| {
                 let key = config_key(&prog.name, space.sizes(), &salt, c);
                 if let Some(hit) = cache.get(key) {
                     (hit, true)
                 } else {
                     let out = evaluator.evaluate(c);
-                    if !matches!(out, EvalOutcome::Failed(_)) {
-                        cache.insert(key, out.clone());
-                    }
+                    cache.insert(key, out.clone());
                     (out, false)
                 }
             },
@@ -696,7 +739,6 @@ mod tests {
             };
             let cfg = DseConfig {
                 threads,
-                eval_attempts: 2,
                 ..DseConfig::default()
             };
             let report = explore(&program(), &space(), &eval, &EvalCache::new(), &cfg).unwrap();
@@ -748,24 +790,11 @@ mod tests {
         };
         let cfg = DseConfig {
             threads: 1,
-            eval_attempts: 2,
             ..DseConfig::default()
         };
         let report = explore(&program(), &space(), &eval, &EvalCache::new(), &cfg).unwrap();
         assert_eq!(report.stats.failed, 0, "{:?}", report.failures);
         assert!(eval.calls.load(Ordering::SeqCst) as usize > report.stats.evaluated);
-    }
-
-    #[test]
-    fn max_evals_caps_the_survivor_list() {
-        let eval = Synthetic::new();
-        let cfg = DseConfig {
-            max_evals: 3,
-            ..DseConfig::default()
-        };
-        let report = explore(&program(), &space(), &eval, &EvalCache::new(), &cfg).unwrap();
-        assert_eq!(report.stats.evaluated, 3);
-        assert_eq!(eval.calls.load(Ordering::SeqCst), 3);
     }
 
     /// A wider space (96 points) so guided search has something to skip.

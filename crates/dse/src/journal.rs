@@ -19,7 +19,7 @@
 //! record*:
 //!   key       u64      canonical configuration hash
 //!   len       u32      payload length in bytes
-//!   payload   [u8;len] encoded EvalOutcome (Failed is never journaled)
+//!   payload   [u8;len] encoded EvalOutcome (never Failed: the cache refuses it)
 //!   checksum  u64      fnv1a64(key-bytes ++ payload)
 //! ```
 //!
@@ -39,7 +39,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::cache::{decode_outcome, encode_outcome, entry_checksum};
+use crate::cache::{decode_outcome, encode_outcome, entry_checksum, CacheFileError, Reader};
 use crate::EvalOutcome;
 
 /// File magic for the evaluation-cache journal.
@@ -117,42 +117,40 @@ pub fn replay(bytes: &[u8]) -> (Vec<(u64, EvalOutcome)>, u64) {
     }
     let mut entries = Vec::new();
     let mut pos = HEADER_LEN as usize;
-    while let Some((key, outcome, next)) = parse_record(bytes, pos) {
+    while let Ok((key, outcome, next)) = parse_record(bytes, pos, entries.len() as u64) {
         entries.push((key, outcome));
         pos = next;
     }
     (entries, pos as u64)
 }
 
-/// Parses one record at `pos`, returning `(key, outcome, next_pos)` or
-/// `None` if the record is truncated, corrupt, or undecodable.
-fn parse_record(bytes: &[u8], pos: usize) -> Option<(u64, EvalOutcome, usize)> {
-    let fixed = bytes.get(pos..pos + 12)?;
-    let key = u64::from_le_bytes([
-        fixed[0], fixed[1], fixed[2], fixed[3], fixed[4], fixed[5], fixed[6], fixed[7],
-    ]);
-    let len = u32::from_le_bytes([fixed[8], fixed[9], fixed[10], fixed[11]]) as usize;
-    let payload_start = pos + 12;
-    let payload = bytes.get(payload_start..payload_start.checked_add(len)?)?;
-    let sum_bytes = bytes.get(payload_start + len..payload_start + len + 8)?;
-    let checksum = u64::from_le_bytes([
-        sum_bytes[0],
-        sum_bytes[1],
-        sum_bytes[2],
-        sum_bytes[3],
-        sum_bytes[4],
-        sum_bytes[5],
-        sum_bytes[6],
-        sum_bytes[7],
-    ]);
+/// Parses the record at `pos` (the `entry`-th of its file), returning
+/// `(key, outcome, next_pos)` — the one reader of the `key | len | payload
+/// | checksum` framing, for the journal and the snapshot alike.
+///
+/// # Errors
+///
+/// [`CacheFileError::Truncated`] when the bytes end before the record
+/// does; [`CacheFileError::Corrupt`] when it is all there but fails its
+/// checksum or does not decode. The journal treats both as the end of its
+/// intact prefix; the snapshot loader reports them as they are.
+pub(crate) fn parse_record(
+    bytes: &[u8],
+    pos: usize,
+    entry: u64,
+) -> Result<(u64, EvalOutcome, usize), CacheFileError> {
+    let mut r = Reader { bytes, pos };
+    let (key, len) = (r.u64()?, r.u32()? as usize);
+    let (payload, checksum) = (r.take(len)?, r.u64()?);
     if checksum != entry_checksum(key, payload) {
-        return None;
+        return Err(CacheFileError::Corrupt { entry });
     }
-    let outcome = decode_outcome(payload)?;
-    Some((key, outcome, payload_start + len + 8))
+    let outcome = decode_outcome(payload).ok_or(CacheFileError::Corrupt { entry })?;
+    Ok((key, outcome, r.pos))
 }
 
-/// One record, encoded: `key | len | payload | checksum`.
+/// One record, encoded: `key | len | payload | checksum` — the one writer
+/// of that framing, for the journal and the snapshot alike.
 #[must_use]
 pub(crate) fn encode_record(key: u64, outcome: &EvalOutcome) -> Vec<u8> {
     let payload = encode_outcome(outcome);

@@ -45,6 +45,7 @@ use std::collections::HashMap;
 
 use pphw_ir::program::Program;
 use pphw_ir::size::Size;
+use pphw_sim::fault::splitmix64;
 use pphw_transform::cost::{predict_traffic, TrafficPrediction};
 use pphw_transform::{tile_program, TileConfig};
 
@@ -259,15 +260,6 @@ fn solve(
         x[col] = acc / a[col][col];
     }
     Some(x)
-}
-
-/// SplitMix64 — the stable scrambler behind deterministic sampling.
-#[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Picks the deterministic calibration sample: candidates are ranked by

@@ -10,9 +10,9 @@
 //! The partition is a pure function of the *identity* of each candidate —
 //! [`fingerprint`] hashes the program name and the candidate's canonical
 //! label — never of enumeration position. Shards therefore agree on
-//! ownership regardless of pruning, `max_evals` truncation order, or how
-//! the space was built, and re-running a shard after the space grows only
-//! moves candidates whose own identity changed.
+//! ownership regardless of pruning or how the space was built, and
+//! re-running a shard after the space grows only moves candidates whose
+//! own identity changed.
 
 use crate::cache::fnv1a64;
 use crate::space::Candidate;

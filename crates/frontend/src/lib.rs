@@ -23,6 +23,7 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 
+use pphw_ir::json::escape;
 use pphw_ir::program::Program;
 use pphw_ir::span::{caret_snippet, line_col, SourceMap, Span};
 
@@ -85,6 +86,22 @@ impl ParseError {
             out.push_str(&snippet);
         }
         out
+    }
+
+    /// Renders as the JSON object the `parse --json` binary and the
+    /// daemon's `EPPL` errors both carry: code, message, file, and the
+    /// byte span with its line and column.
+    pub fn to_json(&self, src: &str, file: &str) -> String {
+        let (line, col) = line_col(src, self.span.start);
+        format!(
+            "{{\"code\":{},\"message\":{},\"file\":{},\
+             \"span\":{{\"start\":{},\"end\":{},\"line\":{line},\"col\":{col}}}}}",
+            escape(self.code),
+            escape(&self.message),
+            escape(file),
+            self.span.start,
+            self.span.end
+        )
     }
 }
 

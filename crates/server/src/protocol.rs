@@ -21,7 +21,7 @@
 use crate::json::{escape, parse_json, to_string, Json};
 use pphw::OptLevel;
 use pphw_dse::cache::fnv1a64;
-use pphw_dse::{GuidedConfig, Objective, Strategy};
+use pphw_dse::{Objective, Strategy};
 use pphw_sim::SimConfig;
 
 /// Stable wire-protocol error codes.
@@ -81,15 +81,6 @@ impl ErrorBody {
             message: message.into(),
             extra: Vec::new(),
         }
-    }
-
-    /// Whether the error object carries `"retryable":true` — the client
-    /// may safely resend the identical request after a backoff.
-    #[must_use]
-    pub fn is_retryable(&self) -> bool {
-        self.extra
-            .iter()
-            .any(|(k, v)| k == "retryable" && v == "true")
     }
 
     /// Renders the `{"code":…,"message":…}` object.
@@ -223,22 +214,6 @@ pub enum ProgramRef {
     },
 }
 
-impl ProgramRef {
-    /// A stable identity token for cache keys: the bench name, or a
-    /// content hash of the source text. Source programs are keyed by
-    /// *content*, so two different programs that happen to share a
-    /// `prog` name can never collide in the shared caches.
-    #[must_use]
-    pub fn cache_ident(&self) -> String {
-        match self {
-            ProgramRef::Bench(name) => format!("bench:{name}"),
-            ProgramRef::Source { text, .. } => {
-                format!("src:{:016x}", fnv1a64(text.as_bytes()))
-            }
-        }
-    }
-}
-
 /// A decoded compile / verify / simulate request body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkRequest {
@@ -339,12 +314,33 @@ fn limit(message: impl Into<String>) -> ErrorBody {
     ErrorBody::new(codes::LIMIT, message)
 }
 
+/// The wire name of an optimization level: what results echo and — read
+/// backwards over [`OptLevel::all`] — what the `opt` field decodes.
+pub(crate) fn opt_name(opt: OptLevel) -> &'static str {
+    match opt {
+        OptLevel::Baseline => "baseline",
+        OptLevel::Tiled => "tiled",
+        OptLevel::Metapipelined => "meta",
+    }
+}
+
+/// An optional field read by `conv`. Present but unreadable is the typed
+/// error "`key` must be …": every field's type check is this one line.
+fn field<'j, T>(
+    obj: &'j Json,
+    key: &str,
+    must_be: &str,
+    conv: impl FnOnce(&'j Json) -> Option<T>,
+) -> Result<Option<T>, ErrorBody> {
+    obj.get(key)
+        .map(|v| conv(v).ok_or_else(|| proto(format!("`{key}` must be {must_be}"))))
+        .transpose()
+}
+
 /// Decodes `{"m":64,…}` into name/value pairs, requiring positive exact
 /// integers.
-fn dim_pairs(v: &Json, what: &str) -> Result<Vec<(String, i64)>, ErrorBody> {
-    let fields = v
-        .as_obj()
-        .ok_or_else(|| proto(format!("`{what}` must be an object of integers")))?;
+fn dim_pairs(obj: &Json, what: &str) -> Result<Vec<(String, i64)>, ErrorBody> {
+    let fields = field(obj, what, "an object of integers", Json::as_obj)?.unwrap_or_default();
     let mut out = Vec::with_capacity(fields.len());
     for (k, val) in fields {
         let n = val
@@ -356,32 +352,27 @@ fn dim_pairs(v: &Json, what: &str) -> Result<Vec<(String, i64)>, ErrorBody> {
     Ok(out)
 }
 
-fn decode_sim(v: Option<&Json>, limits: &Limits) -> Result<SimConfig, ErrorBody> {
+fn decode_sim(obj: &Json, limits: &Limits) -> Result<SimConfig, ErrorBody> {
     let mut sim = SimConfig::default();
-    let Some(v) = v else { return Ok(sim) };
-    let fields = v.as_obj().ok_or_else(|| proto("`sim` must be an object"))?;
+    // Without a `sim` field the default budget stands — the service
+    // overwrites it either way, but it is in the pinned fingerprints.
+    let Some(fields) = field(obj, "sim", "an object", Json::as_obj)? else {
+        return Ok(sim);
+    };
     for (k, val) in fields {
+        let number = || {
+            val.as_f64()
+                .ok_or_else(|| proto(format!("`sim.{k}` must be a number")))
+        };
+        let count = || {
+            val.as_u64()
+                .ok_or_else(|| proto(format!("`sim.{k}` must be a non-negative integer")))
+        };
         match k.as_str() {
-            "clock_mhz" => {
-                sim.clock_mhz = val
-                    .as_f64()
-                    .ok_or_else(|| proto("`sim.clock_mhz` must be a number"))?;
-            }
-            "dram_gbps" => {
-                sim.dram_gbps = val
-                    .as_f64()
-                    .ok_or_else(|| proto("`sim.dram_gbps` must be a number"))?;
-            }
-            "dram_latency" => {
-                sim.dram_latency = val
-                    .as_u64()
-                    .ok_or_else(|| proto("`sim.dram_latency` must be a non-negative integer"))?;
-            }
-            "burst_bytes" => {
-                sim.burst_bytes = val
-                    .as_u64()
-                    .ok_or_else(|| proto("`sim.burst_bytes` must be a non-negative integer"))?;
-            }
+            "clock_mhz" => sim.clock_mhz = number()?,
+            "dram_gbps" => sim.dram_gbps = number()?,
+            "dram_latency" => sim.dram_latency = count()?,
+            "burst_bytes" => sim.burst_bytes = count()?,
             other => return Err(proto(format!("unknown `sim` field `{other}`"))),
         }
     }
@@ -393,20 +384,14 @@ fn decode_sim(v: Option<&Json>, limits: &Limits) -> Result<SimConfig, ErrorBody>
 }
 
 fn decode_work(obj: &Json, limits: &Limits) -> Result<WorkRequest, ErrorBody> {
-    let program = match (obj.get("bench"), obj.get("source")) {
+    let bench = field(obj, "bench", "a string", Json::as_str)?;
+    let source = field(obj, "source", "a string", Json::as_str)?;
+    let program = match (bench, source) {
         (Some(_), Some(_)) => {
             return Err(proto("give either `bench` or `source`, not both"));
         }
-        (Some(b), None) => {
-            let name = b
-                .as_str()
-                .ok_or_else(|| proto("`bench` must be a string"))?;
-            ProgramRef::Bench(name.to_string())
-        }
-        (None, Some(s)) => {
-            let text = s
-                .as_str()
-                .ok_or_else(|| proto("`source` must be a string"))?;
+        (Some(name), None) => ProgramRef::Bench(name.to_string()),
+        (None, Some(text)) => {
             if text.len() > limits.max_source_bytes {
                 return Err(limit(format!(
                     "source is {} bytes, limit is {}",
@@ -414,24 +399,15 @@ fn decode_work(obj: &Json, limits: &Limits) -> Result<WorkRequest, ErrorBody> {
                     limits.max_source_bytes
                 )));
             }
-            let file = match obj.get("file") {
-                Some(f) => f
-                    .as_str()
-                    .ok_or_else(|| proto("`file` must be a string"))?
-                    .to_string(),
-                None => "<request>".to_string(),
-            };
+            let file = field(obj, "file", "a string", Json::as_str)?.unwrap_or("<request>");
             ProgramRef::Source {
                 text: text.to_string(),
-                file,
+                file: file.to_string(),
             }
         }
         (None, None) => return Err(proto("missing `bench` or `source`")),
     };
-    let sizes = match obj.get("sizes") {
-        Some(v) => dim_pairs(v, "sizes")?,
-        None => Vec::new(),
-    };
+    let sizes = dim_pairs(obj, "sizes")?;
     let product: i64 = sizes
         .iter()
         .map(|(_, v)| *v)
@@ -442,218 +418,110 @@ fn decode_work(obj: &Json, limits: &Limits) -> Result<WorkRequest, ErrorBody> {
             limits.max_size_product
         )));
     }
-    let tiles = match obj.get("tiles") {
-        Some(v) => dim_pairs(v, "tiles")?,
-        None => Vec::new(),
-    };
-    let inner_par = match obj.get("inner_par") {
-        Some(v) => {
-            let p = v
-                .as_u64()
-                .filter(|p| *p >= 1)
-                .ok_or_else(|| proto("`inner_par` must be a positive integer"))?;
-            if p > u64::from(limits.max_inner_par) {
-                return Err(limit(format!(
-                    "inner_par {p} exceeds limit {}",
-                    limits.max_inner_par
-                )));
-            }
-            // Bounded by the u32 limit just checked, so this never falls
-            // back.
-            Some(u32::try_from(p).unwrap_or(limits.max_inner_par))
-        }
+    let positive = |v: &Json| v.as_u64().filter(|n| *n >= 1);
+    let inner_par = match field(obj, "inner_par", "a positive integer", positive)? {
+        // `try_from` only fails past `u32`, which is past the limit too.
+        Some(p) => Some(
+            u32::try_from(p)
+                .ok()
+                .filter(|p| *p <= limits.max_inner_par)
+                .ok_or_else(|| {
+                    limit(format!(
+                        "inner_par {p} exceeds limit {}",
+                        limits.max_inner_par
+                    ))
+                })?,
+        ),
         None => None,
     };
     let opt = match obj.get("opt") {
         None => OptLevel::Metapipelined,
-        Some(v) => match v.as_str() {
-            Some("baseline") => OptLevel::Baseline,
-            Some("tiled") => OptLevel::Tiled,
-            Some("meta") => OptLevel::Metapipelined,
-            _ => return Err(proto("`opt` must be \"baseline\", \"tiled\", or \"meta\"")),
-        },
-    };
-    let cycle_budget = match obj.get("cycle_budget") {
-        Some(v) => Some(
-            v.as_u64()
-                .filter(|b| *b >= 1)
-                .ok_or_else(|| proto("`cycle_budget` must be a positive integer"))?,
-        ),
-        None => None,
+        Some(v) => OptLevel::all()
+            .into_iter()
+            .find(|level| v.as_str() == Some(opt_name(*level)))
+            .ok_or_else(|| {
+                let known = OptLevel::all().map(opt_name).join(", ");
+                proto(format!("`opt` must be one of {known}"))
+            })?,
     };
     Ok(WorkRequest {
         program,
         sizes,
-        tiles,
+        tiles: dim_pairs(obj, "tiles")?,
         inner_par,
         opt,
-        sim: decode_sim(obj.get("sim"), limits)?,
-        cycle_budget,
+        sim: decode_sim(obj, limits)?,
+        cycle_budget: field(obj, "cycle_budget", "a positive integer", positive)?,
     })
+}
+
+/// An optional array (absent = empty) called `name`, each entry read by
+/// `conv`; an unreadable entry is "`name` entries must be …".
+fn entries<T>(
+    v: Option<&Json>,
+    name: &str,
+    must_be: &str,
+    conv: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, ErrorBody> {
+    let Some(v) = v else { return Ok(Vec::new()) };
+    let items = v
+        .as_arr()
+        .ok_or_else(|| proto(format!("`{name}` must be an array")))?;
+    let entry =
+        |item| conv(item).ok_or_else(|| proto(format!("`{name}` entries must be {must_be}")));
+    items.iter().map(entry).collect()
 }
 
 fn decode_dse(obj: &Json, limits: &Limits) -> Result<DseRequest, ErrorBody> {
     let base = decode_work(obj, limits)?;
-    let tile_candidates = match obj.get("tile_candidates") {
-        None => Vec::new(),
-        Some(v) => {
-            let fields = v
-                .as_obj()
-                .ok_or_else(|| proto("`tile_candidates` must be an object of integer arrays"))?;
-            let mut out = Vec::with_capacity(fields.len());
-            for (dim, arr) in fields {
-                let items = arr
-                    .as_arr()
-                    .ok_or_else(|| proto(format!("`tile_candidates.{dim}` must be an array")))?;
-                let mut cands = Vec::with_capacity(items.len());
-                for item in items {
-                    cands.push(item.as_i64().filter(|n| *n > 0).ok_or_else(|| {
-                        proto(format!(
-                            "`tile_candidates.{dim}` entries must be positive integers"
-                        ))
-                    })?);
-                }
-                out.push((dim.clone(), cands));
-            }
-            out
-        }
+    let dims = field(
+        obj,
+        "tile_candidates",
+        "an object of integer arrays",
+        Json::as_obj,
+    )?;
+    let mut tile_candidates = Vec::new();
+    for (dim, arr) in dims.unwrap_or_default() {
+        let name = format!("tile_candidates.{dim}");
+        let positive = |item: &Json| item.as_i64().filter(|n| *n > 0);
+        let cands = entries(Some(arr), &name, "positive integers", positive)?;
+        tile_candidates.push((dim.clone(), cands));
+    }
+    let par_range = format!("integers in 1..={}", limits.max_inner_par);
+    let inner_pars = entries(obj.get("inner_pars"), "inner_pars", &par_range, |item| {
+        let p = u32::try_from(item.as_u64()?).ok()?;
+        (1..=limits.max_inner_par).contains(&p).then_some(p)
+    })?;
+    let sims = entries(obj.get("sims"), "sims", "strings", |item| {
+        item.as_str().map(str::to_string)
+    })?;
+    // Types and wire bounds are checked here; which names exist and what
+    // combines with what is the parsers' call, shared with the `dse` binary.
+    let count = |key: &str| {
+        field(obj, key, "an integer in 1..=1000000", |v| {
+            let n = usize::try_from(v.as_u64()?).ok()?;
+            (1..=1_000_000).contains(&n).then_some(n)
+        })
     };
-    let inner_pars = match obj.get("inner_pars") {
-        None => Vec::new(),
-        Some(v) => {
-            let items = v
-                .as_arr()
-                .ok_or_else(|| proto("`inner_pars` must be an array"))?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                let p = item
-                    .as_u64()
-                    .filter(|p| *p >= 1 && *p <= u64::from(limits.max_inner_par))
-                    .ok_or_else(|| {
-                        proto(format!(
-                            "`inner_pars` entries must be integers in 1..={}",
-                            limits.max_inner_par
-                        ))
-                    })?;
-                // Bounded by `max_inner_par: u32` via the filter above.
-                out.push(u32::try_from(p).unwrap_or(limits.max_inner_par));
-            }
-            out
-        }
-    };
-    let sims = match obj.get("sims") {
-        None => Vec::new(),
-        Some(v) => {
-            let items = v.as_arr().ok_or_else(|| proto("`sims` must be an array"))?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(
-                    item.as_str()
-                        .ok_or_else(|| proto("`sims` entries must be strings"))?
-                        .to_string(),
-                );
-            }
-            out
-        }
-    };
-    let strategy = decode_strategy(obj)?;
-    let objective = decode_objective(obj)?;
+    let strategy = Strategy::parse(
+        field(obj, "strategy", "a string", Json::as_str)?,
+        count("sample")?,
+        count("top_k")?,
+        count("explore")?,
+        field(obj, "seed", "an unsigned integer", Json::as_u64)?,
+    );
+    let objective = Objective::parse(
+        field(obj, "objective", "a string", Json::as_str)?,
+        field(obj, "area_cap", "a number", Json::as_f64)?,
+    );
     Ok(DseRequest {
         base,
         tile_candidates,
         inner_pars,
         sims,
-        strategy,
-        objective,
+        strategy: strategy.map_err(proto)?,
+        objective: objective.map_err(proto)?,
     })
-}
-
-/// Decodes the optional `strategy` field and its guided tuning knobs.
-fn decode_strategy(obj: &Json) -> Result<Strategy, ErrorBody> {
-    let tuning_present = ["sample", "top_k", "explore", "seed"]
-        .iter()
-        .any(|k| obj.get(k).is_some());
-    let strategy = match obj.get("strategy") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| proto("`strategy` must be a string"))?,
-        ),
-    };
-    match strategy {
-        None | Some("exhaustive") => {
-            if tuning_present {
-                return Err(proto(
-                    "`sample`/`top_k`/`explore`/`seed` need \"strategy\":\"guided\"",
-                ));
-            }
-            Ok(Strategy::Exhaustive)
-        }
-        Some("guided") => {
-            let d = GuidedConfig::default();
-            let count = |name: &str, dflt: usize| -> Result<usize, ErrorBody> {
-                match obj.get(name) {
-                    None => Ok(dflt),
-                    Some(v) => v
-                        .as_u64()
-                        .filter(|n| *n >= 1 && *n <= 1_000_000)
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| {
-                            proto(format!("`{name}` must be an integer in 1..=1000000"))
-                        }),
-                }
-            };
-            let seed = match obj.get("seed") {
-                None => d.seed,
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| proto("`seed` must be an unsigned integer"))?,
-            };
-            Ok(Strategy::Guided(GuidedConfig {
-                sample: count("sample", d.sample)?,
-                top_k: count("top_k", d.top_k)?,
-                explore: count("explore", d.explore)?,
-                seed,
-            }))
-        }
-        Some(other) => Err(proto(format!(
-            "unknown strategy `{other}`; known: exhaustive, guided"
-        ))),
-    }
-}
-
-/// Decodes the optional `objective` / `area_cap` fields. `area_cap`
-/// alone implies the capped objective, mirroring the `dse` binary.
-fn decode_objective(obj: &Json) -> Result<Objective, ErrorBody> {
-    let area_cap = match obj.get("area_cap") {
-        None => None,
-        Some(v) => Some(
-            v.as_f64()
-                .filter(|f| f.is_finite() && *f > 0.0)
-                .ok_or_else(|| proto("`area_cap` must be a positive finite number"))?,
-        ),
-    };
-    let objective = match obj.get("objective") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| proto("`objective` must be a string"))?,
-        ),
-    };
-    match (objective, area_cap) {
-        (None | Some("cycles-area"), None) => Ok(Objective::CyclesThenArea),
-        (Some("min-cycles"), None) => Ok(Objective::MinCycles),
-        (Some("area-cap") | None, Some(area_cap)) => {
-            Ok(Objective::FastestUnderAreaCap { area_cap })
-        }
-        (Some("area-cap"), None) => Err(proto("\"objective\":\"area-cap\" needs `area_cap`")),
-        (Some("min-cycles" | "cycles-area"), Some(_)) => Err(proto(
-            "`area_cap` only makes sense with \"objective\":\"area-cap\"",
-        )),
-        (Some(other), _) => Err(proto(format!(
-            "unknown objective `{other}`; known: min-cycles, cycles-area, area-cap"
-        ))),
-    }
 }
 
 impl Request {
@@ -713,7 +581,9 @@ impl Request {
     }
 
     /// Canonical text form of the payload. Dimension maps are sorted so
-    /// field order on the wire cannot split cache entries.
+    /// field order on the wire cannot split cache entries. Both request
+    /// structs are destructured without `..`: a field added to `decode`
+    /// does not build (under `-D warnings`) until it is written here.
     #[must_use]
     pub fn canonical(&self) -> String {
         fn dims(pairs: &[(String, i64)]) -> String {
@@ -726,15 +596,33 @@ impl Request {
                 .join(",")
         }
         fn work(tag: &str, w: &WorkRequest) -> String {
+            let WorkRequest {
+                program,
+                sizes,
+                tiles,
+                inner_par,
+                opt,
+                sim,
+                cycle_budget,
+            } = w;
+            let prog = match program {
+                ProgramRef::Bench(name) => format!("bench:{name}"),
+                // Source programs are identified by content, never by
+                // their (client-chosen) `prog` name. The diagnostic file
+                // name is part of the answer — reports and `EPPL` errors
+                // cite it — so it is part of the request's identity too,
+                // and of nothing else: design and measurement keys stay
+                // content-only.
+                ProgramRef::Source { text, file } => {
+                    format!("src:{:016x}|file={file:?}", fnv1a64(text.as_bytes()))
+                }
+            };
             format!(
-                "{tag}|prog={}|sizes={}|tiles={}|par={:?}|opt={:?}|sim={}|budget={:?}",
-                w.program.cache_ident(),
-                dims(&w.sizes),
-                dims(&w.tiles),
-                w.inner_par,
-                w.opt,
-                w.sim.canonical_key(),
-                w.cycle_budget
+                "{tag}|prog={prog}|sizes={}|tiles={}|par={inner_par:?}|opt={opt:?}|sim={}|\
+                 budget={cycle_budget:?}",
+                dims(sizes),
+                dims(tiles),
+                sim.canonical_key(),
             )
         }
         match &self.method {
@@ -747,20 +635,24 @@ impl Request {
             Method::Verify(w) => work("verify", w),
             Method::Simulate(w) => work("simulate", w),
             Method::Dse(d) => {
-                let mut tiles: Vec<_> = d
-                    .tile_candidates
+                let DseRequest {
+                    base,
+                    tile_candidates,
+                    inner_pars,
+                    sims,
+                    strategy,
+                    objective,
+                } = d;
+                let mut tiles: Vec<_> = tile_candidates
                     .iter()
                     .map(|(k, v)| format!("{k}={v:?}"))
                     .collect();
                 tiles.sort();
                 format!(
-                    "dse|{}|cands={}|pars={:?}|sims={:?}|strat={:?}|obj={:?}",
-                    work("base", &d.base),
+                    "dse|{}|cands={}|pars={inner_pars:?}|sims={sims:?}|strat={strategy:?}|\
+                     obj={objective:?}",
+                    work("base", base),
                     tiles.join(","),
-                    d.inner_pars,
-                    d.sims,
-                    d.strategy,
-                    d.objective
                 )
             }
         }
@@ -869,10 +761,10 @@ mod tests {
         assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
-    /// The response memo is keyed by these: literals captured before the
-    /// diagnostic file name joined the fingerprint (`bench` requests carry
-    /// no file, so they must not move) and never edited to make a change
-    /// pass.
+    /// The response memo is keyed by these. `bench` requests carry no
+    /// diagnostic file name, so its place in the fingerprint of `source`
+    /// requests must not move them; the literals are never edited to make
+    /// a change pass.
     #[test]
     fn bench_request_fingerprints_are_pinned() {
         let fp = |line: &str| Request::decode(line, &lim()).unwrap().fingerprint();
@@ -913,10 +805,10 @@ mod tests {
         };
         assert_eq!(
             req.strategy,
-            Strategy::Guided(GuidedConfig {
+            Strategy::Guided(pphw_dse::GuidedConfig {
                 sample: 5,
                 top_k: 7,
-                explore: GuidedConfig::default().explore,
+                explore: pphw_dse::GuidedConfig::default().explore,
                 seed: 9,
             })
         );

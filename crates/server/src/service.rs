@@ -18,6 +18,11 @@
 //!    ([`EvalCache`]), loaded at startup and saved at shutdown, shared
 //!    between direct `simulate` requests and `dse` sweeps.
 //!
+//! Layers 2 and 3 are shared with sweeps by construction: `compile`,
+//! `verify` and `simulate` reach designs and measurements through the
+//! same [`CompileEvaluator`] a sweep evaluates candidates with, so keys,
+//! salt, compile options and budget verdict cannot differ between them.
+//!
 //! Every request runs under a watchdog cycle budget clamped to the
 //! server's [`Limits`]: a pathological request degrades to a typed
 //! [`codes::BUDGET`](crate::protocol::codes::BUDGET) error, and the
@@ -28,20 +33,21 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pphw::dse::{explore_with_caches, DesignArtifact};
-use pphw::{compile, CompileOptions, OptLevel, PphwError};
-use pphw_dse::cache::{config_key, design_key, fnv1a64, DesignCache, EvalCache};
+use pphw::dse::{explore_with_caches, CompileEvaluator, DesignArtifact};
+use pphw::{CompileOptions, PphwError};
+use pphw_dse::cache::{config_key, fnv1a64, DesignCache, EvalCache};
+use pphw_dse::pool::panic_message;
 use pphw_dse::space::Candidate;
-use pphw_dse::{DseConfig, EvalOutcome, Measurement, SearchSpace};
+use pphw_dse::{DseConfig, EvalOutcome, Evaluate, Measurement, SearchSpace};
 use pphw_ir::program::Program;
-use pphw_ir::span::{line_col, SourceMap};
+use pphw_ir::span::SourceMap;
 use pphw_sim::{SimConfig, SimError};
 use pphw_verify::VerifyConfig;
 
 use crate::json::escape;
 use crate::protocol::{
-    codes, err_line, ok_line, overload_inflight, DseRequest, ErrorBody, Limits, Method, ProgramRef,
-    Request, WorkRequest,
+    codes, err_line, ok_line, opt_name, overload_inflight, DseRequest, ErrorBody, Limits, Method,
+    ProgramRef, Request, WorkRequest,
 };
 
 /// Counter snapshot reported by the `stats` method and the daemon's exit
@@ -315,7 +321,7 @@ impl Service {
                         Ok(memoized) => (*memoized).clone(),
                         Err(payload) => {
                             self.panics.fetch_add(1, Ordering::Relaxed);
-                            let what = panic_message(payload.as_ref());
+                            let what = panic_message(&payload);
                             (
                                 false,
                                 ErrorBody::new(
@@ -376,33 +382,14 @@ impl Service {
     // ---- request resolution -------------------------------------------
 
     fn resolve(&self, w: &WorkRequest) -> Result<Resolved, ErrorBody> {
-        let (prog, display_name, mut sizes, mut tiles, default_par, source) = match &w.program {
+        let (prog, display_name, mut opts, source) = match &w.program {
             ProgramRef::Bench(name) => {
-                let Some(spec) = pphw_apps::all_benchmarks()
-                    .into_iter()
-                    .find(|s| s.name == name)
-                else {
-                    let known: Vec<&str> =
-                        pphw_apps::all_benchmarks().iter().map(|s| s.name).collect();
-                    return Err(ErrorBody::new(
-                        codes::BENCH,
-                        format!("unknown benchmark `{name}`; known: {}", known.join(", ")),
-                    ));
-                };
-                let sizes: Vec<(String, i64)> = (spec.sizes)()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
-                let tiles: Vec<(String, i64)> = (spec.tiles)()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
+                let spec =
+                    pphw_apps::benchmark(name).map_err(|e| ErrorBody::new(codes::BENCH, e))?;
                 (
                     (spec.program)(),
                     spec.name.to_string(),
-                    sizes,
-                    tiles,
-                    spec.inner_par,
+                    spec.options(),
                     None,
                 )
             }
@@ -414,31 +401,34 @@ impl Service {
                 // chosen) name: the shared design/eval caches must never
                 // serve one client's artifact for another's program.
                 out.program.name = format!("{display}@{:016x}", fnv1a64(text.as_bytes()));
-                let sizes: Vec<(String, i64)> = out
+                let sizes: Vec<(&str, i64)> = out
                     .program
                     .size_vars
                     .iter()
-                    .map(|sv| (sv.clone(), 8))
+                    .map(|sv| (sv.as_str(), 8))
                     .collect();
+                let opts = CompileOptions::new(&sizes).inner_par(4);
                 (
                     out.program,
                     display,
-                    sizes,
-                    Vec::new(),
-                    4,
+                    opts,
                     Some((text.clone(), out.source_map)),
                 )
             }
         };
         for (k, v) in &w.sizes {
-            match sizes.iter_mut().find(|(name, _)| name == k) {
+            match opts.sizes.iter_mut().find(|(name, _)| name == k) {
                 Some(slot) => slot.1 = *v,
-                None => sizes.push((k.clone(), *v)),
+                None => opts.sizes.push((k.clone(), *v)),
             }
         }
         if !w.tiles.is_empty() {
-            tiles.clone_from(&w.tiles);
+            opts.tiles.clone_from(&w.tiles);
         }
+        if let Some(par) = w.inner_par {
+            opts.inner_par = par;
+        }
+        opts.opt = w.opt;
         let mut sim = w.sim.clone();
         sim.cycle_budget = w
             .cycle_budget
@@ -447,57 +437,56 @@ impl Service {
         Ok(Resolved {
             prog,
             display_name,
-            sizes,
-            tiles,
-            inner_par: w.inner_par.unwrap_or(default_par),
-            opt: w.opt,
+            opts,
             sim,
             source,
         })
+    }
+
+    /// The evaluator a resolved request reaches its design and its
+    /// measurement through — the one a `dse` sweep over the same base
+    /// options builds, over the process-wide design cache.
+    fn evaluator<'r>(&self, r: &'r Resolved) -> CompileEvaluator<'r> {
+        CompileEvaluator::with_design_cache(&r.prog, &r.opts, Arc::clone(&self.designs))
     }
 
     // ---- methods ------------------------------------------------------
 
     fn compile_method(&self, w: &WorkRequest) -> Result<String, ErrorBody> {
         let r = self.resolve(w)?;
-        let (artifact, _) = self.artifact_for(&r);
-        match &*artifact {
-            DesignArtifact::Ready {
-                compiled,
-                on_chip_bytes,
-            } => {
-                let area = compiled.area();
+        match &*self.evaluator(&r).artifact(&r.candidate()) {
+            Ok(compiled) => {
                 let hgl = compiled.emit_hgl();
                 Ok(format!(
                     "{{\"program\":{},\"opt\":{},\"tiles\":{},\"inner_par\":{},\
-                     \"on_chip_bytes\":{on_chip_bytes},\"buffers\":{},\
+                     \"on_chip_bytes\":{},\"buffers\":{},\
                      \"area\":{},\"hgl_fnv1a64\":\"{:016x}\",\"hgl_lines\":{}}}",
                     escape(&r.display_name),
-                    escape(&opt_name(r.opt)),
-                    dims_json(&r.tiles),
-                    r.inner_par,
+                    escape(opt_name(r.opts.opt)),
+                    dims_json(&r.opts.tiles),
+                    r.opts.inner_par,
+                    compiled.design.on_chip_bytes(),
                     compiled.design.buffers.len(),
-                    area_json(area),
+                    area_json(compiled.area()),
                     fnv1a64(hgl.as_bytes()),
                     hgl.lines().count()
                 ))
             }
-            DesignArtifact::Infeasible(e) => Err(ErrorBody::new(codes::COMPILE, e.clone())),
+            Err(why) => Err(ErrorBody::new(codes::COMPILE, why.clone())),
         }
     }
 
     fn verify_method(&self, w: &WorkRequest) -> Result<String, ErrorBody> {
         let r = self.resolve(w)?;
         let cfg = VerifyConfig {
-            inner_par: r.inner_par,
+            inner_par: r.opts.inner_par,
             ..VerifyConfig::default()
         };
         let mut report = pphw_verify::verify_program(&r.prog, &cfg);
         // Design-level families (hazards, dataflow balance) need the
         // compiled design; a request whose design cannot compile still
         // gets its program-level diagnostics.
-        let (artifact, _) = self.artifact_for(&r);
-        if let DesignArtifact::Ready { compiled, .. } = &*artifact {
+        if let Ok(compiled) = &*self.evaluator(&r).artifact(&r.candidate()) {
             report.merge(pphw_verify::verify_design(&compiled.design, &cfg));
         }
         if let Some((text, map)) = &r.source {
@@ -506,7 +495,7 @@ impl Service {
         Ok(format!(
             "{{\"program\":{},\"inner_par\":{},\"error_count\":{},\"report\":{}}}",
             escape(&r.display_name),
-            r.inner_par,
+            r.opts.inner_par,
             report.error_count(),
             report.to_json()
         ))
@@ -514,64 +503,44 @@ impl Service {
 
     fn simulate_method(&self, w: &WorkRequest) -> Result<String, ErrorBody> {
         let r = self.resolve(w)?;
-        let (salt, cand) = r.salt_and_candidate();
-        let ckey = config_key(&r.prog.name, &r.sizes, &salt, &cand);
-        if let Some(outcome) = self.evals.get(ckey) {
-            return match outcome {
-                EvalOutcome::Feasible(m) => Ok(simulate_result(&r, &m)),
-                EvalOutcome::Infeasible(e) => Err(ErrorBody::new(codes::COMPILE, e)),
-                // Failed outcomes are never cached; treat one defensively
-                // as a miss by falling through.
-                EvalOutcome::Failed(_) => self.simulate_fresh(&r, ckey),
+        let (evaluator, cand) = (self.evaluator(&r), r.candidate());
+        let ckey = config_key(&r.prog.name, &r.opts.sizes, &evaluator.cache_salt(), &cand);
+        let outcome = if let Some(hit) = self.evals.get(ckey) {
+            hit
+        } else {
+            // A failed simulation returns here, typed and uncached.
+            let fresh = match &*evaluator.artifact(&cand) {
+                Ok(compiled) => {
+                    EvalOutcome::Feasible(compiled.measure(&cand.sim).map_err(sim_error)?)
+                }
+                Err(why) => EvalOutcome::Infeasible(why.clone()),
             };
-        }
-        self.simulate_fresh(&r, ckey)
-    }
-
-    fn simulate_fresh(&self, r: &Resolved, ckey: u64) -> Result<String, ErrorBody> {
-        let (artifact, _) = self.artifact_for(r);
-        let (compiled, on_chip_bytes) = match &*artifact {
-            DesignArtifact::Ready {
-                compiled,
-                on_chip_bytes,
-            } => (compiled, *on_chip_bytes),
-            DesignArtifact::Infeasible(e) => {
-                self.evals.insert(ckey, EvalOutcome::Infeasible(e.clone()));
-                return Err(ErrorBody::new(codes::COMPILE, e.clone()));
-            }
+            self.evals.insert(ckey, fresh.clone());
+            fresh
         };
-        match compiled.simulate(&r.sim) {
-            Ok(report) => {
-                let m = Measurement {
-                    cycles: report.cycles,
-                    dram_words: report.dram_words,
-                    on_chip_bytes,
-                    area: compiled.area(),
-                };
-                self.evals.insert(ckey, EvalOutcome::Feasible(m));
-                Ok(simulate_result(r, &m))
+        match outcome {
+            EvalOutcome::Feasible(m) => Ok(simulate_result(&r, &m)),
+            // `Failed` is never stored (`EvalCache::insert`) nor built
+            // above; the arm only keeps the match exhaustive.
+            EvalOutcome::Infeasible(e) | EvalOutcome::Failed(e) => {
+                Err(ErrorBody::new(codes::COMPILE, e))
             }
-            Err(PphwError::Sim(SimError::BudgetExceeded { what, budget })) => {
-                Err(ErrorBody::new(
-                    codes::BUDGET,
-                    format!("simulation exceeded its {what} of {budget} (request clamped to the server's per-request watchdog)"),
-                ))
-            }
-            Err(e) => Err(ErrorBody::new(codes::SIM, e.to_string())),
         }
     }
 
     fn dse_method(&self, d: &DseRequest) -> Result<String, ErrorBody> {
         let r = self.resolve(&d.base)?;
-        let size_pairs: Vec<(&str, i64)> = r.sizes.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let sizes = &r.opts.sizes;
+        let size_pairs: Vec<(&str, i64)> = sizes.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         let mut space = SearchSpace::new(&size_pairs);
         let tile_candidates: Vec<(String, Vec<i64>)> = if d.tile_candidates.is_empty() {
-            r.tiles.iter().map(|(k, v)| (k.clone(), vec![*v])).collect()
+            let tiles = r.opts.tiles.iter();
+            tiles.map(|(k, v)| (k.clone(), vec![*v])).collect()
         } else {
             d.tile_candidates.clone()
         };
         for (dim, cands) in &tile_candidates {
-            if !r.sizes.iter().any(|(k, _)| k == dim) {
+            if !sizes.iter().any(|(k, _)| k == dim) {
                 return Err(ErrorBody::new(
                     codes::PROTO,
                     format!("tile dimension `{dim}` has no concrete size"),
@@ -580,7 +549,7 @@ impl Service {
             space = space.with_tile_candidates(dim, cands);
         }
         let pars = if d.inner_pars.is_empty() {
-            vec![r.inner_par]
+            vec![r.opts.inner_par]
         } else {
             d.inner_pars.clone()
         };
@@ -615,7 +584,6 @@ impl Service {
                 ),
             ));
         }
-        let base_opts = r.base_options();
         let cfg = DseConfig {
             threads: self.dse_threads,
             strategy: d.strategy,
@@ -624,7 +592,7 @@ impl Service {
         };
         let report = explore_with_caches(
             &r.prog,
-            &base_opts,
+            &r.opts,
             &space,
             &cfg,
             &self.evals,
@@ -650,42 +618,6 @@ impl Service {
             s.skipped_model
         ))
     }
-
-    /// The shared compile artifact for a resolved request (design cache:
-    /// exactly-once per design key, shared with `dse` sweeps).
-    fn artifact_for(&self, r: &Resolved) -> (Arc<DesignArtifact>, u64) {
-        let (salt, cand) = r.salt_and_candidate();
-        let dkey = design_key(&r.prog.name, &r.sizes, &salt, &cand);
-        let opts = r.base_options().tiles(
-            &r.tiles
-                .iter()
-                .map(|(k, v)| (k.as_str(), *v))
-                .collect::<Vec<_>>(),
-        );
-        let artifact = self.designs.get_or_compute(dkey, || {
-            let mut opts = opts;
-            opts.inner_par = r.inner_par;
-            opts.meta_inner_par = None;
-            match compile(&r.prog, &opts) {
-                Ok(compiled) => {
-                    let on_chip_bytes = compiled.design.on_chip_bytes();
-                    if on_chip_bytes > opts.on_chip_budget_bytes {
-                        DesignArtifact::Infeasible(format!(
-                            "design needs {on_chip_bytes} on-chip bytes, budget is {}",
-                            opts.on_chip_budget_bytes
-                        ))
-                    } else {
-                        DesignArtifact::Ready {
-                            compiled: Box::new(compiled),
-                            on_chip_bytes,
-                        }
-                    }
-                }
-                Err(e) => DesignArtifact::Infeasible(e.to_string()),
-            }
-        });
-        (artifact, dkey)
-    }
 }
 
 /// A fully-resolved work request: program, effective configuration, and
@@ -693,61 +625,35 @@ impl Service {
 struct Resolved {
     prog: Program,
     display_name: String,
-    sizes: Vec<(String, i64)>,
-    tiles: Vec<(String, i64)>,
-    inner_par: u32,
-    opt: OptLevel,
+    /// Sizes, tiles, parallelism and opt level after the request's
+    /// overrides; the base options of a `dse` sweep.
+    opts: CompileOptions,
     sim: SimConfig,
     source: Option<(String, SourceMap)>,
 }
 
 impl Resolved {
-    /// Base compile options (sizes + opt level, default budget), tiles
-    /// and parallelism applied by the caller or the candidate.
-    fn base_options(&self) -> CompileOptions {
-        let pairs: Vec<(&str, i64)> = self.sizes.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        CompileOptions::new(&pairs)
-            .opt(self.opt)
-            .inner_par(self.inner_par)
-    }
-
-    /// The cache salt and candidate for the direct compile/simulate path.
-    /// The salt mirrors `CompileEvaluator::cache_salt` so direct requests
-    /// and `dse` sweeps share design and measurement entries.
-    fn salt_and_candidate(&self) -> (String, Candidate) {
-        let opts = self.base_options();
-        let salt = format!(
-            "opt={:?};interchange={};budget={}",
-            opts.opt, opts.interchange, opts.on_chip_budget_bytes
-        );
-        let cand = Candidate {
-            tiles: self.tiles.clone(),
-            inner_par: self.inner_par,
+    /// The request's one design point, as a sweep would enumerate it.
+    fn candidate(&self) -> Candidate {
+        Candidate {
+            tiles: self.opts.tiles.clone(),
+            inner_par: self.opts.inner_par,
             sim_label: "req".to_string(),
             sim: self.sim.clone(),
             cap_permille: 1000,
-        };
-        (salt, cand)
+        }
     }
 }
 
-/// Best-effort text of a caught panic payload (`panic!` with a string or
-/// formatted message; anything else renders as a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str()
-    } else {
-        "<non-string panic payload>"
-    }
-}
-
-fn opt_name(opt: OptLevel) -> String {
-    match opt {
-        OptLevel::Baseline => "baseline".to_string(),
-        OptLevel::Tiled => "tiled".to_string(),
-        OptLevel::Metapipelined => "meta".to_string(),
+/// A failed simulation as its typed wire error: a watchdog overrun is
+/// `EBUDGET`, anything else the simulator rejects is `ESIM`.
+fn sim_error(e: PphwError) -> ErrorBody {
+    match e {
+        PphwError::Sim(SimError::BudgetExceeded { what, budget }) => ErrorBody::new(
+            codes::BUDGET,
+            format!("simulation exceeded its {what} of {budget} (request clamped to the server's per-request watchdog)"),
+        ),
+        e => ErrorBody::new(codes::SIM, e.to_string()),
     }
 }
 
@@ -778,9 +684,9 @@ fn simulate_result(r: &Resolved, m: &Measurement) -> String {
         "{{\"program\":{},\"opt\":{},\"tiles\":{},\"inner_par\":{},\"cycles\":{},\
          \"dram_words\":{},\"on_chip_bytes\":{},\"area\":{}}}",
         escape(&r.display_name),
-        escape(&opt_name(r.opt)),
-        dims_json(&r.tiles),
-        r.inner_par,
+        escape(opt_name(r.opts.opt)),
+        dims_json(&r.opts.tiles),
+        r.opts.inner_par,
         m.cycles,
         m.dram_words,
         m.on_chip_bytes,
@@ -791,21 +697,7 @@ fn simulate_result(r: &Resolved, m: &Measurement) -> String {
 /// Renders frontend parse errors as a [`codes::PPL`] error with a spanned
 /// diagnostics array.
 fn ppl_error(errs: &[pphw_frontend::ParseError], src: &str, file: &str) -> ErrorBody {
-    let diags: Vec<String> = errs
-        .iter()
-        .map(|e| {
-            let (line, col) = line_col(src, e.span.start);
-            format!(
-                "{{\"code\":{},\"message\":{},\"file\":{},\
-                 \"span\":{{\"start\":{},\"end\":{},\"line\":{line},\"col\":{col}}}}}",
-                escape(e.code),
-                escape(&e.message),
-                escape(file),
-                e.span.start,
-                e.span.end
-            )
-        })
-        .collect();
+    let diags: Vec<String> = errs.iter().map(|e| e.to_json(src, file)).collect();
     let mut err = ErrorBody::new(
         codes::PPL,
         format!("{} parse error(s) in {file}", errs.len()),
@@ -967,9 +859,31 @@ mod tests {
         assert_eq!(get(&resp, &["ok"]).as_bool(), Some(true), "{resp:?}");
         assert_eq!(get(&resp, &["result", "space"]).as_u64(), Some(2));
         assert!(get(&resp, &["result", "best", "cycles"]).as_u64().unwrap() > 0);
-        // The dse sweep populated the shared eval cache; a direct
-        // simulate of the winning config must not recompile.
-        assert!(svc.stats().eval_len >= 1);
+        // The dse sweep populated the shared caches; a direct simulate
+        // of either swept config — the winner included — compiles and
+        // measures nothing.
+        let swept = svc.stats();
+        let direct: Vec<u64> = [4, 8]
+            .iter()
+            .map(|m| {
+                let resp = call(
+                    &svc,
+                    &format!(
+                        "{{\"method\":\"simulate\",\"bench\":\"sumrows\",\
+                         \"tiles\":{{\"m\":{m}}},\"inner_par\":16}}"
+                    ),
+                );
+                get(&resp, &["result", "cycles"]).as_u64().unwrap()
+            })
+            .collect();
+        let after = svc.stats();
+        assert_eq!(after.design_builds, swept.design_builds);
+        assert_eq!(after.eval_misses, swept.eval_misses);
+        assert_eq!(after.eval_hits, swept.eval_hits + 2);
+        assert_eq!(
+            get(&resp, &["result", "best", "cycles"]).as_u64(),
+            direct.iter().copied().min()
+        );
 
         let over = call(
             &svc,
@@ -984,6 +898,132 @@ mod tests {
         );
         assert_eq!(get(&over, &["ok"]).as_bool(), Some(false));
         assert_eq!(get(&over, &["error", "code"]).as_str(), Some(codes::LIMIT));
+    }
+
+    /// The gate on "a design point becomes a design and its numbers in one
+    /// place": a direct `simulate` and a one-point `dse` over the same
+    /// point meet in the design and measurement caches, in either order.
+    #[test]
+    fn direct_requests_and_sweeps_share_cache_entries() {
+        let svc = service();
+        let simulate = |m: u32| {
+            format!(
+                "{{\"method\":\"simulate\",\"bench\":\"sumrows\",\
+                 \"sizes\":{{\"m\":{m},\"n\":8}},\"inner_par\":16}}"
+            )
+        };
+        let dse = |m: u32| {
+            format!(
+                "{{\"method\":\"dse\",\"bench\":\"sumrows\",\
+                 \"sizes\":{{\"m\":{m},\"n\":8}},\"inner_pars\":[16]}}"
+            )
+        };
+        for (first, second) in [(simulate(8), dse(8)), (dse(4), simulate(4))] {
+            let resp = call(&svc, &first);
+            assert_eq!(get(&resp, &["ok"]).as_bool(), Some(true), "{resp:?}");
+            let before = svc.stats();
+            let resp = call(&svc, &second);
+            assert_eq!(get(&resp, &["ok"]).as_bool(), Some(true), "{resp:?}");
+            let after = svc.stats();
+            assert_eq!(after.dedup_builds, before.dedup_builds + 1, "{second}");
+            assert_eq!(after.eval_hits, before.eval_hits + 1, "{second}");
+            assert_eq!(after.eval_misses, before.eval_misses, "{second}");
+            assert_eq!(after.design_builds, before.design_builds, "{second}");
+        }
+        let s = svc.stats();
+        assert_eq!((s.eval_hits, s.design_builds), (2, 2));
+    }
+
+    /// The same source under two diagnostic file names is two requests:
+    /// each answer cites its own name, in reports and in parse errors.
+    fn verify_as(svc: &Service, src: &str, file: &str) -> Json {
+        let src = escape(src);
+        call(
+            svc,
+            &format!("{{\"method\":\"verify\",\"source\":{src},\"file\":\"{file}\"}}"),
+        )
+    }
+
+    #[test]
+    fn source_requests_answer_with_their_own_file_name() {
+        let svc = service();
+        let src = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/sumrows.ppl"),
+        )
+        .unwrap();
+        for file in ["a.ppl", "b.ppl"] {
+            let resp = verify_as(&svc, &src, file);
+            let cited = get(&resp, &["result", "report", "file"]).as_str();
+            assert_eq!(cited, Some(file), "{resp:?}");
+        }
+        // One design for both: the name keys the response, not the program.
+        assert_eq!(svc.stats().design_builds, 1);
+    }
+
+    #[test]
+    fn parse_errors_cite_the_file_name_of_their_own_request() {
+        let svc = service();
+        for file in ["a.ppl", "b.ppl"] {
+            let resp = verify_as(&svc, "prog broken { x = }", file);
+            assert_eq!(get(&resp, &["error", "code"]).as_str(), Some(codes::PPL));
+            let message = get(&resp, &["error", "message"]).as_str().unwrap();
+            assert!(message.ends_with(&format!("in {file}")), "{message}");
+            for diag in get(&resp, &["error", "diagnostics"]).as_arr().unwrap() {
+                assert_eq!(get(diag, &["file"]).as_str(), Some(file), "{resp:?}");
+            }
+        }
+    }
+
+    /// Every decoded field of a work or `dse` request is part of the
+    /// response memo's key: changing one alone changes the fingerprint
+    /// (`Request::canonical` destructures both structs, so a new field
+    /// cannot skip it; this walks the ones there are).
+    #[test]
+    fn every_request_field_changes_the_fingerprint() {
+        let fp = |fields: &str| {
+            let line = format!("{{\"method\":\"dse\",\"source\":\"prog p {{ }}\"{fields}}}");
+            let req = Request::decode(&line, &Limits::default());
+            req.unwrap_or_else(|e| panic!("{line}: {e:?}"))
+                .fingerprint()
+        };
+        let guided = ",\"strategy\":\"guided\"";
+        let base = [("", ""), (guided, "")];
+        let rows = [
+            ("", ",\"file\":\"a.ppl\""),
+            ("", ",\"sizes\":{\"m\":16}"),
+            ("", ",\"tiles\":{\"m\":4}"),
+            ("", ",\"inner_par\":8"),
+            ("", ",\"opt\":\"tiled\""),
+            ("", ",\"sim\":{\"clock_mhz\":200}"),
+            ("", ",\"sim\":{\"dram_gbps\":38.4}"),
+            ("", ",\"sim\":{\"dram_latency\":61}"),
+            ("", ",\"sim\":{\"burst_bytes\":64}"),
+            ("", ",\"cycle_budget\":1000"),
+            ("", ",\"tile_candidates\":{\"m\":[4]}"),
+            ("", ",\"inner_pars\":[8]"),
+            ("", ",\"sims\":[\"max4\"]"),
+            ("", ",\"objective\":\"min-cycles\""),
+            ("", ",\"area_cap\":0.5"),
+            (guided, ",\"sample\":3"),
+            (guided, ",\"top_k\":3"),
+            (guided, ",\"explore\":3"),
+            (guided, ",\"seed\":3"),
+        ];
+        let mut seen = Vec::new();
+        for (prefix, field) in base.iter().chain(&rows) {
+            let changed = fp(&format!("{prefix}{field}"));
+            assert!(
+                !seen.contains(&changed),
+                "{field} is not in the fingerprint"
+            );
+            seen.push(changed);
+        }
+        // The id and the order of keys are not part of the payload.
+        assert_eq!(fp(",\"id\":7"), fp(""));
+        assert_eq!(
+            fp(",\"tiles\":{\"m\":4,\"n\":8},\"inner_par\":8"),
+            fp(",\"inner_par\":8,\"tiles\":{\"n\":8,\"m\":4}")
+        );
     }
 
     #[test]

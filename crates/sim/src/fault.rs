@@ -166,8 +166,11 @@ pub struct FaultStats {
     pub retry_cycles: f64,
 }
 
-/// One SplitMix64 step (mirrors `pphw_testkit::rng::splitmix64`).
-fn splitmix64(state: u64) -> u64 {
+/// One SplitMix64 step — the workspace's one copy: it seeds the fault
+/// generator here, `pphw_testkit::rng` re-exports it for seeded tests and
+/// workloads, and `pphw_dse::model` ranks calibration samples with it.
+#[must_use]
+pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

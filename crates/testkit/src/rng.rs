@@ -9,13 +9,7 @@
 use std::ops::Range;
 
 /// One SplitMix64 step — used for seeding and for deriving per-case seeds.
-#[must_use]
-pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use pphw_sim::fault::splitmix64;
 
 /// A seedable xoshiro256++ generator.
 #[derive(Debug, Clone)]

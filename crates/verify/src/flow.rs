@@ -242,10 +242,10 @@ pub fn deadlocked_capacity_scale(permille: u32) -> bool {
     permille < 500
 }
 
-/// Substrate timing constants for the static busy-cycle predictor —
-/// mirrors `pphw_sim::SimConfig` without a dependency on the simulator.
-/// The default matches the simulator's default board (150 MHz fabric,
-/// 76.8 GB/s ⇒ 512 bytes per cycle).
+/// Substrate timing constants for the static busy-cycle predictor — the
+/// fields of `pphw_sim::SimConfig` it reads, without a dependency on the
+/// simulator. It has no default: callers derive it from the `SimConfig`
+/// they simulate with (`pphw::flow_timing`), so the two cannot drift.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowTiming {
     /// DRAM channel bandwidth in bytes per fabric cycle.
@@ -258,18 +258,6 @@ pub struct FlowTiming {
     pub word_bytes: u64,
     /// Per-run turnaround for synchronous streams, in cycles.
     pub sync_gap: u64,
-}
-
-impl Default for FlowTiming {
-    fn default() -> Self {
-        FlowTiming {
-            bytes_per_cycle: 512.0,
-            dram_latency: 60,
-            burst_bytes: 384,
-            word_bytes: 4,
-            sync_gap: 6,
-        }
-    }
 }
 
 /// Predicted steady-state load of one stage (unit name), aggregated over
@@ -495,6 +483,17 @@ mod tests {
         })
     }
 
+    /// The board the predictor tests below do their arithmetic on.
+    fn timing() -> FlowTiming {
+        FlowTiming {
+            bytes_per_cycle: 512.0,
+            dram_latency: 60,
+            burst_bytes: 384,
+            word_bytes: 4,
+            sync_gap: 6,
+        }
+    }
+
     fn pipe(buffers: Vec<Buffer>, stages: Vec<Node>, iters: u64) -> Design {
         Design {
             name: "t".into(),
@@ -699,11 +698,8 @@ mod tests {
             stages,
             8,
         );
-        assert_eq!(
-            predict_bottleneck(&d, &FlowTiming::default()).as_deref(),
-            Some("heavy")
-        );
-        let loads = predict_stage_loads(&d, &FlowTiming::default());
+        assert_eq!(predict_bottleneck(&d, &timing()).as_deref(), Some("heavy"));
+        let loads = predict_stage_loads(&d, &timing());
         assert_eq!(loads.len(), 2);
         let heavy = loads.iter().find(|l| l.name == "heavy").unwrap();
         assert_eq!(heavy.invocations, 8);
@@ -735,7 +731,7 @@ mod tests {
             vec![load, unit("cons", 96_000, vec![BufId(0)], vec![])],
             1,
         );
-        let loads = predict_stage_loads(&d, &FlowTiming::default());
+        let loads = predict_stage_loads(&d, &timing());
         let l = loads.iter().find(|l| l.name == "load").unwrap();
         // 96000 words = 384000 bytes = 1000 bursts; 750 transfer + 60.
         assert!((l.busy_cycles - 810.0).abs() < 1e-6, "{}", l.busy_cycles);

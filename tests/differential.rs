@@ -13,7 +13,6 @@
 //! asserts the harness catches it — the mutation smoke-check that keeps
 //! the differential suite honest.
 
-use pphw_apps::all_benchmarks;
 use pphw_ir::expr::{BinOp, Expr};
 use pphw_ir::Program;
 use pphw_sim::SimConfig;
@@ -88,10 +87,7 @@ fn sweep(name: &str) -> Vec<DiffCase> {
 }
 
 fn run_sweep(name: &str) {
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("benchmark exists");
+    let spec = pphw_apps::benchmark(name).expect("benchmark exists");
     let prog = (spec.program)();
     let cases = sweep(name);
     assert!(cases.len() >= 3, "sweep must cover >= 3 configurations");
@@ -171,10 +167,7 @@ fn par_and_substrate_sweep_on_streaming_benchmarks() {
         ),
         ("tpchq6", DiffCase::new(&[("n", 512)], &[("n", 64)], 82)),
     ] {
-        let spec = all_benchmarks()
-            .into_iter()
-            .find(|s| s.name == name)
-            .expect("benchmark exists");
+        let spec = pphw_apps::benchmark(name).expect("benchmark exists");
         let report = run_differential(
             name,
             &(spec.program)(),
@@ -226,10 +219,7 @@ fn tiling_speedup_ordering_on_reuse_benchmarks() {
             ),
         ),
     ] {
-        let spec = all_benchmarks()
-            .into_iter()
-            .find(|s| s.name == name)
-            .expect("benchmark exists");
+        let spec = pphw_apps::benchmark(name).expect("benchmark exists");
         run_differential(
             name,
             &(spec.program)(),
@@ -267,10 +257,7 @@ fn broken_tile(prog: &Program, cfg: &TileConfig) -> Result<Program, TileError> {
 /// body contains an additive reduction.
 #[test]
 fn broken_transform_is_caught_on_gemm() {
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == "gemm")
-        .expect("gemm");
+    let spec = pphw_apps::benchmark("gemm").expect("benchmark exists");
     let prog = (spec.program)();
     let opts = DiffOptions {
         tile_fn: broken_tile,
@@ -297,10 +284,7 @@ fn broken_transform_is_caught_on_gemm() {
 /// guarding against the harness only being sensitive on gemm's shape.
 #[test]
 fn broken_transform_is_caught_on_sumrows() {
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == "sumrows")
-        .expect("sumrows");
+    let spec = pphw_apps::benchmark("sumrows").expect("benchmark exists");
     let prog = (spec.program)();
     let opts = DiffOptions {
         tile_fn: broken_tile,

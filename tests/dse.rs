@@ -14,19 +14,21 @@
 
 use std::sync::Arc;
 
-use pphw::dse::{explore_program, explore_with_cache, explore_with_caches};
+use pphw::dse::{explore_program, explore_with_caches};
 use pphw::CompileOptions;
-use pphw_apps::all_benchmarks;
 use pphw_dse::cache::{DesignCache, EvalCache};
 use pphw_dse::{DseConfig, DseError, SearchSpace};
 use pphw_ir::Program;
 use pphw_sim::SimConfig;
 
+/// A design cache nobody else shares, for searches that only care about
+/// the measurement cache.
+fn fresh_designs() -> Arc<DesignCache<pphw::dse::DesignArtifact>> {
+    Arc::new(DesignCache::new())
+}
+
 fn benchmark(name: &str) -> Program {
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("benchmark exists");
+    let spec = pphw_apps::benchmark(name).expect("benchmark exists");
     (spec.program)()
 }
 
@@ -146,13 +148,13 @@ fn prefilter_reduces_evaluations_without_changing_the_best() {
         "fresh cache: every survivor compiled once"
     );
 
-    // Exhaustive run (prefilter off) must agree on the best point: the
-    // prefilter only rejects candidates the authoritative post-compile
-    // budget check would reject anyway.
+    // A run whose *analytic* prefilter has no budget to prune by, while
+    // the evaluator's authoritative post-compile check keeps the 2 KiB
+    // budget, must agree on the best point: the prefilter only rejects
+    // candidates that check would reject anyway.
     let exhaustive_cfg = DseConfig {
         threads: 2,
-        on_chip_budget_bytes: budget,
-        prefilter: false,
+        on_chip_budget_bytes: u64::MAX,
         ..DseConfig::default()
     };
     let exhaustive = explore_program(&prog, &base_budget, &space, &exhaustive_cfg).expect("search");
@@ -180,11 +182,13 @@ fn shared_cache_short_circuits_repeat_searches() {
     let cache = EvalCache::new();
     let cfg = DseConfig::default();
 
-    let first = explore_with_cache(&prog, &base, &space, &cfg, &cache).expect("search");
+    let first =
+        explore_with_caches(&prog, &base, &space, &cfg, &cache, fresh_designs()).expect("search");
     assert_eq!(first.stats.cache_hits, 0);
     assert_eq!(first.stats.cache_misses as usize, first.stats.evaluated);
 
-    let second = explore_with_cache(&prog, &base, &space, &cfg, &cache).expect("search");
+    let second =
+        explore_with_caches(&prog, &base, &space, &cfg, &cache, fresh_designs()).expect("search");
     assert_eq!(second.stats.cache_misses, 0, "everything memoized");
     assert_eq!(second.stats.cache_hits as usize, second.stats.evaluated);
     assert_eq!(second.best.label, first.best.label);
@@ -247,7 +251,8 @@ fn persistent_cache_round_trips_through_a_real_search() {
     let path = dir.path().join("evals.pphwc");
 
     let cache = EvalCache::new();
-    let first = explore_with_cache(&prog, &base, &space, &cfg, &cache).expect("search");
+    let first =
+        explore_with_caches(&prog, &base, &space, &cfg, &cache, fresh_designs()).expect("search");
     cache.save(&path).expect("save");
 
     // A fresh process would reload the file and start with an empty

@@ -196,10 +196,7 @@ fn guided_matches_exhaustive_on_every_benchmark_and_objective() {
     // `dse` driver's own full-size sumrows space, 8 calibration samples +
     // the model's top 8 + 2 explored find the exhaustive winner from at
     // most 30% of the enumerated points.
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == "sumrows")
-        .expect("sumrows");
+    let spec = pphw_apps::benchmark("sumrows").expect("benchmark exists");
     let budget = 256 * 1024;
     let space = sweep_space(&spec, false, &sweep_sim_variants(false));
     let run = |strategy| {

@@ -62,10 +62,7 @@ macro_rules! level_tests {
         $(
             #[test]
             fn $name() {
-                let spec = all_benchmarks()
-                    .into_iter()
-                    .find(|s| s.name == $bench)
-                    .expect("benchmark exists");
+                let spec = pphw_apps::benchmark($bench).expect("benchmark exists");
                 check_benchmark(&spec, $level);
             }
         )*
@@ -96,10 +93,7 @@ level_tests! {
 /// Multiple seeds: the functional contract holds across workloads.
 #[test]
 fn kmeans_multiple_seeds() {
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == "kmeans")
-        .expect("kmeans");
+    let spec = pphw_apps::benchmark("kmeans").expect("benchmark exists");
     let (sizes, tiles) = small_sizes(&spec);
     let env = pphw_ir::Size::env(&sizes);
     let prog = (spec.program)();
@@ -147,27 +141,13 @@ fn hgl_emission_for_all_benchmarks() {
 #[test]
 fn locality_benchmarks_speed_up() {
     for name in ["sumrows", "gemm", "gda", "kmeans"] {
-        let spec = all_benchmarks()
-            .into_iter()
-            .find(|s| s.name == name)
-            .expect("benchmark");
+        let spec = pphw_apps::benchmark(name).expect("benchmark exists");
         let prog = (spec.program)();
-        let opts = pphw_bench_options(&spec);
-        let eval = pphw::evaluate(&prog, &opts, &pphw_sim::SimConfig::default()).unwrap();
+        let eval = pphw::evaluate(&prog, &spec.options(), &pphw_sim::SimConfig::default()).unwrap();
         let meta = eval.row(OptLevel::Metapipelined).speedup;
         assert!(
             meta > 2.0,
             "{name}: expected >2x metapipelined speedup, got {meta:.2}"
         );
     }
-}
-
-fn pphw_bench_options(spec: &BenchSpec) -> CompileOptions {
-    let mut opts = CompileOptions::new(&(spec.sizes)())
-        .tiles(&(spec.tiles)())
-        .inner_par(spec.inner_par);
-    if let Some(mp) = spec.meta_par {
-        opts = opts.meta_inner_par(mp);
-    }
-    opts
 }

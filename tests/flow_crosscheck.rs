@@ -12,28 +12,18 @@
 //!   statically (`PPHW041`/`PPHW042`) and never helps dynamically: the
 //!   simulation stalls (strictly more cycles) or deadlocks outright.
 
-use pphw::{compile, CompileOptions, OptLevel};
+use pphw::{compile, flow_timing, OptLevel};
 use pphw_apps::all_benchmarks;
 use pphw_hw::channel::channels;
 use pphw_sim::{SimConfig, SimError};
-use pphw_verify::flow::{infer_capacities, predict_bottleneck, scale_capacities, FlowTiming};
+use pphw_verify::flow::{infer_capacities, predict_bottleneck, scale_capacities};
 use pphw_verify::{verify_design, DiagCode, VerifyConfig};
-
-fn options_for(spec: &pphw_apps::BenchSpec) -> CompileOptions {
-    let mut opts = CompileOptions::new(&(spec.sizes)())
-        .tiles(&(spec.tiles)())
-        .inner_par(spec.inner_par);
-    if let Some(mp) = spec.meta_par {
-        opts = opts.meta_inner_par(mp);
-    }
-    opts
-}
 
 #[test]
 fn every_benchmark_design_is_flow_clean_at_every_level() {
     for spec in all_benchmarks() {
         for level in OptLevel::all() {
-            let opts = options_for(&spec).opt(level);
+            let opts = spec.options().opt(level);
             let compiled = compile(&(spec.program)(), &opts).expect("compiles");
             let report = verify_design(&compiled.design, &VerifyConfig::default());
             assert!(
@@ -67,10 +57,11 @@ fn sim_busiest(report: &pphw_sim::SimReport) -> Option<String> {
 fn predicted_bottleneck_matches_simulator_busiest_stage() {
     for spec in all_benchmarks() {
         for level in OptLevel::all() {
-            let opts = options_for(&spec).opt(level);
+            let opts = spec.options().opt(level);
             let compiled = compile(&(spec.program)(), &opts).expect("compiles");
-            let report = compiled.simulate(&SimConfig::default()).expect("simulates");
-            let predicted = predict_bottleneck(&compiled.design, &FlowTiming::default());
+            let sim = SimConfig::default();
+            let report = compiled.simulate(&sim).expect("simulates");
+            let predicted = predict_bottleneck(&compiled.design, &flow_timing(&sim));
             assert_eq!(
                 predicted,
                 sim_busiest(&report),
@@ -84,7 +75,7 @@ fn predicted_bottleneck_matches_simulator_busiest_stage() {
 #[test]
 fn generated_depths_are_minimal_and_doubling_them_buys_nothing() {
     for spec in all_benchmarks() {
-        let opts = options_for(&spec).opt(OptLevel::Metapipelined);
+        let opts = spec.options().opt(OptLevel::Metapipelined);
         let compiled = compile(&(spec.program)(), &opts).expect("compiles");
         assert!(
             !channels(&compiled.design).is_empty(),
@@ -129,7 +120,7 @@ fn generated_depths_are_minimal_and_doubling_them_buys_nothing() {
 #[test]
 fn undersized_channels_are_flagged_statically_and_stall_dynamically() {
     for spec in all_benchmarks() {
-        let opts = options_for(&spec).opt(OptLevel::Metapipelined);
+        let opts = spec.options().opt(OptLevel::Metapipelined);
         let compiled = compile(&(spec.program)(), &opts).expect("compiles");
         let base = compiled.simulate(&SimConfig::default()).expect("simulates");
         let mut strictly_worse = 0usize;

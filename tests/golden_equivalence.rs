@@ -13,9 +13,12 @@
 //! `PPHW_GOLDEN_PRINT=1 cargo test --test golden_equivalence -- --nocapture`
 //! and paste the printed tables over the constants.
 
-use pphw::dse::explore_with_cache;
+use std::sync::Arc;
+
+use pphw::dse::explore_with_caches;
 use pphw::{compile, CompileOptions, OptLevel};
 use pphw_apps::all_benchmarks;
+use pphw_dse::cache::DesignCache;
 use pphw_dse::{DseConfig, DseReport, EvalCache, SearchSpace};
 use pphw_sim::{FaultConfig, SimConfig, SimReport};
 
@@ -243,24 +246,13 @@ fn level_tag(opt: OptLevel) -> &'static str {
     }
 }
 
-fn base_options(spec: &pphw_apps::BenchSpec) -> CompileOptions {
-    let mut opts = CompileOptions::new(&(spec.sizes)())
-        .tiles(&(spec.tiles)())
-        .inner_par(spec.inner_par);
-    if let Some(m) = spec.meta_par {
-        opts = opts.meta_inner_par(m);
-    }
-    opts
-}
-
 #[test]
 fn simulate_matches_pre_optimisation_fingerprints() {
     let mut failures = Vec::new();
     for spec in all_benchmarks() {
         let prog = (spec.program)();
         for level in OptLevel::all() {
-            let compiled =
-                compile(&prog, &base_options(&spec).opt(level)).expect("benchmark compiles");
+            let compiled = compile(&prog, &spec.options().opt(level)).expect("benchmark compiles");
             let report = compiled
                 .simulate(&SimConfig::default())
                 .expect("benchmark simulates");
@@ -300,7 +292,7 @@ fn simulate_with_faults_matches_pre_optimisation_fingerprints() {
     let mut failures = Vec::new();
     for spec in all_benchmarks() {
         let prog = (spec.program)();
-        let compiled = compile(&prog, &base_options(&spec)).expect("benchmark compiles");
+        let compiled = compile(&prog, &spec.options()).expect("benchmark compiles");
         let report = compiled
             .simulate_with_faults(&SimConfig::default(), &golden_faults())
             .expect("benchmark simulates under faults");
@@ -350,8 +342,7 @@ fn simulate_matches_stepping_fingerprints_on_every_substrate() {
     for spec in all_benchmarks() {
         let prog = (spec.program)();
         for level in OptLevel::all() {
-            let compiled =
-                compile(&prog, &base_options(&spec).opt(level)).expect("benchmark compiles");
+            let compiled = compile(&prog, &spec.options().opt(level)).expect("benchmark compiles");
             for (substrate, cfg) in golden_substrates() {
                 let mut runs = vec![(
                     level_tag(level),
@@ -447,12 +438,13 @@ fn explore_matches_pre_optimisation_fingerprints_at_any_thread_count() {
         let space = golden_space(&spec);
         let mut first: Option<u64> = None;
         for threads in [1usize, 4] {
-            let report = explore_with_cache(
+            let report = explore_with_caches(
                 &prog,
                 &base,
                 &space,
                 &golden_dse_config(threads),
                 &EvalCache::new(),
+                Arc::new(DesignCache::new()),
             )
             .expect("search succeeds");
             let got = fingerprint_dse(&report);

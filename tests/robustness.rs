@@ -236,10 +236,7 @@ fn fuzzed_pipeline_returns_errors_never_panics() {
 
 #[allow(clippy::type_complexity)]
 fn small_opts(name: &str) -> (Program, CompileOptions) {
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("benchmark");
+    let spec = pphw_apps::benchmark(name).expect("benchmark exists");
     let (sizes, tiles): (Vec<(&str, i64)>, Vec<(&str, i64)>) = match name {
         "outerprod" => (vec![("m", 64), ("n", 64)], vec![("m", 16), ("n", 16)]),
         "sumrows" => (vec![("m", 64), ("n", 64)], vec![("m", 16), ("n", 64)]),

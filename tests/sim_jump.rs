@@ -9,7 +9,6 @@
 
 use pphw::{compile, CompileOptions, Compiled, OptLevel};
 use pphw_apps::{all_benchmarks, BenchSpec};
-use pphw_bench::options_for;
 use pphw_bench::sweep::{big_sim_grid, sweep_base_options, sweep_sim_variants, sweep_space};
 use pphw_hw::design::{
     BufId, Buffer, BufferKind, Ctrl, CtrlKind, Design, DesignStyle, DramStream, Node, Unit,
@@ -65,10 +64,7 @@ fn faults_bin_config(seed: u64) -> FaultConfig {
 }
 
 fn bench(name: &str) -> BenchSpec {
-    all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("benchmark exists")
+    pphw_apps::benchmark(name).expect("benchmark exists")
 }
 
 #[test]
@@ -77,7 +73,7 @@ fn figure7_designs_agree_on_every_named_substrate_clean_and_faulted() {
     for spec in all_benchmarks() {
         let prog = (spec.program)();
         for level in OptLevel::all() {
-            let compiled = compile(&prog, &options_for(&spec).opt(level)).expect("compiles");
+            let compiled = compile(&prog, &spec.options().opt(level)).expect("compiles");
             for (substrate, cfg) in SimConfig::named_variants() {
                 let what = format!("{} at {level} on {substrate}", spec.name);
                 check(&what, &compiled.design, &cfg, &FaultConfig::none()).expect("simulates");
@@ -162,7 +158,7 @@ fn seeded_substrate_grid_draws_agree_whether_or_not_they_advance() {
     let designs: Vec<(&str, Compiled)> = [sumrows, gemm_128()]
         .into_iter()
         .map(|spec| {
-            let compiled = compile(&(spec.program)(), &options_for(&spec)).expect("compiles");
+            let compiled = compile(&(spec.program)(), &spec.options()).expect("compiles");
             (spec.name, compiled)
         })
         .collect();

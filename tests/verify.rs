@@ -14,7 +14,7 @@
 //!   diagnostic, the mutation-testing discipline that proves the
 //!   analyzers actually fire.
 
-use pphw::{compile, CompileOptions, OptLevel, VerifyConfig};
+use pphw::{compile, OptLevel, VerifyConfig};
 use pphw_apps::all_benchmarks;
 use pphw_hw::design::{
     BufId, Buffer, BufferKind, Ctrl, CtrlKind, Design, DesignStyle, Node, Unit, UnitKind,
@@ -24,18 +24,6 @@ use pphw_ir::pattern::Init;
 use pphw_ir::types::{DType, ScalarType, Sym};
 use pphw_ir::Program;
 use pphw_verify::{verify_design, verify_program, DiagCode};
-
-/// Mirrors `pphw_bench::options_for`: the paper's per-benchmark
-/// configuration (Table 5 sizes/tiles, §6.1 parallelism).
-fn options(spec: &pphw_apps::BenchSpec) -> CompileOptions {
-    let mut opts = CompileOptions::new(&(spec.sizes)())
-        .tiles(&(spec.tiles)())
-        .inner_par(spec.inner_par);
-    if let Some(mp) = spec.meta_par {
-        opts = opts.meta_inner_par(mp);
-    }
-    opts
-}
 
 /// All six pristine benchmarks verify clean at every stage: the source
 /// program under the IR verifier + race detector at the benchmark's real
@@ -54,7 +42,7 @@ fn six_benchmarks_verify_clean_at_every_stage() {
             report.to_text()
         );
         for opt in OptLevel::all() {
-            let compiled = compile(&prog, &options(&spec).opt(opt))
+            let compiled = compile(&prog, &spec.options().opt(opt))
                 .unwrap_or_else(|e| panic!("{} [{opt}] failed to compile: {e}", spec.name));
             let report = compiled.verify();
             assert!(
@@ -72,12 +60,9 @@ fn six_benchmarks_verify_clean_at_every_stage() {
 /// `PPHW_VERIFY` is set).
 #[test]
 fn deep_verifier_runs_after_every_tiling_pass() {
-    let spec = all_benchmarks()
-        .into_iter()
-        .find(|s| s.name == "gemm")
-        .expect("gemm exists");
+    let spec = pphw_apps::benchmark("gemm").expect("benchmark exists");
     let before = pphw_transform::deep_verifier_runs();
-    compile(&(spec.program)(), &options(&spec).opt(OptLevel::Tiled)).expect("gemm compiles");
+    compile(&(spec.program)(), &spec.options().opt(OptLevel::Tiled)).expect("gemm compiles");
     let after = pphw_transform::deep_verifier_runs();
     if pphw_transform::verification_enabled() {
         assert!(
