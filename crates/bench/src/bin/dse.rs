@@ -9,8 +9,7 @@
 //!  [--quick] [--budget BYTES] [--area-frac F] [--json PATH] [--csv PATH]
 //!  [--cache PATH] [--strategy exhaustive|guided] [--sample N] [--top-k N]
 //!  [--explore N] [--seed N] [--objective min-cycles|cycles-area|area-cap]
-//!  [--area-cap F] [--shard I/N] [--cap-permilles N,N,...]
-//!  [--capacity-mode as-generated|inferred] [--merge-cache SRC...]`
+//!  [--area-cap F] [--capacity-mode as-generated|inferred]`
 //!
 //! - `--bench NAME`   restrict to one benchmark (default: all six)
 //! - `--threads N`    worker threads (0 = one per core; results are
@@ -34,23 +33,13 @@
 //! - `--objective`    what "best" means: `min-cycles`, `cycles-area`
 //!   (the default lexicographic order), or `area-cap` (fastest design
 //!   with `area_score <= --area-cap F`)
-//! - `--shard I/N`    measure only the survivors shard `I` of `N` owns
-//!   (by stable candidate fingerprint); run all `N` shards with separate
-//!   `--cache` files, then `--merge-cache` them — a rerun over the
-//!   merged cache is bit-identical to an unsharded run
-//! - `--cap-permilles N,N,...` additionally sweep channel-capacity
-//!   scales (permille of the generated depth; `1000` = as generated).
-//!   Scales below 500 statically deadlock every exact-token channel and
-//!   are rejected by the flow prefilter before any compile — the run
-//!   reports them as `pruned_flow`
 //! - `--capacity-mode inferred` rewrite every channel to the flow
 //!   analyzer's minimal safe depth before measuring (default
 //!   `as-generated` keeps the generator's depths)
-//! - `--merge-cache SRC...` merge mode: no sweep runs; every following
-//!   path is loaded (journal included) and merged into the `--cache`
-//!   target, which is then saved. Identical keys must compare equal
-//!   byte-for-byte; a divergent entry aborts the merge and leaves the
-//!   target untouched.
+//!
+//! A usage error (unknown flag, missing or malformed value, a
+//! combination the shared parsers refuse) prints `dse: <message>` and
+//! exits 2 before anything is swept.
 
 use std::path::Path;
 use std::process::exit;
@@ -60,7 +49,7 @@ use pphw::dse::explore_with_caches;
 use pphw_apps::all_benchmarks;
 use pphw_bench::sweep::{sweep_base_options, sweep_sim_variants, sweep_space};
 use pphw_dse::cache::{DesignCache, EvalCache};
-use pphw_dse::{CapacityMode, DseConfig, DseError, DseReport, Objective, Shard, Strategy};
+use pphw_dse::{CapacityMode, DseConfig, DseReport, Objective, Strategy};
 use pphw_hw::AreaBudget;
 
 #[derive(Default)]
@@ -80,28 +69,25 @@ struct Args {
     seed: Option<u64>,
     objective: Option<String>,
     area_cap: Option<f64>,
-    shard: Option<Shard>,
-    cap_permilles: Option<Vec<u32>>,
     capacity_mode: CapacityMode,
-    merge_sources: Vec<String>,
 }
 
 /// The value after the flag at `argv[*i]`.
-fn val(argv: &[String], i: &mut usize) -> String {
+fn val(argv: &[String], i: &mut usize) -> Result<String, String> {
     *i += 1;
     argv.get(*i)
-        .unwrap_or_else(|| panic!("{} needs a value", argv[*i - 1]))
-        .clone()
+        .cloned()
+        .ok_or_else(|| format!("{} needs a value", argv[*i - 1]))
 }
 
 /// That value as a number.
-fn num<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
-    let text = val(argv, i);
+fn num<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> Result<T, String> {
+    let text = val(argv, i)?;
     text.parse()
-        .unwrap_or_else(|_| panic!("{} takes a number, got `{text}`", argv[*i - 1]))
+        .map_err(|_| format!("{} takes a number, got `{text}`", argv[*i - 1]))
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         budget: 256 * 1024,
         area_frac: 1.0,
@@ -111,98 +97,42 @@ fn parse_args() -> Args {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--bench" => args.bench = Some(val(&argv, &mut i)),
-            "--threads" => args.threads = num(&argv, &mut i),
+            "--bench" => args.bench = Some(val(&argv, &mut i)?),
+            "--threads" => args.threads = num(&argv, &mut i)?,
             "--quick" => args.quick = true,
-            "--budget" => args.budget = num(&argv, &mut i),
-            "--area-frac" => args.area_frac = num(&argv, &mut i),
-            "--json" => args.json = Some(val(&argv, &mut i)),
-            "--csv" => args.csv = Some(val(&argv, &mut i)),
-            "--cache" => args.cache = Some(val(&argv, &mut i)),
-            "--strategy" => args.strategy = Some(val(&argv, &mut i)),
-            "--sample" => args.sample = Some(num(&argv, &mut i)),
-            "--top-k" => args.top_k = Some(num(&argv, &mut i)),
-            "--explore" => args.explore = Some(num(&argv, &mut i)),
-            "--seed" => args.seed = Some(num(&argv, &mut i)),
-            "--objective" => args.objective = Some(val(&argv, &mut i)),
-            "--area-cap" => args.area_cap = Some(num(&argv, &mut i)),
-            "--shard" => {
-                let spec = val(&argv, &mut i);
-                args.shard = Some(
-                    Shard::parse(&spec).unwrap_or_else(|| panic!("--shard I/N, got `{spec}`")),
-                );
-            }
-            "--cap-permilles" => {
-                let list = val(&argv, &mut i);
-                args.cap_permilles = Some(
-                    list.split(',')
-                        .map(|p| {
-                            p.trim()
-                                .parse()
-                                .unwrap_or_else(|_| panic!("--cap-permilles N,N,... got `{p}`"))
-                        })
-                        .collect(),
-                );
-            }
-            "--capacity-mode" => match val(&argv, &mut i).as_str() {
+            "--budget" => args.budget = num(&argv, &mut i)?,
+            "--area-frac" => args.area_frac = num(&argv, &mut i)?,
+            "--json" => args.json = Some(val(&argv, &mut i)?),
+            "--csv" => args.csv = Some(val(&argv, &mut i)?),
+            "--cache" => args.cache = Some(val(&argv, &mut i)?),
+            "--strategy" => args.strategy = Some(val(&argv, &mut i)?),
+            "--sample" => args.sample = Some(num(&argv, &mut i)?),
+            "--top-k" => args.top_k = Some(num(&argv, &mut i)?),
+            "--explore" => args.explore = Some(num(&argv, &mut i)?),
+            "--seed" => args.seed = Some(num(&argv, &mut i)?),
+            "--objective" => args.objective = Some(val(&argv, &mut i)?),
+            "--area-cap" => args.area_cap = Some(num(&argv, &mut i)?),
+            "--capacity-mode" => match val(&argv, &mut i)?.as_str() {
                 "as-generated" => args.capacity_mode = CapacityMode::AsGenerated,
                 "inferred" => args.capacity_mode = CapacityMode::InferredMinimal,
                 other => {
                     panic!("--capacity-mode must be `as-generated` or `inferred`, got `{other}`")
                 }
             },
-            "--merge-cache" => {
-                // Greedy: every following non-flag argument is a source.
-                while i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    i += 1;
-                    args.merge_sources.push(argv[i].clone());
-                }
-                assert!(
-                    !args.merge_sources.is_empty(),
-                    "--merge-cache needs at least one source path"
-                );
-            }
-            other => panic!("unknown flag {other} (see the module docs)"),
+            other => return Err(format!("unknown flag {other} (see the module docs)")),
         }
         i += 1;
     }
-    args
+    Ok(args)
 }
 
-/// Refuses a flag combination the shared parsers reject: prints their
-/// message and exits before anything is swept.
+/// Refuses a usage error — this bin's own or one the shared parsers
+/// reject: prints the message and exits before anything is swept.
 fn or_refuse<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|e| {
         eprintln!("dse: {e}");
         exit(2);
     })
-}
-
-/// Merge mode: union every source cache (journals included) into the
-/// `--cache` target and save it. No sweep runs.
-fn merge_caches(target_path: &str, sources: &[String]) {
-    let target = EvalCache::load_or_cold(Path::new(target_path));
-    let preloaded = target.len();
-    for src in sources {
-        let other = EvalCache::load_including_journal(Path::new(src));
-        match target.merge_from(&other) {
-            Ok(stats) => println!(
-                "merge: {src}: {} inserted, {} identical",
-                stats.inserted, stats.identical
-            ),
-            Err(e) => {
-                eprintln!("merge: {src}: {e}; target left untouched");
-                exit(1);
-            }
-        }
-    }
-    target
-        .save(Path::new(target_path))
-        .unwrap_or_else(|e| panic!("saving {target_path}: {e}"));
-    println!(
-        "merge: saved {} entries to {target_path} ({preloaded} preloaded)",
-        target.len()
-    );
 }
 
 fn export(path: &str, name: &str, multi: bool, contents: &str) {
@@ -223,15 +153,7 @@ fn export(path: &str, name: &str, multi: bool, contents: &str) {
 }
 
 fn main() {
-    let args = parse_args();
-    if !args.merge_sources.is_empty() {
-        let target = args
-            .cache
-            .as_deref()
-            .unwrap_or_else(|| panic!("--merge-cache needs --cache TARGET"));
-        merge_caches(target, &args.merge_sources);
-        return;
-    }
+    let args = or_refuse(parse_args());
     let specs = match &args.bench {
         Some(name) => vec![or_refuse(pphw_apps::benchmark(name))],
         None => all_benchmarks(),
@@ -270,10 +192,7 @@ fn main() {
     let mut table: Vec<(String, DseReport)> = Vec::new();
     for spec in &specs {
         let base = sweep_base_options(spec, args.budget);
-        let mut space = sweep_space(spec, args.quick, &sim_variants);
-        if let Some(caps) = &args.cap_permilles {
-            space = space.with_cap_permilles(caps);
-        }
+        let space = sweep_space(spec, args.quick, &sim_variants);
 
         let cfg = DseConfig {
             threads: args.threads,
@@ -282,30 +201,16 @@ fn main() {
             strategy,
             capacity_mode: args.capacity_mode,
             objective,
-            shard: args.shard,
         };
-        let report = match explore_with_caches(
+        let report = explore_with_caches(
             &(spec.program)(),
             &base,
             &space,
             &cfg,
             &eval_cache,
             Arc::clone(&designs),
-        ) {
-            Ok(r) => r,
-            // A shard can legitimately own no feasible survivor of a tiny
-            // space; its measurements are already in the cache, which is
-            // the artifact a sharded run exists to produce.
-            Err(DseError::NoFeasibleConfig) if args.shard.is_some() => {
-                println!(
-                    "{}: shard {} owns no feasible survivors (cache still updated)\n",
-                    spec.name,
-                    args.shard.map(|s| s.to_string()).unwrap_or_default()
-                );
-                continue;
-            }
-            Err(e) => panic!("{}: search failed: {e}", spec.name),
-        };
+        )
+        .unwrap_or_else(|e| panic!("{}: search failed: {e}", spec.name));
         print!("{}", report.summary());
         if let Some(p) = &args.json {
             export(p, spec.name, multi, &report.to_json());

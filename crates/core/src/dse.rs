@@ -114,14 +114,10 @@ impl<'a> CompileEvaluator<'a> {
         opts.inner_par = c.inner_par;
         opts.meta_inner_par = None;
         let mut compiled = compile(self.prog, &opts).map_err(|e| e.to_string())?;
-        // Resize channels per the candidate's swept scale, then (when
-        // requested) normalize to the flow analyzer's minimal safe
-        // depths. Both happen before the budget check and the area model,
-        // so capacity decisions flow into cost exactly like generated
-        // depths do.
-        if c.cap_permille != 1000 {
-            flow::scale_capacities(&mut compiled.design, c.cap_permille);
-        }
+        // When requested, normalize channels to the flow analyzer's
+        // minimal safe depths — before the budget check and the area
+        // model, so capacity decisions flow into cost exactly like
+        // generated depths do.
         if self.capacity_mode == CapacityMode::InferredMinimal {
             flow::infer_capacities(&mut compiled.design);
         }

@@ -19,7 +19,7 @@
 //!   version-mismatched file degrades to a cold cache — a typed
 //!   [`CacheFileError`] or a silent miss, never a panic.
 //!   [`EvalCache::insert`] refuses [`EvalOutcome::Failed`], so a failure
-//!   is never held, journaled, saved or merged — a later sweep retries it.
+//!   is never held, journaled or saved — a later sweep retries it.
 //!
 //! For crash safety beyond cooperative shutdown, a cache can be opened
 //! *journaled* ([`EvalCache::open_journaled`]): every insert is also
@@ -60,25 +60,13 @@ pub fn config_key(program: &str, sizes: &[(String, i64)], salt: &str, c: &Candid
     let mut sorted_tiles: Vec<_> = c.tiles.iter().collect();
     sorted_tiles.sort();
     let canon = format!(
-        "prog={program}|sizes={:?}|tiles={:?}|par={}|sim={}|salt={salt}{}",
+        "prog={program}|sizes={:?}|tiles={:?}|par={}|sim={}|salt={salt}",
         sorted_sizes,
         sorted_tiles,
         c.inner_par,
-        c.sim.canonical_key(),
-        cap_suffix(c)
+        c.sim.canonical_key()
     );
     fnv1a64(canon.as_bytes())
-}
-
-/// Key suffix for a swept channel-capacity scale. Empty at the default
-/// scale so every pre-existing cache entry (and on-disk cache file) keeps
-/// its key.
-fn cap_suffix(c: &Candidate) -> String {
-    if c.cap_permille == 1000 {
-        String::new()
-    } else {
-        format!("|cap={}", c.cap_permille)
-    }
 }
 
 /// The design identity of a candidate: the canonical configuration hash
@@ -92,9 +80,8 @@ pub fn design_key(program: &str, sizes: &[(String, i64)], salt: &str, c: &Candid
     let mut sorted_tiles: Vec<_> = c.tiles.iter().collect();
     sorted_tiles.sort();
     let canon = format!(
-        "prog={program}|sizes={sorted_sizes:?}|tiles={sorted_tiles:?}|par={}|salt={salt}{}",
-        c.inner_par,
-        cap_suffix(c)
+        "prog={program}|sizes={sorted_sizes:?}|tiles={sorted_tiles:?}|par={}|salt={salt}",
+        c.inner_par
     );
     fnv1a64(canon.as_bytes())
 }
@@ -226,9 +213,9 @@ impl EvalCache {
 
     /// Stores a measurement — unless it is an [`EvalOutcome::Failed`],
     /// which says nothing about the design point and is dropped here, the
-    /// one place that rule lives: the table, the journal, snapshots and
-    /// merges therefore never see one, and a later sweep retries the
-    /// point instead of replaying the failure. On a journaled cache the
+    /// one place that rule lives: the table, the journal and snapshots
+    /// therefore never see one, and a later sweep retries the point
+    /// instead of replaying the failure. On a journaled cache the
     /// entry is also appended to the write-ahead journal, and the journal
     /// is compacted into a fresh snapshot once it outgrows its size
     /// threshold. The in-memory insert always happens first, so a
@@ -340,8 +327,7 @@ impl EvalCache {
         // server shutdown) sharing one `.tmp` path would truncate each
         // other mid-write and one rename would publish a torn file. With
         // unique names each rename atomically publishes a complete image;
-        // last writer wins, which is the best a keyed merge-free format
-        // can offer.
+        // last writer wins.
         static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
@@ -481,109 +467,7 @@ impl EvalCache {
         j.stats.compactions += 1;
         Ok(())
     }
-
-    /// Folds another cache's entries into this one — the primitive behind
-    /// `dse --merge-cache`, which unifies the per-shard caches of a
-    /// sharded search back into one file.
-    ///
-    /// The conflict policy is strict: evaluation is a pure function of the
-    /// configuration key, so two caches holding the *same* key must hold
-    /// byte-identical outcomes (compared on the canonical entry encoding).
-    /// Any divergence aborts the merge *before* anything is inserted —
-    /// self is untouched on error — because a divergent entry means a
-    /// salt/version mismatch and neither value can be trusted.
-    ///
-    /// Entries land through [`EvalCache::insert`], so merging into a
-    /// journaled cache is itself crash-safe.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheMergeError::Divergent`] naming the first conflicting key (in
-    /// ascending key order, deterministically).
-    pub fn merge_from(&self, other: &EvalCache) -> Result<MergeStats, CacheMergeError> {
-        let mut incoming: Vec<(u64, EvalOutcome)> = {
-            let table = other.table();
-            table.iter().map(|(&k, v)| (k, v.clone())).collect()
-        };
-        incoming.sort_by_key(|(k, _)| *k);
-        let mut stats = MergeStats::default();
-        // Validate every key first so a divergence leaves self untouched.
-        {
-            let table = self.table();
-            for (key, theirs) in &incoming {
-                if let Some(ours) = table.get(key) {
-                    if encode_outcome(ours) != encode_outcome(theirs) {
-                        return Err(CacheMergeError::Divergent { key: *key });
-                    }
-                }
-            }
-        }
-        for (key, theirs) in incoming {
-            if self.table().contains_key(&key) {
-                stats.identical += 1;
-            } else {
-                self.insert(key, theirs);
-                stats.inserted += 1;
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Loads the snapshot at `path` *plus* the intact prefix of its
-    /// sibling journal, without arming the journal for appends — the
-    /// read-only open used for `--merge-cache` sources, so a shard killed
-    /// before its final checkpoint still contributes every durable entry.
-    /// Any irregularity in either file degrades to fewer entries, never an
-    /// error.
-    #[must_use]
-    pub fn load_including_journal(path: &Path) -> EvalCache {
-        let cache = EvalCache::load_or_cold(path);
-        if let Ok(bytes) = std::fs::read(crate::journal::journal_path(path)) {
-            let (entries, _) = crate::journal::replay(&bytes);
-            let mut table = cache.table();
-            for (key, outcome) in entries {
-                table.insert(key, outcome);
-            }
-        }
-        cache
-    }
 }
-
-/// What [`EvalCache::merge_from`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Entries newly inserted from the other cache.
-    pub inserted: u64,
-    /// Entries present in both caches and byte-identical (kept as-is).
-    pub identical: u64,
-}
-
-/// Why [`EvalCache::merge_from`] refused to merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMergeError {
-    /// Both caches hold this key with byte-different outcomes. Evaluation
-    /// is pure per key, so this means the caches were produced by
-    /// incompatible evaluators (differing salt, version, or substrate) and
-    /// neither entry can be trusted over the other.
-    Divergent {
-        /// The conflicting configuration key.
-        key: u64,
-    },
-}
-
-impl std::fmt::Display for CacheMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheMergeError::Divergent { key } => write!(
-                f,
-                "cache merge conflict: key {key:#018x} has divergent outcomes \
-                 (caches were produced by incompatible evaluators)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CacheMergeError {}
 
 /// File magic for the persistent evaluation cache.
 pub const CACHE_MAGIC: [u8; 8] = *b"PPHWEVC\0";
@@ -687,8 +571,8 @@ pub(crate) fn encode_outcome(out: &EvalOutcome) -> Vec<u8> {
             b.extend_from_slice(reason.as_bytes());
             b
         }
-        // Never reached: `EvalCache::insert` refuses Failed, so no table,
-        // journal or merge holds one. Encoded as an empty Infeasible so the
+        // Never reached: `EvalCache::insert` refuses Failed, so no table
+        // or journal holds one. Encoded as an empty Infeasible so the
         // match stays exhaustive without a panic path.
         EvalOutcome::Failed(_) => vec![1, 0, 0, 0, 0],
     }
@@ -779,7 +663,6 @@ mod tests {
             inner_par: par,
             sim_label: "max4".into(),
             sim: SimConfig::default(),
-            cap_permille: 1000,
         }
     }
 
@@ -820,15 +703,6 @@ mod tests {
             base,
             config_key("p", &sizes(&[("m", 128)]), "", &cand(&[("m", 8)], 16))
         );
-        // A swept capacity scale is a different design; both key levels
-        // must see it.
-        let mut scaled = cand(&[("m", 8)], 16);
-        scaled.cap_permille = 500;
-        assert_ne!(base, config_key("p", &s, "", &scaled));
-        assert_ne!(
-            design_key("p", &s, "", &cand(&[("m", 8)], 16)),
-            design_key("p", &s, "", &scaled)
-        );
     }
 
     /// Keys and fingerprints are on-disk and cross-process identities: a
@@ -842,13 +716,11 @@ mod tests {
         let mut low_bw = cand(&[("n", 16)], 64);
         low_bw.sim_label = "low-bw".into();
         low_bw.sim = SimConfig::default().with_dram_gbps(38.4);
-        let mut scaled = cand(&[("m", 8), ("n", 4)], 16);
-        scaled.cap_permille = 500;
         let keys = |c: &Candidate| {
             (
                 config_key("sumrows", &s, salt, c),
                 design_key("sumrows", &s, salt, c),
-                crate::shard::fingerprint("sumrows", c),
+                crate::model::fingerprint("sumrows", c),
             )
         };
         assert_eq!(
@@ -865,14 +737,6 @@ mod tests {
                 0xe77c_a592_c33d_8b0f,
                 0xd26a_b8d5_3935_d19d,
                 0xef28_3045_b343_a1d9
-            )
-        );
-        assert_eq!(
-            keys(&scaled),
-            (
-                0x2c5c_aa80_62e4_2cec,
-                0x9c5e_ede9_bcf5_a9a5,
-                0x8345_070a_70e9_19f7
             )
         );
     }
@@ -1047,110 +911,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_disjoint_caches_and_counts_identicals() {
-        let a = EvalCache::new();
-        a.insert(1, outcome(100));
-        a.insert(2, EvalOutcome::Infeasible("budget".into()));
-        let b = EvalCache::new();
-        b.insert(2, EvalOutcome::Infeasible("budget".into()));
-        b.insert(3, outcome(300));
-        let stats = a.merge_from(&b).unwrap();
-        assert_eq!(
-            stats,
-            MergeStats {
-                inserted: 1,
-                identical: 1
-            }
-        );
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(3), Some(outcome(300)));
-        // Merging again is idempotent.
-        let stats = a.merge_from(&b).unwrap();
-        assert_eq!(stats.inserted, 0);
-        assert_eq!(stats.identical, 2);
-    }
-
-    #[test]
-    fn merge_rejects_divergent_keys_without_mutating() {
-        let a = EvalCache::new();
-        a.insert(1, outcome(100));
-        a.insert(7, outcome(700));
-        let b = EvalCache::new();
-        b.insert(7, outcome(701));
-        b.insert(9, outcome(900));
-        let err = a.merge_from(&b).unwrap_err();
-        assert_eq!(err, CacheMergeError::Divergent { key: 7 });
-        assert!(err.to_string().contains("divergent"), "{err}");
-        // Nothing from b landed, not even the non-conflicting key 9.
-        assert_eq!(a.len(), 2);
-        assert!(a.table().get(&9).is_none());
-        assert_eq!(a.get(7), Some(outcome(700)));
-    }
-
-    #[test]
-    fn insert_refuses_failed_so_a_merge_only_ever_sees_results() {
+    fn insert_refuses_failed() {
         let a = EvalCache::new();
         a.insert(5, EvalOutcome::Failed("transient here".into()));
         assert!(a.is_empty(), "a failure is not a cache entry");
-        let b = EvalCache::new();
-        b.insert(5, outcome(555));
-        b.insert(6, EvalOutcome::Failed("transient there".into()));
-        let stats = a.merge_from(&b).unwrap();
-        assert_eq!(
-            stats,
-            MergeStats {
-                inserted: 1,
-                identical: 0
-            }
-        );
-        assert_eq!(a.get(5), Some(outcome(555)), "retry success wins");
-        assert!(a.get(6).is_none(), "Failed entries never merge");
-    }
-
-    #[test]
-    fn merge_from_a_journaled_source_sees_unsnapshotted_entries() {
-        let dir = std::env::temp_dir().join("pphw-cache-merge-journaled");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("shard.pphwc");
-        {
-            // A journaled shard that dies before any checkpoint: entries
-            // exist only in the write-ahead journal, not the snapshot.
-            let shard = EvalCache::open_journaled_with(
-                &path,
-                JournalConfig {
-                    sync_every: 1,
-                    compact_bytes: u64::MAX,
-                },
-            )
-            .unwrap();
-            shard.insert(11, outcome(1100));
-            shard.insert(12, EvalOutcome::Infeasible("no fit".into()));
-            shard.insert(13, EvalOutcome::Failed("panic".into()));
-            // No checkpoint, no save: simulate the crash by dropping.
-        }
-        assert!(
-            EvalCache::load_or_cold(&path).is_empty(),
-            "no snapshot was ever published"
-        );
-        let source = EvalCache::load_including_journal(&path);
-        assert_eq!(source.len(), 2, "journal replayed, Failed never durable");
-
-        let target = EvalCache::new();
-        target.insert(11, outcome(1100));
-        let stats = target.merge_from(&source).unwrap();
-        assert_eq!(
-            stats,
-            MergeStats {
-                inserted: 1,
-                identical: 1
-            }
-        );
-        assert_eq!(
-            target.get(12),
-            Some(EvalOutcome::Infeasible("no fit".into()))
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        a.insert(5, outcome(555));
+        assert_eq!(a.get(5), Some(outcome(555)), "retry success lands");
     }
 
     #[test]

@@ -7,11 +7,10 @@ use pphw_hw::{area_objective, AreaBudget};
 use pphw_ir::program::Program;
 
 use crate::cache::{config_key, EvalCache};
-use crate::model::{pick_sample, CostModel, FeatureExtractor};
+use crate::model::{fingerprint, pick_sample, CostModel, FeatureExtractor};
 use crate::pareto::{compare_points, pareto_frontier};
 use crate::prune::{area_lower_bound, prefilter, PruneDecision};
 use crate::report::{DseReport, DseStats, EvaluatedPoint, FailedPoint};
-use crate::shard::{fingerprint, Shard};
 use crate::space::{Candidate, SearchSpace};
 use crate::{DseError, EvalOutcome, Evaluate};
 
@@ -25,9 +24,7 @@ pub const DEFAULT_GUIDED_SEED: u64 = u64::from_le_bytes(*b"pphw-dse");
 pub struct GuidedConfig {
     /// Calibration sample size: how many survivors are measured to fit
     /// the cost model. The sample is chosen by stable fingerprint, so it
-    /// is identical across thread counts and shards (every shard of a
-    /// sharded guided run replicates it — that is what lets all shards
-    /// fit the same model and agree on the top slice).
+    /// is identical across thread counts.
     pub sample: usize,
     /// How many of the model's top-ranked survivors to actually measure.
     pub top_k: usize,
@@ -55,14 +52,12 @@ impl Default for GuidedConfig {
 /// candidate's generated design before measuring it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CapacityMode {
-    /// Keep the depths the hardware generator chose (scaled by the
-    /// candidate's `cap_permille` when swept).
+    /// Keep the depths the hardware generator chose.
     #[default]
     AsGenerated,
     /// Rewrite every channel-carrying memory to the minimal safe depth
-    /// the flow analyzer computes (`pphw_verify::flow::infer_capacities`),
-    /// after any `cap_permille` scaling — the area-lean end of the
-    /// throughput/area trade-off.
+    /// the flow analyzer computes (`pphw_verify::flow::infer_capacities`)
+    /// — the area-lean end of the throughput/area trade-off.
     InferredMinimal,
 }
 
@@ -218,11 +213,6 @@ pub struct DseConfig {
     pub capacity_mode: CapacityMode,
     /// What "best" means when ranking feasible points.
     pub objective: Objective,
-    /// When `Some`, this invocation measures only the survivors its shard
-    /// owns (by stable fingerprint); see [`crate::shard`]. Guided runs
-    /// additionally replicate the calibration sample on every shard so
-    /// all shards select the same top slice.
-    pub shard: Option<Shard>,
 }
 
 impl Default for DseConfig {
@@ -234,7 +224,6 @@ impl Default for DseConfig {
             strategy: Strategy::Exhaustive,
             capacity_mode: CapacityMode::default(),
             objective: Objective::CyclesThenArea,
-            shard: None,
         }
     }
 }
@@ -264,18 +253,11 @@ impl DseConfig {
 /// fingerprints and deterministic arithmetic, results are merged by
 /// candidate index, and ranking uses a total order.
 ///
-/// Sharding: with [`DseConfig::shard`] set, only the survivors this shard
-/// owns are measured (plus, under [`Strategy::Guided`], the calibration
-/// sample, which every shard replicates so all shards fit the same model
-/// and agree on the top slice). The union of all shards' measurements
-/// equals the unsharded run's, so merging the shards' caches and
-/// re-running unsharded reproduces the unsharded report bit-for-bit.
-///
 /// # Errors
 ///
 /// [`DseError::EmptySpace`] if the space enumerates to nothing;
 /// [`DseError::NoFeasibleConfig`] if every point is pruned, infeasible,
-/// owned by another shard, or (under an area cap) over the cap.
+/// or (under an area cap) over the cap.
 pub fn explore(
     prog: &Program,
     space: &SearchSpace,
@@ -308,7 +290,6 @@ pub fn explore(
                 PruneDecision::Keep => return Some(c),
                 PruneDecision::Tile(_) => &mut stats.pruned_tile,
                 PruneDecision::Illegal(_) => &mut stats.pruned_verify,
-                PruneDecision::Flow(_) => &mut stats.pruned_flow,
                 PruneDecision::Budget { .. } => &mut stats.pruned_budget,
                 PruneDecision::Area => &mut stats.pruned_area,
             };
@@ -317,14 +298,6 @@ pub fn explore(
         })
         .collect();
     let n = survivors.len();
-
-    // Stable identity per survivor: drives both sharding and the guided
-    // calibration sample, so neither depends on enumeration position.
-    let fps: Vec<u64> = survivors
-        .iter()
-        .map(|c| fingerprint(&prog.name, c))
-        .collect();
-    let owned = |i: usize| cfg.shard.is_none_or(|s| s.owns(fps[i]));
 
     // Memoized evaluation of an index subset on the work-stealing pool.
     // The bool records whether the measurement came from the cache;
@@ -368,17 +341,15 @@ pub fn explore(
     // Decide which survivors to measure.
     let mut predictions: Vec<Option<f64>> = vec![None; n];
     let mut measured: Vec<(usize, EvalOutcome, bool)> = match &cfg.strategy {
-        Strategy::Exhaustive => {
-            let idx: Vec<usize> = (0..n).filter(|&i| owned(i)).collect();
-            stats.shard_skipped = n - idx.len();
-            measure(&idx)
-        }
+        Strategy::Exhaustive => measure(&(0..n).collect::<Vec<_>>()),
         Strategy::Guided(g) => {
             // 1. Calibration: measure a seeded sample chosen by stable
-            //    fingerprint. Every shard replicates it (the evaluator is
-            //    pure, so the replicated cache entries are byte-identical
-            //    and merge cleanly) — that is what makes the fitted model,
-            //    and therefore the selected slice, shard-independent.
+            //    fingerprint, so it does not depend on enumeration
+            //    position.
+            let fps: Vec<u64> = survivors
+                .iter()
+                .map(|c| fingerprint(&prog.name, c))
+                .collect();
             let sample_idx = pick_sample(&fps, g.sample.max(1), g.seed);
             let in_sample = {
                 let mut flags = vec![false; n];
@@ -404,10 +375,9 @@ pub fn explore(
             match CostModel::fit(&xs, &ys) {
                 None => {
                     // Nothing feasible to calibrate on: degenerate to
-                    // exhaustive over the remaining (owned) survivors
-                    // rather than skip points on an unfit model's word.
-                    let rest: Vec<usize> = (0..n).filter(|&i| !in_sample[i] && owned(i)).collect();
-                    stats.shard_skipped = (0..n).filter(|&i| !in_sample[i] && !owned(i)).count();
+                    // exhaustive over the remaining survivors rather
+                    // than skip points on an unfit model's word.
+                    let rest: Vec<usize> = (0..n).filter(|&i| !in_sample[i]).collect();
                     measured.extend(measure(&rest));
                 }
                 Some(model) => {
@@ -472,12 +442,8 @@ pub fn explore(
                     selected.dedup();
                     stats.skipped_model = rest.len() - selected.len();
 
-                    // 5. Measure the selected slice — this shard's share
-                    //    of it, when sharded.
-                    let to_measure: Vec<usize> =
-                        selected.iter().copied().filter(|&i| owned(i)).collect();
-                    stats.shard_skipped = selected.len() - to_measure.len();
-                    measured.extend(measure(&to_measure));
+                    // 5. Measure the selected slice.
+                    measured.extend(measure(&selected));
                 }
             }
             measured
@@ -977,119 +943,5 @@ mod tests {
         .unwrap();
         assert_eq!(guided.best.label, exhaustive.best.label);
         assert!(guided.best.area_score <= cap);
-    }
-
-    #[test]
-    fn exhaustive_shards_partition_the_work_and_merge_losslessly() {
-        // Unsharded reference on a fresh cache.
-        let reference = explore(
-            &program(),
-            &wide_space(),
-            &Synthetic::new(),
-            &EvalCache::new(),
-            &DseConfig::default(),
-        )
-        .unwrap();
-
-        let merged = EvalCache::new();
-        let mut measured_total = 0usize;
-        for index in 0..3u64 {
-            let shard_cache = EvalCache::new();
-            let cfg = DseConfig {
-                shard: Some(crate::shard::Shard { index, count: 3 }),
-                ..DseConfig::default()
-            };
-            // A shard may own zero feasible points; that is not an error
-            // for the merged result.
-            match explore(
-                &program(),
-                &wide_space(),
-                &Synthetic::new(),
-                &shard_cache,
-                &cfg,
-            ) {
-                Ok(r) => {
-                    assert_eq!(
-                        r.stats.evaluated + r.stats.shard_skipped,
-                        reference.stats.evaluated,
-                        "shard sees the same survivor set"
-                    );
-                    measured_total += r.stats.evaluated;
-                }
-                Err(DseError::NoFeasibleConfig) => {}
-                Err(e) => panic!("unexpected shard error: {e}"),
-            }
-            merged.merge_from(&shard_cache).unwrap();
-        }
-        assert_eq!(
-            measured_total, reference.stats.evaluated,
-            "shards partition the survivors exactly"
-        );
-
-        // Re-running unsharded against the merged cache is all-hits and
-        // reproduces the reference report (modulo cache tallies).
-        let rerun = explore(
-            &program(),
-            &wide_space(),
-            &Synthetic::new(),
-            &merged,
-            &DseConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(rerun.stats.cache_misses, 0, "merged cache covers the space");
-        assert_eq!(rerun.best.label, reference.best.label);
-        let ra: Vec<_> = reference.evaluated.iter().map(|p| &p.label).collect();
-        let rb: Vec<_> = rerun.evaluated.iter().map(|p| &p.label).collect();
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn guided_shards_agree_on_the_winner_for_every_shard_count() {
-        let unsharded = explore(
-            &program(),
-            &wide_space(),
-            &Synthetic::new(),
-            &EvalCache::new(),
-            &guided_cfg(1),
-        )
-        .unwrap();
-        for count in [1u64, 3, 7] {
-            let merged = EvalCache::new();
-            for index in 0..count {
-                let shard_cache = EvalCache::new();
-                let cfg = DseConfig {
-                    shard: Some(crate::shard::Shard { index, count }),
-                    ..guided_cfg(1)
-                };
-                match explore(
-                    &program(),
-                    &wide_space(),
-                    &Synthetic::new(),
-                    &shard_cache,
-                    &cfg,
-                ) {
-                    Ok(_) | Err(DseError::NoFeasibleConfig) => {}
-                    Err(e) => panic!("unexpected shard error: {e}"),
-                }
-                merged.merge_from(&shard_cache).unwrap();
-            }
-            let rerun = explore(
-                &program(),
-                &wide_space(),
-                &Synthetic::new(),
-                &merged,
-                &guided_cfg(1),
-            )
-            .unwrap();
-            assert_eq!(
-                rerun.stats.cache_misses, 0,
-                "count={count}: merged shard caches cover the guided slice"
-            );
-            assert_eq!(rerun.best.label, unsharded.best.label, "count={count}");
-            assert_eq!(rerun.best.cycles, unsharded.best.cycles);
-            let ra: Vec<_> = unsharded.evaluated.iter().map(|p| &p.label).collect();
-            let rb: Vec<_> = rerun.evaluated.iter().map(|p| &p.label).collect();
-            assert_eq!(ra, rb, "count={count}: full ranking identical after merge");
-        }
     }
 }

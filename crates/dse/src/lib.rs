@@ -44,16 +44,14 @@ pub mod pareto;
 pub mod pool;
 pub mod prune;
 pub mod report;
-pub mod shard;
 pub mod space;
 
-pub use cache::{CacheMergeError, EvalCache, MergeStats};
+pub use cache::EvalCache;
 pub use engine::{explore, CapacityMode, DseConfig, GuidedConfig, Objective, Strategy};
 pub use journal::{journal_path, JournalConfig, JournalStats};
 pub use model::CostModel;
 pub use pareto::pareto_frontier;
 pub use report::{DseReport, DseStats, EvaluatedPoint, FailedPoint};
-pub use shard::Shard;
 pub use space::{pow2_divisors, Candidate, SearchSpace};
 
 use pphw_hw::Area;

@@ -38,8 +38,8 @@
 //! warm cache makes re-calibration free. Everything here is exact-order
 //! deterministic: the sample, the accumulation order of the normal
 //! equations, and the Gaussian elimination are pure functions of the
-//! candidate list and the seed — thread counts and sharding cannot
-//! perturb a prediction.
+//! candidate list and the seed — thread counts cannot perturb a
+//! prediction.
 
 use std::collections::HashMap;
 
@@ -49,6 +49,7 @@ use pphw_sim::fault::splitmix64;
 use pphw_transform::cost::{predict_traffic, TrafficPrediction};
 use pphw_transform::{tile_program, TileConfig};
 
+use crate::cache::fnv1a64;
 use crate::space::Candidate;
 
 /// Number of cost terms in the model (including the intercept).
@@ -262,12 +263,19 @@ fn solve(
     Some(x)
 }
 
+/// The stable identity a candidate is sampled by: FNV-1a of
+/// `"<program>|<label>"`. Labels are canonical (tile sizes in dimension
+/// order, parallelism, substrate label), so the fingerprint survives
+/// re-enumeration and differs across programs sharing a space.
+#[must_use]
+pub fn fingerprint(prog_name: &str, c: &Candidate) -> u64 {
+    fnv1a64(format!("{prog_name}|{}", c.label()).as_bytes())
+}
+
 /// Picks the deterministic calibration sample: candidates are ranked by
 /// `splitmix64(fingerprint ^ seed)` and the `sample` smallest win. The
 /// result is a sorted index list, a pure function of (fingerprints, seed)
-/// — independent of thread count, shard assignment, and enumeration
-/// tricks — so every shard of a sharded search calibrates on the *same*
-/// points and fits the *same* model.
+/// — independent of thread count and enumeration position.
 #[must_use]
 pub fn pick_sample(fingerprints: &[u64], sample: usize, seed: u64) -> Vec<usize> {
     let mut ranked: Vec<(u64, usize)> = fingerprints
@@ -387,7 +395,6 @@ mod tests {
             inner_par: 16,
             sim_label: "max4".into(),
             sim: SimConfig::default(),
-            cap_permille: 1000,
         };
         let f0 = candidate_features(&traffic, &sizes, &base);
         assert_eq!(f0.terms[0], 1.0);
@@ -430,5 +437,20 @@ mod tests {
         assert_ne!(a, c, "seed changes the sample");
         let all = pick_sample(&fps, 1000, 42);
         assert_eq!(all.len(), 100, "sample larger than space takes all");
+    }
+
+    #[test]
+    fn fingerprint_is_stable_and_distinguishes_identities() {
+        let cand = |par: u32, tile: i64| Candidate {
+            tiles: vec![("m".into(), tile)],
+            inner_par: par,
+            sim_label: "max4".into(),
+            sim: SimConfig::default(),
+        };
+        let a = cand(8, 16);
+        assert_eq!(fingerprint("gemm", &a), fingerprint("gemm", &a.clone()));
+        assert_ne!(fingerprint("gemm", &a), fingerprint("spmv", &a));
+        assert_ne!(fingerprint("gemm", &a), fingerprint("gemm", &cand(16, 16)));
+        assert_ne!(fingerprint("gemm", &a), fingerprint("gemm", &cand(8, 32)));
     }
 }

@@ -1,12 +1,7 @@
 //! Analytic prefilter: reject candidates before the compile+simulate path.
 //!
-//! Five cheap checks run per candidate, in order:
+//! Four cheap checks run per candidate, in order:
 //!
-//! 0. **Dataflow balance** — a candidate whose channel-capacity scale
-//!    would statically deadlock the generated metapipeline (every
-//!    exact-token channel drops to zero slots below half depth, the
-//!    condition `pphw-verify`'s flow analyzer flags as `PPHW041`) is
-//!    rejected by pure arithmetic, before even the tiling transform runs.
 //! 1. **Tiling feasibility** — the tiling transform itself (strip mining +
 //!    interchange + tile copies) is run on the candidate's tile sizes; a
 //!    `TileError` rejects the point. This is the cheap front of the
@@ -58,10 +53,6 @@ pub enum PruneDecision {
     /// IR-verifier errors, or its parallelism would race a combine that
     /// is not provably associative-commutative.
     Illegal(String),
-    /// The dataflow-balance analyzer rejected the candidate: its
-    /// channel-capacity scale statically deadlocks the generated
-    /// metapipeline (zero-slot channels, `PPHW041`).
-    Flow(String),
     /// Predicted on-chip footprint exceeds the memory budget.
     Budget {
         /// Predicted bytes.
@@ -115,15 +106,6 @@ pub fn prefilter(
     candidates
         .iter()
         .map(|c| {
-            // Cheapest check first: a capacity scale that statically
-            // deadlocks the metapipeline needs no tiling or cost model.
-            if pphw_verify::flow::deadlocked_capacity_scale(c.cap_permille) {
-                return PruneDecision::Flow(format!(
-                    "capacity scale {} deadlocks every exact-token channel \
-                     (zero slots, PPHW041)",
-                    c.cap_permille as f64 / 1000.0
-                ));
-            }
             let tiles_key = format!("{:?}", c.tiles);
             let pre = by_tiles
                 .entry(tiles_key)
@@ -245,7 +227,6 @@ mod tests {
             inner_par: par,
             sim_label: "max4".into(),
             sim: SimConfig::default(),
-            cap_permille: 1000,
         }
     }
 
@@ -349,33 +330,6 @@ mod tests {
             other => panic!("expected illegal prune, got {other:?}"),
         }
         assert_eq!(out[1], PruneDecision::Keep, "serial reduction is legal");
-    }
-
-    #[test]
-    fn deadlocking_capacity_scales_are_pruned_before_tiling() {
-        let prog = gemm();
-        let s = sizes(&[("m", 64), ("n", 64), ("p", 64)]);
-        let mut starved = cand(GEMM_TILES, 16);
-        starved.cap_permille = 499;
-        let mut halved = cand(GEMM_TILES, 16);
-        halved.cap_permille = 500;
-        let cands = vec![starved, halved];
-        let out = prefilter(
-            &prog,
-            &s,
-            &cands,
-            6 * 1024 * 1024,
-            &AreaBudget::full_device(),
-        );
-        match &out[0] {
-            PruneDecision::Flow(why) => {
-                assert!(why.contains("PPHW041"), "{why}");
-                assert!(why.contains("0.499"), "{why}");
-            }
-            other => panic!("expected flow prune, got {other:?}"),
-        }
-        // Half depth still holds one token per channel: explorable.
-        assert_eq!(out[1], PruneDecision::Keep);
     }
 
     #[test]

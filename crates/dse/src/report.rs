@@ -70,10 +70,6 @@ pub struct DseStats {
     /// program illegal (IR-verifier errors, or a combine the candidate's
     /// parallelism would race).
     pub pruned_verify: usize,
-    /// Rejected by the prefilter: the dataflow-balance analyzer found the
-    /// candidate's channel-capacity scale statically deadlocking
-    /// (zero-slot channels, `PPHW041`) — never compiled.
-    pub pruned_flow: usize,
     /// Rejected by the prefilter: predicted on-chip footprint over budget.
     pub pruned_budget: usize,
     /// Rejected by the prefilter: area lower bound over budget.
@@ -100,7 +96,8 @@ pub struct DseStats {
     /// Guided search: survivors the model ranked unpromising and the
     /// search therefore never measured.
     pub skipped_model: usize,
-    /// Survivors owned by other shards of a `--shard i/N` run.
+    /// Always 0: nothing partitions a search any more. Read by
+    /// `benchmark/`'s candidate accounting, and goes with that read.
     pub shard_skipped: usize,
     /// Measurements served from the memoization cache.
     pub cache_hits: u64,
@@ -112,11 +109,7 @@ impl DseStats {
     /// Total points removed by the analytic prefilter.
     #[must_use]
     pub fn pruned_total(&self) -> usize {
-        self.pruned_tile
-            + self.pruned_verify
-            + self.pruned_flow
-            + self.pruned_budget
-            + self.pruned_area
+        self.pruned_tile + self.pruned_verify + self.pruned_budget + self.pruned_area
     }
 }
 
@@ -207,18 +200,17 @@ impl DseReport {
             "{{\"name\":{},\"best\":{},\"frontier\":[{frontier}],\
              \"evaluated\":[{evaluated}],\"failures\":[{failures}],\
              \"stats\":{{\"exhaustive\":{},\
-             \"pruned_tile\":{},\"pruned_verify\":{},\"pruned_flow\":{},\
+             \"pruned_tile\":{},\"pruned_verify\":{},\
              \"pruned_budget\":{},\"pruned_area\":{},\
              \"evaluated\":{},\"infeasible\":{},\"failed\":{},\
              \"sampled\":{},\"ranked\":{},\"simulated\":{},\
-             \"skipped_model\":{},\"shard_skipped\":{},\
+             \"skipped_model\":{},\
              \"cache_hits\":{},\"cache_misses\":{}}}}}",
             escape(&self.name),
             point_json(&self.best),
             s.exhaustive,
             s.pruned_tile,
             s.pruned_verify,
-            s.pruned_flow,
             s.pruned_budget,
             s.pruned_area,
             s.evaluated,
@@ -228,7 +220,6 @@ impl DseReport {
             s.ranked,
             s.simulated,
             s.skipped_model,
-            s.shard_skipped,
             s.cache_hits,
             s.cache_misses
         )
@@ -284,14 +275,13 @@ impl DseReport {
         let s = &self.stats;
         let mut out = format!(
             "dse `{}`: {} points enumerated, {} pruned analytically \
-             (tile {}, verify {}, flow {}, budget {}, area {}), {} evaluated \
+             (tile {}, verify {}, budget {}, area {}), {} evaluated \
              ({} compiled, {} from cache), {} infeasible, {} failed\n",
             self.name,
             s.exhaustive,
             s.pruned_total(),
             s.pruned_tile,
             s.pruned_verify,
-            s.pruned_flow,
             s.pruned_budget,
             s.pruned_area,
             s.evaluated,
@@ -305,12 +295,6 @@ impl DseReport {
                 "  guided: {} calibration samples, {} ranked by model, \
                  {} simulated, {} skipped by model\n",
                 s.sampled, s.ranked, s.simulated, s.skipped_model
-            ));
-        }
-        if s.shard_skipped > 0 {
-            out.push_str(&format!(
-                "  shard: {} survivors owned by other shards\n",
-                s.shard_skipped
             ));
         }
         for f in &self.failures {
@@ -372,7 +356,7 @@ mod tests {
             stats: DseStats {
                 exhaustive: 6,
                 pruned_budget: 2,
-                pruned_flow: 1,
+                pruned_verify: 1,
                 evaluated: 3,
                 failed: 1,
                 cache_misses: 3,
@@ -391,7 +375,7 @@ mod tests {
             "\"evaluated\":[",
             "\"exhaustive\":6",
             "\"pruned_budget\":2",
-            "\"pruned_flow\":1",
+            "\"pruned_verify\":1",
             "\"cycles\":10",
             "\"failures\":[{\"label\":\"c\"",
             "\"failed\":1",
@@ -415,7 +399,7 @@ mod tests {
         let s = report().summary();
         assert!(s.contains("6 points enumerated"));
         assert!(s.contains("3 pruned analytically"));
-        assert!(s.contains("flow 1"));
+        assert!(s.contains("verify 1"));
         assert!(s.contains("best: a"));
     }
 

@@ -21,6 +21,17 @@ pub fn pow2_divisors(n: i64) -> Vec<i64> {
     out
 }
 
+/// `items` without repeats, first occurrences in their given order.
+fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut out = Vec::new();
+    for item in items {
+        if !out.contains(&item) {
+            out.push(item);
+        }
+    }
+    out
+}
+
 /// One fully-resolved point of the search space: everything the evaluator
 /// needs to compile and simulate a design.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,19 +44,10 @@ pub struct Candidate {
     pub sim_label: String,
     /// The simulation substrate.
     pub sim: SimConfig,
-    /// Channel-capacity scale in permille of the generated depth (1000 =
-    /// as generated). Applied by the evaluator to every FIFO/double
-    /// buffer that carries a metapipeline channel; scales below 500
-    /// statically deadlock exact-token channels and are rejected by the
-    /// prefilter before any compile.
-    pub cap_permille: u32,
 }
 
 impl Candidate {
-    /// Human-readable identity, e.g. `m=32,n=16 par=64 sim=max4` (with a
-    /// ` cap=0.5` suffix only when the capacity scale is swept off its
-    /// default, so pre-existing labels — and the fingerprints and cache
-    /// keys derived from them — are unchanged).
+    /// Human-readable identity, e.g. `m=32,n=16 par=64 sim=max4`.
     #[must_use]
     pub fn label(&self) -> String {
         let tiles = if self.tiles.is_empty() {
@@ -57,12 +59,7 @@ impl Candidate {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        let cap = if self.cap_permille == 1000 {
-            String::new()
-        } else {
-            format!(" cap={}", self.cap_permille as f64 / 1000.0)
-        };
-        format!("{tiles} par={} sim={}{cap}", self.inner_par, self.sim_label)
+        format!("{tiles} par={} sim={}", self.inner_par, self.sim_label)
     }
 
     /// Tile sizes as borrowed pairs, for `TileConfig`/`CompileOptions`.
@@ -73,20 +70,19 @@ impl Candidate {
 }
 
 /// The joint search space: tile candidates per tuned dimension ×
-/// parallelism factors × simulation substrate variants × channel-capacity
-/// scales.
+/// parallelism factors × simulation substrate variants.
 ///
 /// Enumeration order is deterministic — dimensions in the order they were
 /// added, tile candidates in their given order, then parallelism factors,
-/// then substrate variants, then capacity scales — and independent of how
-/// the engine later schedules evaluation.
+/// then substrate variants — and independent of how the engine later
+/// schedules evaluation. A value listed twice along one axis is the same
+/// point twice, so every setter keeps the first occurrence only.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     sizes: Vec<(String, i64)>,
     dims: Vec<(String, Vec<i64>)>,
     inner_pars: Vec<u32>,
     sim_variants: Vec<(String, SimConfig)>,
-    cap_permilles: Vec<u32>,
 }
 
 impl SearchSpace {
@@ -100,7 +96,6 @@ impl SearchSpace {
             dims: Vec::new(),
             inner_pars: vec![64],
             sim_variants: vec![("max4".to_string(), SimConfig::default())],
-            cap_permilles: vec![1000],
         }
     }
 
@@ -128,33 +123,22 @@ impl SearchSpace {
     /// Adds a tuned dimension with explicit tile candidates.
     #[must_use]
     pub fn with_tile_candidates(mut self, dim: &str, cands: &[i64]) -> SearchSpace {
-        self.dims.push((dim.to_string(), cands.to_vec()));
+        self.dims
+            .push((dim.to_string(), distinct(cands.iter().copied())));
         self
     }
 
     /// Sets the parallelism factors to sweep.
     #[must_use]
     pub fn with_inner_pars(mut self, pars: &[u32]) -> SearchSpace {
-        self.inner_pars = pars.to_vec();
+        self.inner_pars = distinct(pars.iter().copied());
         self
     }
 
     /// Sets the simulation substrate variants to sweep.
     #[must_use]
     pub fn with_sim_variants(mut self, variants: &[(&str, SimConfig)]) -> SearchSpace {
-        self.sim_variants = variants
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect();
-        self
-    }
-
-    /// Sets the channel-capacity scales (permille of the generated
-    /// depth) to sweep. The default single `1000` leaves capacities as
-    /// generated.
-    #[must_use]
-    pub fn with_cap_permilles(mut self, permilles: &[u32]) -> SearchSpace {
-        self.cap_permilles = permilles.to_vec();
+        self.sim_variants = distinct(variants.iter().map(|(k, v)| ((*k).to_string(), v.clone())));
         self
     }
 
@@ -174,7 +158,7 @@ impl SearchSpace {
     #[must_use]
     pub fn len(&self) -> usize {
         let tiles: usize = self.dims.iter().map(|(_, c)| c.len()).product();
-        tiles * self.inner_pars.len() * self.sim_variants.len() * self.cap_permilles.len()
+        tiles * self.inner_pars.len() * self.sim_variants.len()
     }
 
     /// Whether the space enumerates to nothing.
@@ -202,15 +186,12 @@ impl SearchSpace {
         for tiles in &tile_cfgs {
             for par in &self.inner_pars {
                 for (label, sim) in &self.sim_variants {
-                    for cap in &self.cap_permilles {
-                        out.push(Candidate {
-                            tiles: tiles.clone(),
-                            inner_par: *par,
-                            sim_label: label.clone(),
-                            sim: sim.clone(),
-                            cap_permille: *cap,
-                        });
-                    }
+                    out.push(Candidate {
+                        tiles: tiles.clone(),
+                        inner_par: *par,
+                        sim_label: label.clone(),
+                        sim: sim.clone(),
+                    });
                 }
             }
         }
@@ -264,32 +245,34 @@ mod tests {
 
     #[test]
     fn labels_are_stable_identities() {
-        let mut c = Candidate {
+        let c = Candidate {
             tiles: vec![("m".into(), 8)],
             inner_par: 32,
             sim_label: "max4".into(),
             sim: SimConfig::default(),
-            cap_permille: 1000,
         };
         assert_eq!(c.label(), "m=8 par=32 sim=max4");
-        // A swept capacity scale is visible; the default leaves the
-        // legacy label (and everything keyed off it) untouched.
-        c.cap_permille = 500;
-        assert_eq!(c.label(), "m=8 par=32 sim=max4 cap=0.5");
     }
 
     #[test]
-    fn capacity_scales_sweep_innermost() {
-        let space = SearchSpace::new(&[("m", 16)])
-            .tune_dim("m")
-            .unwrap()
-            .with_cap_permilles(&[1000, 500]);
-        assert_eq!(space.len(), 4);
-        let cands = space.candidates();
-        assert_eq!(cands.len(), 4);
-        assert_eq!(cands[0].cap_permille, 1000);
-        assert_eq!(cands[1].cap_permille, 500);
-        assert_eq!(cands[0].tiles, cands[1].tiles);
-        assert_ne!(cands[0].label(), cands[1].label());
+    fn a_repeated_value_is_one_point() {
+        let slow = SimConfig::default().with_clock_mhz(100.0);
+        let repeated = SearchSpace::new(&[("m", 64), ("n", 64)])
+            .with_tile_candidates("m", &[8, 16, 16, 8])
+            .with_tile_candidates("n", &[16])
+            .with_inner_pars(&[16, 32, 16])
+            .with_sim_variants(&[
+                ("max4", SimConfig::default()),
+                ("slow", slow.clone()),
+                ("max4", SimConfig::default()),
+            ]);
+        let plain = SearchSpace::new(&[("m", 64), ("n", 64)])
+            .with_tile_candidates("m", &[8, 16])
+            .with_tile_candidates("n", &[16])
+            .with_inner_pars(&[16, 32])
+            .with_sim_variants(&[("max4", SimConfig::default()), ("slow", slow)]);
+        assert_eq!(repeated.len(), 8);
+        assert_eq!(repeated.len(), plain.len());
+        assert_eq!(repeated.candidates(), plain.candidates());
     }
 }

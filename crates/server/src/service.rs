@@ -640,7 +640,6 @@ impl Resolved {
             inner_par: self.opts.inner_par,
             sim_label: "req".to_string(),
             sim: self.sim.clone(),
-            cap_permille: 1000,
         }
     }
 }
@@ -898,6 +897,19 @@ mod tests {
         );
         assert_eq!(get(&over, &["ok"]).as_bool(), Some(false));
         assert_eq!(get(&over, &["error", "code"]).as_str(), Some(codes::LIMIT));
+    }
+
+    #[test]
+    fn dse_method_counts_a_repeated_value_once() {
+        let resp = call(
+            &service(),
+            "{\"method\":\"dse\",\"bench\":\"sumrows\",\"sizes\":{\"m\":64,\"n\":64},\
+             \"tile_candidates\":{\"m\":[8,16,16],\"n\":[16]},\"inner_pars\":[16,16]}",
+        );
+        assert_eq!(get(&resp, &["ok"]).as_bool(), Some(true), "{resp:?}");
+        for key in ["space", "evaluated", "simulated"] {
+            assert_eq!(get(&resp, &["result", key]).as_u64(), Some(2), "{key}");
+        }
     }
 
     /// The gate on "a design point becomes a design and its numbers in one

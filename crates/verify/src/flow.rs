@@ -204,9 +204,9 @@ pub fn infer_capacities(design: &mut Design) -> Vec<CapacityChange> {
 }
 
 /// Scales every channel-carrying FIFO/double buffer to
-/// `words * permille / 1000`, rounding down — the capacity knob the
-/// design-space explorer sweeps. `1000` is the identity. Returns the
-/// applied changes.
+/// `words * permille / 1000`, rounding down — the mutation the flow
+/// cross-check (`tests/flow_crosscheck.rs`) applies to prove generated
+/// depths minimal. `1000` is the identity. Returns the applied changes.
 pub fn scale_capacities(design: &mut Design, permille: u32) -> Vec<CapacityChange> {
     if permille == 1000 {
         return Vec::new();
@@ -227,19 +227,6 @@ pub fn scale_capacities(design: &mut Design, permille: u32) -> Vec<CapacityChang
         }
     }
     changes
-}
-
-/// Whether a capacity scale (in permille of the generated depth) is
-/// statically guaranteed to deadlock a generated design, without
-/// compiling it. The generator sizes every channel memory at exactly one
-/// token per double-buffer half (two slots), so scaling below one half
-/// (`permille < 500`) leaves `floor(2 * floor(words * s) / words) = 0`
-/// slots on every exact-token channel. The design-space explorer uses
-/// this as a prefilter so deadlocked capacity candidates are never
-/// compiled.
-#[must_use]
-pub fn deadlocked_capacity_scale(permille: u32) -> bool {
-    permille < 500
 }
 
 /// Substrate timing constants for the static busy-cycle predictor — the
@@ -660,20 +647,16 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_scale_threshold_matches_generator_invariant() {
-        assert!(deadlocked_capacity_scale(0));
-        assert!(deadlocked_capacity_scale(499));
-        assert!(!deadlocked_capacity_scale(500));
-        assert!(!deadlocked_capacity_scale(1000));
-        // Empirically: an exact-token design scaled below one half
-        // deadlocks, at or above it does not.
+    fn scaling_below_one_half_deadlocks_an_exact_token_channel() {
+        // The generator sizes every channel memory at exactly one token
+        // per double-buffer half (two slots), so below one half no slot
+        // is left; at or above it one is.
         for permille in [250, 499, 500, 750, 1000] {
             let mut d = two_stage(64, BufferKind::DoubleBuffer);
             scale_capacities(&mut d, permille);
-            let deadlocked = check(&d).has(DiagCode::ChannelDeadlock);
             assert_eq!(
-                deadlocked,
-                deadlocked_capacity_scale(permille),
+                check(&d).has(DiagCode::ChannelDeadlock),
+                permille < 500,
                 "permille {permille}"
             );
         }

@@ -350,46 +350,6 @@ fn unknown_dimension_is_rejected_when_building_the_space() {
 }
 
 #[test]
-fn capacity_sweep_prunes_deadlocked_scales_identically_across_threads() {
-    let prog = benchmark("sumrows");
-    let sizes: &[(&str, i64)] = &[("m", 64), ("n", 64)];
-    let base = CompileOptions::new(sizes);
-    // Scales below 0.5 leave every exact-token channel zero slots: the
-    // flow prefilter must reject them before any compile happens.
-    let space = SearchSpace::new(sizes)
-        .tune_dim("m")
-        .unwrap()
-        .with_inner_pars(&[8, 16])
-        .with_cap_permilles(&[250, 499, 1000, 2000]);
-
-    let mut reference = None;
-    for threads in [1usize, 2, 8] {
-        let cfg = DseConfig {
-            threads,
-            ..DseConfig::default()
-        };
-        let report = explore_program(&prog, &base, &space, &cfg).expect("search");
-        assert!(
-            report.stats.pruned_flow > 0,
-            "deadlocked capacity scales must be pruned by the flow check"
-        );
-        assert_eq!(
-            report.stats.pruned_flow % 2,
-            0,
-            "both deadlocking scales (0.25, 0.499) prune the same points"
-        );
-        match &reference {
-            None => reference = Some(report.to_json()),
-            Some(first) => assert_eq!(
-                &report.to_json(),
-                first,
-                "capacity-sweep report must be bit-identical on {threads} threads"
-            ),
-        }
-    }
-}
-
-#[test]
 fn inferred_minimal_capacity_mode_matches_as_generated_on_minimal_designs() {
     use pphw::dse::CapacityMode;
     let prog = benchmark("sumrows");

@@ -1,4 +1,4 @@
-//! Acceptance tests for model-guided, sharded design-space exploration
+//! Acceptance tests for model-guided design-space exploration
 //! on the real compile+simulate pipeline (synthetic-evaluator unit tests
 //! live in `pphw-dse` itself).
 //!
@@ -12,10 +12,6 @@
 //!    driver's full-size sumrows space.
 //! 2. **Thread independence** — the guided report is identical on 1 and
 //!    4 worker threads.
-//! 3. **Shard-merge equivalence** — splitting a guided search into
-//!    {1, 3, 7} shards, merging the per-shard evaluation caches, and
-//!    re-running unsharded over the merged cache reproduces the direct
-//!    unsharded report with zero cache misses.
 //!
 //! Spaces are built over shrunken workload sizes (every dimension capped
 //! at 64) so the whole matrix stays fast in debug builds; one evaluation
@@ -30,7 +26,7 @@ use pphw_apps::{all_benchmarks, BenchSpec};
 use pphw_bench::sweep::{sweep_base_options, sweep_sim_variants, sweep_space};
 use pphw_dse::cache::{DesignCache, EvalCache};
 use pphw_dse::{
-    pow2_divisors, DseConfig, DseReport, GuidedConfig, Objective, SearchSpace, Shard, Strategy,
+    pow2_divisors, DseConfig, DseReport, GuidedConfig, Objective, SearchSpace, Strategy,
 };
 use pphw_sim::SimConfig;
 
@@ -103,8 +99,8 @@ fn guided_for(space_len: usize) -> Strategy {
     })
 }
 
-/// The report identity that must survive strategy, threading, and
-/// sharding: the winner plus the full measured ranking.
+/// The report identity that must survive strategy and threading: the
+/// winner plus the full measured ranking.
 fn ranking(r: &DseReport) -> Vec<(String, u64, f64)> {
     r.evaluated
         .iter()
@@ -233,74 +229,4 @@ fn guided_matches_exhaustive_on_every_benchmark_and_objective() {
         guided.stats.simulated,
         guided.stats.exhaustive
     );
-}
-
-#[test]
-fn sharded_guided_runs_merge_to_the_unsharded_report() {
-    let designs: Arc<DesignCache<DesignArtifact>> = Arc::new(DesignCache::new());
-    for spec in &all_benchmarks() {
-        let sizes = small_sizes(spec);
-        let space = small_space(spec, &sizes);
-        let cfg = DseConfig {
-            threads: 1,
-            strategy: guided_for(space.len()),
-            ..DseConfig::default()
-        };
-        let reference_evals = EvalCache::new();
-        let reference = explore(spec, &sizes, &space, &cfg, &reference_evals, &designs);
-
-        for count in [1u64, 3, 7] {
-            // Each shard measures only what it owns (plus the replicated
-            // calibration sample) into its own cold cache...
-            let shard_caches: Vec<EvalCache> = (0..count)
-                .map(|index| {
-                    let evals = EvalCache::new();
-                    let sharded = DseConfig {
-                        shard: Some(Shard { index, count }),
-                        ..cfg
-                    };
-                    // A shard may own no feasible survivor; its cache
-                    // contribution is still valid.
-                    let base = CompileOptions::new(&sizes);
-                    let _ = explore_with_caches(
-                        &(spec.program)(),
-                        &base,
-                        &space,
-                        &sharded,
-                        &evals,
-                        Arc::clone(&designs),
-                    );
-                    evals
-                })
-                .collect();
-
-            // ...the merged union replays the unsharded search without a
-            // single new measurement.
-            let merged = EvalCache::new();
-            for c in &shard_caches {
-                merged
-                    .merge_from(c)
-                    .unwrap_or_else(|e| panic!("{}: merge failed: {e}", spec.name));
-            }
-            let replay = explore(spec, &sizes, &space, &cfg, &merged, &designs);
-            assert_eq!(
-                merged.misses(),
-                0,
-                "{}: {count}-way merge left holes in the cache",
-                spec.name
-            );
-            assert_eq!(
-                (replay.best.label.clone(), replay.best.cycles),
-                (reference.best.label.clone(), reference.best.cycles),
-                "{}: {count}-way sharding changed the winner",
-                spec.name
-            );
-            assert_eq!(
-                ranking(&replay),
-                ranking(&reference),
-                "{}: {count}-way sharding changed the ranking",
-                spec.name
-            );
-        }
-    }
 }
