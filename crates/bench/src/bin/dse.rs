@@ -116,7 +116,9 @@ fn parse_args() -> Result<Args, String> {
                 "as-generated" => args.capacity_mode = CapacityMode::AsGenerated,
                 "inferred" => args.capacity_mode = CapacityMode::InferredMinimal,
                 other => {
-                    panic!("--capacity-mode must be `as-generated` or `inferred`, got `{other}`")
+                    return Err(format!(
+                        "--capacity-mode must be `as-generated` or `inferred`, got `{other}`"
+                    ))
                 }
             },
             other => return Err(format!("unknown flag {other} (see the module docs)")),

@@ -11,33 +11,47 @@
 //! the seed, so the table reproduces bit-for-bit. A zero-fault
 //! configuration must — and is checked to — reproduce the fault-free
 //! simulation exactly.
+//!
+//! A usage error (unknown flag, missing or malformed value) prints
+//! `faults: <message>` and exits 2 before anything is simulated.
 
 use pphw::{compile, OptLevel};
 use pphw_apps::all_benchmarks;
 use pphw_sim::{FaultConfig, SimConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// `(seed, rates)` from the command line.
+fn parse_args() -> Result<(u64, Vec<f64>), String> {
     let mut seed = 0xFA17u64;
     let mut rates = vec![0.01f64, 0.05, 0.10];
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut val = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
             "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes a u64");
+                let text = val()?;
+                seed = text
+                    .parse()
+                    .map_err(|_| format!("--seed takes a u64, got `{text}`"))?;
             }
             "--rates" => {
-                i += 1;
-                rates = args[i]
+                let text = val()?;
+                rates = text
                     .split(',')
-                    .map(|r| r.parse().expect("--rates takes f64,f64,.."))
-                    .collect();
+                    .map(|r| r.parse())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("--rates takes f64,f64,.., got `{text}`"))?;
             }
-            other => panic!("unknown flag {other}"),
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
+    Ok((seed, rates))
+}
+
+fn main() {
+    let (seed, rates) = parse_args().unwrap_or_else(|e| {
+        eprintln!("faults: {e}");
+        std::process::exit(2);
+    });
 
     let sim = SimConfig::default();
     let faults_at = |rate: f64| {

@@ -154,20 +154,24 @@ fn dse_refuses_area_cap_without_the_capped_objective() {
 /// names — the check that they are gone — finds nothing).
 #[test]
 fn dse_refuses_unknown_and_removed_flags() {
-    for flags in [
-        "--bogus",
-        "--quick --threads",
-        "--threads x",
-        concat!("--sh", "ard 0/3"),
-        concat!("--merge", "-cache x.pphwc"),
-        concat!("--cap", "-permilles 500"),
+    const FAULTS: &str = env!("CARGO_BIN_EXE_faults");
+    for (exe, name, flags) in [
+        (DSE, "dse", "--bogus"),
+        (DSE, "dse", "--quick --threads"),
+        (DSE, "dse", "--threads x"),
+        (DSE, "dse", "--capacity-mode deepest"),
+        (DSE, "dse", concat!("--sh", "ard 0/3")),
+        (DSE, "dse", concat!("--merge", "-cache x.pphwc")),
+        (DSE, "dse", concat!("--cap", "-permilles 500")),
+        (FAULTS, "faults", "--bogus"),
+        (FAULTS, "faults", "--rates 0.1,x"),
     ] {
-        let mut cmd = cli(DSE, flags);
+        let mut cmd = cli(exe, flags);
         let out = cmd.output().unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
         assert_eq!(out.status.code(), Some(2), "{cmd:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.lines().count() == 1 && stderr.starts_with("dse: "),
+            stderr.lines().count() == 1 && stderr.starts_with(&format!("{name}: ")),
             "{cmd:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");

@@ -215,9 +215,6 @@ pub fn explore_with_caches(
     cache: &EvalCache,
     designs: Arc<DesignCache<DesignArtifact>>,
 ) -> Result<DseReport, DseError> {
-    // The prefilter runs the tiling transform before any compile; install
-    // the per-pass verifier first so even pruned candidates are checked.
-    crate::install_verifier();
     let evaluator = CompileEvaluator::with_design_cache(prog, base, designs)
         .with_capacity_mode(cfg.capacity_mode);
     pphw_dse::engine::explore(prog, space, &evaluator, cache, cfg)

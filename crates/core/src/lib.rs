@@ -56,33 +56,12 @@ pub fn flow_timing(sim: &SimConfig) -> FlowTiming {
     }
 }
 
-/// Installs the deep (semantic) verifier into the transform pipeline's
-/// per-pass checkpoint, once per process. After this, every tiling pass
-/// is followed by a full IR verification (def-before-use, typing, shape
-/// and arity consistency) whenever
-/// [`pphw_transform::verification_enabled`] says so — always in debug
-/// builds, and in release when `PPHW_VERIFY` is set.
-///
-/// [`compile`] and the DSE entry points call this themselves; it is
-/// public so drivers that invoke `pphw_transform` directly get the same
-/// coverage.
-pub fn install_verifier() {
-    static INSTALL: std::sync::Once = std::sync::Once::new();
-    INSTALL.call_once(|| {
-        pphw_transform::install_deep_verifier(Box::new(|prog, _pass| {
-            // Per-pass checks are parallelism-agnostic (the race detector
-            // and hazard checker run at the endpoints, where inner_par
-            // and the design are known), so the default config — which
-            // disables the race check — is exactly right here.
-            let report = pphw_verify::verify_program(prog, &pphw_verify::VerifyConfig::default());
-            if report.is_clean() {
-                Ok(())
-            } else {
-                Err(report.to_text().trim_end().to_string())
-            }
-        }));
-    });
-}
+/// Does nothing: the per-pass deep check is part of `pphw_transform`
+/// itself (see [`pphw_transform::check_pass`]) and needs no installing.
+/// Kept only because `benchmark/src/workloads/{dse,compile_suite}.rs`
+/// import it; ROADMAP item 4 lists it with the other two `benchmark/`
+/// reads the next `benchmark`-archetype PR drops.
+pub fn install_verifier() {}
 
 /// Optimization level — the three design points of Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -383,7 +362,6 @@ impl Compiled {
 /// Returns [`PphwError::Tile`] or [`PphwError::Hw`] if tiling or hardware
 /// generation fails.
 pub fn compile(prog: &Program, opts: &CompileOptions) -> Result<Compiled, PphwError> {
-    install_verifier();
     let transformed = match opts.opt {
         OptLevel::Baseline => prog.clone(),
         OptLevel::Tiled | OptLevel::Metapipelined => {

@@ -7,9 +7,9 @@ use pphw_hw::{area_objective, AreaBudget};
 use pphw_ir::program::Program;
 
 use crate::cache::{config_key, EvalCache};
-use crate::model::{fingerprint, pick_sample, CostModel, FeatureExtractor};
+use crate::model::{candidate_features, fingerprint, pick_sample, CostModel};
 use crate::pareto::{compare_points, pareto_frontier};
-use crate::prune::{area_lower_bound, prefilter, PruneDecision};
+use crate::prune::{area_lower_bound, prefilter, Analytic, PruneDecision};
 use crate::report::{DseReport, DseStats, EvaluatedPoint, FailedPoint};
 use crate::space::{Candidate, SearchSpace};
 use crate::{DseError, EvalOutcome, Evaluate};
@@ -282,12 +282,26 @@ pub fn explore(
         cfg.on_chip_budget_bytes,
         &cfg.area_budget,
     );
+    // The scores each survivor was kept on, as `(first survivor, scores)`
+    // per run of equal scores: the space enumerates tile configurations
+    // outermost, so a run is a configuration's whole lanes x substrate
+    // block and a space has a handful of runs (one copy per survivor is
+    // 3 MiB on 131072 points). The survivors reuse the candidate list's
+    // allocation, so they are not unzipped from pairs either.
+    let mut analytics: Vec<(usize, Analytic)> = Vec::new();
+    let mut kept = 0;
     let survivors: Vec<Candidate> = candidates
         .into_iter()
         .zip(decisions)
         .filter_map(|(c, d)| {
             let pruned = match d {
-                PruneDecision::Keep => return Some(c),
+                PruneDecision::Keep(a) => {
+                    if analytics.last().is_none_or(|(_, last)| *last != a) {
+                        analytics.push((kept, a));
+                    }
+                    kept += 1;
+                    return Some(c);
+                }
                 PruneDecision::Tile(_) => &mut stats.pruned_tile,
                 PruneDecision::Illegal(_) => &mut stats.pruned_verify,
                 PruneDecision::Budget { .. } => &mut stats.pruned_budget,
@@ -298,6 +312,7 @@ pub fn explore(
         })
         .collect();
     let n = survivors.len();
+    let analytic = |i: usize| &analytics[analytics.partition_point(|(first, _)| *first <= i) - 1].1;
 
     // Memoized evaluation of an index subset on the work-stealing pool.
     // The bool records whether the measurement came from the cache;
@@ -360,16 +375,17 @@ pub fn explore(
             };
             let mut measured = measure(&sample_idx);
 
-            // 2. Fit the cost model on the feasible sample measurements.
-            let mut fx = FeatureExtractor::new(prog, space.sizes(), cfg.on_chip_budget_bytes);
+            // 2. Fit the cost model on the feasible sample measurements,
+            //    over features built from the traffic prediction each
+            //    survivor passed the prefilter with.
+            let features =
+                |i: usize| candidate_features(&analytic(i).traffic, space.sizes(), &survivors[i]);
             let mut xs = Vec::new();
             let mut ys = Vec::new();
             for (i, outcome, _) in &measured {
                 if let EvalOutcome::Feasible(m) = outcome {
-                    if let Some(f) = fx.features(&survivors[*i]) {
-                        xs.push(f);
-                        ys.push(m.cycles as f64);
-                    }
+                    xs.push(features(*i));
+                    ys.push(m.cycles as f64);
                 }
             }
             match CostModel::fit(&xs, &ys) {
@@ -394,37 +410,21 @@ pub fn explore(
                     //    (real designs are at least that large). Without
                     //    the exact check, fast-but-oversized points
                     //    flood the top slice only to be rejected after
-                    //    measurement, squeezing out the true winner. A
-                    //    survivor the feature extractor cannot analyze
-                    //    ranks first: measuring it is the only safe
-                    //    option.
+                    //    measurement, squeezing out the true winner.
                     let mut keys = Vec::with_capacity(n);
                     for (i, c) in survivors.iter().enumerate() {
-                        predictions[i] = fx.features(c).map(|f| model.predict(&f));
-                        let key = match predictions[i] {
-                            None => f64::NEG_INFINITY,
-                            Some(pred) => {
-                                let capped = match cfg.objective {
-                                    Objective::FastestUnderAreaCap { area_cap } => {
-                                        match evaluator.area_hint(c) {
-                                            Some(area) => area_objective(area) > area_cap,
-                                            None => fx.traffic(c).is_some_and(|t| {
-                                                let bytes = t.on_chip_bytes(c.sim.word_bytes);
-                                                area_objective(area_lower_bound(c.inner_par, bytes))
-                                                    > area_cap
-                                            }),
-                                        }
-                                    }
-                                    _ => false,
-                                };
-                                if capped {
-                                    f64::INFINITY
-                                } else {
-                                    pred
-                                }
+                        let pred = model.predict(&features(i));
+                        predictions[i] = Some(pred);
+                        let capped = match cfg.objective {
+                            Objective::FastestUnderAreaCap { area_cap } => {
+                                let area = evaluator.area_hint(c).unwrap_or_else(|| {
+                                    area_lower_bound(c.inner_par, analytic(i).on_chip_bytes)
+                                });
+                                area_objective(area) > area_cap
                             }
+                            _ => false,
                         };
-                        keys.push(key);
+                        keys.push(if capped { f64::INFINITY } else { pred });
                     }
                     let mut rest: Vec<usize> = (0..n).filter(|&i| !in_sample[i]).collect();
                     rest.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));

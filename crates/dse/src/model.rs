@@ -41,13 +41,8 @@
 //! candidate list and the seed — thread counts cannot perturb a
 //! prediction.
 
-use std::collections::HashMap;
-
-use pphw_ir::program::Program;
-use pphw_ir::size::Size;
 use pphw_sim::fault::splitmix64;
-use pphw_transform::cost::{predict_traffic, TrafficPrediction};
-use pphw_transform::{tile_program, TileConfig};
+use pphw_transform::cost::TrafficPrediction;
 
 use crate::cache::fnv1a64;
 use crate::space::Candidate;
@@ -105,60 +100,6 @@ pub fn candidate_features(
             c.sim.dram_latency as f64,
             c.sim.sync_gap as f64,
         ],
-    }
-}
-
-/// Computes features for every candidate of a space, memoizing the
-/// expensive part — tiling the program and running the structural cost
-/// analyzer — per unique tile configuration, exactly like the prefilter
-/// does. A candidate whose tiling or cost analysis fails yields `None`
-/// (such candidates were pruned before evaluation anyway).
-pub struct FeatureExtractor<'p> {
-    prog: &'p Program,
-    sizes: Vec<(String, i64)>,
-    on_chip_budget_bytes: u64,
-    memo: HashMap<String, Option<TrafficPrediction>>,
-}
-
-impl<'p> FeatureExtractor<'p> {
-    /// Creates an extractor for `prog` at the given concrete sizes.
-    #[must_use]
-    pub fn new(prog: &'p Program, sizes: &[(String, i64)], on_chip_budget_bytes: u64) -> Self {
-        FeatureExtractor {
-            prog,
-            sizes: sizes.to_vec(),
-            on_chip_budget_bytes,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// The memoized structural traffic prediction for a candidate's tile
-    /// configuration.
-    pub fn traffic(&mut self, c: &Candidate) -> Option<TrafficPrediction> {
-        let key = format!("{:?}", c.tiles);
-        let size_pairs: Vec<(&str, i64)> =
-            self.sizes.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let prog = self.prog;
-        let budget = self.on_chip_budget_bytes;
-        *self.memo.entry(key).or_insert_with(|| {
-            let tiled = if c.tiles.is_empty() {
-                prog.clone()
-            } else {
-                let cfg = TileConfig::new(&c.tile_pairs(), &size_pairs).with_budget(budget);
-                match tile_program(prog, &cfg) {
-                    Ok(t) => t,
-                    Err(_) => return None,
-                }
-            };
-            predict_traffic(&tiled, &Size::env(&size_pairs)).ok()
-        })
-    }
-
-    /// The full feature vector for a candidate, or `None` if its tile
-    /// configuration defeats the analyzer.
-    pub fn features(&mut self, c: &Candidate) -> Option<Features> {
-        let traffic = self.traffic(c)?;
-        Some(candidate_features(&traffic, &self.sizes, c))
     }
 }
 

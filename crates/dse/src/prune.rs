@@ -45,8 +45,9 @@ use crate::space::Candidate;
 /// Why the prefilter rejected a candidate — or didn't.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PruneDecision {
-    /// The candidate survives to evaluation.
-    Keep,
+    /// The candidate survives to evaluation; the scores it survived on
+    /// are what the guided ranker's features are built from.
+    Keep(Analytic),
     /// The tiling transform rejected the tile sizes.
     Tile(String),
     /// The static analyzer rejected the candidate: the tiled program has
@@ -75,8 +76,8 @@ pub fn area_lower_bound(inner_par: u32, on_chip_bytes: u64) -> Area {
 }
 
 /// The per-candidate analytic scores the prefilter derives its decision
-/// from (also exposed for reporting and the differential harness).
-#[derive(Debug, Clone, Copy)]
+/// from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Analytic {
     /// The cost model's traffic prediction for the tiled program.
     pub traffic: TrafficPrediction,
@@ -157,7 +158,7 @@ pub fn prefilter(
                     } else if !area_budget.fits(area_lower_bound(c.inner_par, a.on_chip_bytes)) {
                         PruneDecision::Area
                     } else {
-                        PruneDecision::Keep
+                        PruneDecision::Keep(a)
                     }
                 }
             }
@@ -259,7 +260,7 @@ mod tests {
             6 * 1024 * 1024,
             &AreaBudget::full_device(),
         );
-        assert_eq!(out[0], PruneDecision::Keep);
+        assert!(matches!(out[0], PruneDecision::Keep(_)));
     }
 
     #[test]
@@ -276,7 +277,7 @@ mod tests {
             6 * 1024 * 1024,
             &AreaBudget::device_fraction(0.05),
         );
-        assert_eq!(out[0], PruneDecision::Keep);
+        assert!(matches!(out[0], PruneDecision::Keep(_)));
         assert_eq!(out[1], PruneDecision::Area);
     }
 
@@ -329,7 +330,10 @@ mod tests {
             }
             other => panic!("expected illegal prune, got {other:?}"),
         }
-        assert_eq!(out[1], PruneDecision::Keep, "serial reduction is legal");
+        assert!(
+            matches!(out[1], PruneDecision::Keep(_)),
+            "serial reduction is legal"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use pphw_ir::expr::{Expr, Lit};
 use pphw_ir::infer::infer_scalar_type;
 use pphw_ir::pattern::{
     AccDef, AccUpdate, FlatMapPat, GbfBody, GroupByFoldPat, Init, Lambda, MapPat, MultiFoldPat,
-    Pattern,
+    Pattern, Seg,
 };
 use pphw_ir::program::Program;
 use pphw_ir::size::Size;
@@ -531,7 +531,7 @@ impl Lowerer {
             );
             return Err(());
         }
-        let bpath = format!("{path}/body");
+        let bpath = format!("{path}/{}", Seg::Body);
         self.map.record(&bpath, body.span);
         let ps: Vec<(Name, Type)> = params.iter().map(|n| (n.clone(), Type::i32())).collect();
         let (psyms, blk) = self.scoped_body(&ps, body, &bpath, "v");
@@ -736,7 +736,7 @@ impl Lowerer {
         let idx_syms: Vec<Sym> = idx.iter().map(|n| self.bind(n, Type::i32())).collect();
         let pre_blk = match pre {
             Some(p) => {
-                let ppath = format!("{path}/pre");
+                let ppath = format!("{path}/{}", Seg::Pre);
                 self.map.record(&ppath, p.span);
                 self.body(p, &ppath, "v")
             }
@@ -745,7 +745,7 @@ impl Lowerer {
         let mut lowered_updates = Vec::new();
         let mut update_err = false;
         for (k, (acc, pacc)) in defs.iter().zip(accs).enumerate() {
-            let upath = format!("{path}/update[{k}]");
+            let upath = format!("{path}/{}", Seg::Update(Some(k)));
             match self.clause_for(updates, |u| u.acc.as_ref(), &pacc.name, "update", span) {
                 Ok(u) => {
                     let u = u.clone();
@@ -765,7 +765,7 @@ impl Lowerer {
         // Combines run in the outer scope.
         let mut lowered_combines = Vec::new();
         for (k, (acc, pacc)) in defs.iter().zip(accs).enumerate() {
-            let cpath = format!("{path}/combine[{k}]");
+            let cpath = format!("{path}/{}", Seg::Combine(Some(k)));
             let c = self
                 .clause_for(combines, |c| c.acc.as_ref(), &pacc.name, "combine", span)?
                 .clone();
@@ -824,7 +824,7 @@ impl Lowerer {
 
         self.scopes.push(HashMap::new());
         let idx_syms: Vec<Sym> = idx.iter().map(|n| self.bind(n, Type::i32())).collect();
-        let upath = format!("{path}/update[0]");
+        let upath = format!("{path}/{}", Seg::Update(Some(0)));
         self.map.record(&upath, body.span);
         let pty = region_type(&def.shape, &def.elem);
         let (psyms, ubody) = self.scoped_body(&[(param.clone(), pty)], body, &upath, "upd");
@@ -832,7 +832,7 @@ impl Lowerer {
         self.scopes.pop();
         res?;
 
-        let cpath = format!("{path}/combine[0]");
+        let cpath = format!("{path}/{}", Seg::Combine(Some(0)));
         self.map.record(&cpath, combine.2.span);
         let comb = self.combine_lambda(combine, &def.elem, &cpath)?;
 
@@ -864,7 +864,7 @@ impl Lowerer {
         path: &str,
     ) -> LResult<(Op, Vec<Type>)> {
         let domain = self.size(domain)?;
-        let bpath = format!("{path}/body");
+        let bpath = format!("{path}/{}", Seg::Body);
         self.map.record(&bpath, body.span);
         let (psyms, blk) = self.scoped_body(&[(param.clone(), Type::i32())], body, &bpath, "items");
         let result = self.single_result(&blk, "flatMap body", body.span)?;
@@ -907,18 +907,18 @@ impl Lowerer {
         let idx_sym = self.bind(idx, Type::i32());
         let pre_blk = match pre {
             Some(p) => {
-                let ppath = format!("{path}/pre");
+                let ppath = format!("{path}/{}", Seg::Pre);
                 self.map.record(&ppath, p.span);
                 self.body(p, &ppath, "v")
             }
             None => Block::new(),
         };
         let body_and_key = if let Some((key, update)) = element {
-            let kpath = format!("{path}/key");
+            let kpath = format!("{path}/{}", Seg::Key);
             self.map.record(&kpath, key.span);
             let key_res = self.typed_expr(key);
             let upd_res = key_res.and_then(|(kexpr, kst)| {
-                let upath = format!("{path}/update");
+                let upath = format!("{path}/{}", Seg::Update(None));
                 self.update(update, &def, &upath).map(|u| {
                     (
                         GbfBody::Element {
@@ -931,7 +931,7 @@ impl Lowerer {
             });
             upd_res
         } else if let Some(dict) = merge {
-            self.map.record(format!("{path}/merge"), dict.span);
+            self.map.record(format!("{path}/{}", Seg::Merge), dict.span);
             self.lookup(dict).and_then(|sym| match self.ty(sym) {
                 Type::Dict { key, .. } => Ok((GbfBody::Merge { dict: sym }, key)),
                 other => {
@@ -949,7 +949,7 @@ impl Lowerer {
         self.scopes.pop();
         let (body, key_ty) = body_and_key?;
 
-        let cpath = format!("{path}/combine");
+        let cpath = format!("{path}/{}", Seg::Combine(None));
         self.map.record(&cpath, combine.2.span);
         let comb = self.combine_lambda(combine, &def.elem, &cpath)?;
 

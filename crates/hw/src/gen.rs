@@ -278,7 +278,7 @@ impl<'a> Gen<'a> {
         let iters = {
             let mut n = 1u64;
             for d in p.domain() {
-                n = n.saturating_mul(self.eval(&d)?);
+                n = n.saturating_mul(self.eval(d)?);
             }
             n
         };
@@ -506,7 +506,7 @@ impl<'a> Gen<'a> {
                 .collect();
             if compute_stages.len() == 1 {
                 let domain = p.domain();
-                let innermost = self.eval(last_or_unsupported(&domain, "domain")?)?;
+                let innermost = self.eval(last_or_unsupported(domain, "domain")?)?;
                 let factor = (self.cfg.inner_par as u64).min(innermost).max(1);
                 iters = iters.div_ceil(factor);
                 // Per-iteration stores now cover `factor` elements.
@@ -711,7 +711,7 @@ impl<'a> Gen<'a> {
         let name = self.name_of(stmt.syms[0]);
         let domain = p.domain();
         let mut elems = 1u64;
-        for d in &domain {
+        for d in domain {
             elems = elems.saturating_mul(self.eval(d)?);
         }
         let lanes = (self.cfg.inner_par as u64).min(elems.max(1)).max(1) as u32;
@@ -857,7 +857,7 @@ impl<'a> Gen<'a> {
                 Op::Pattern(q) => {
                     let mut inner_mult = mult;
                     for d in q.domain() {
-                        inner_mult = inner_mult.saturating_mul(self.eval(&d)?);
+                        inner_mult = inner_mult.saturating_mul(self.eval(d)?);
                     }
                     let mut idx2 = idx.clone();
                     idx2.extend(q.param_syms());

@@ -9,7 +9,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::block::{Block, Op};
 use crate::expr::{BinOp, Expr, Lit};
 use crate::size::Size;
 use crate::types::Sym;
@@ -44,11 +43,6 @@ impl IndexClass {
             }
             IndexClass::NonAffine => None,
         }
-    }
-
-    /// Returns `true` for fully static affine accesses.
-    pub fn is_static_affine(&self) -> bool {
-        matches!(self, IndexClass::Affine { .. })
     }
 
     /// Returns `true` if the access location depends on run-time data.
@@ -167,74 +161,6 @@ pub fn classify_index(e: &Expr, control: &BTreeSet<Sym>) -> IndexClass {
             }
         }
     }
-}
-
-/// One observed tensor access inside a block.
-#[derive(Debug, Clone)]
-pub struct TensorAccess {
-    /// Tensor being read.
-    pub tensor: Sym,
-    /// Per-dimension index classification.
-    pub dims: Vec<IndexClass>,
-}
-
-impl TensorAccess {
-    /// Returns `true` if every dimension is statically affine.
-    pub fn is_affine(&self) -> bool {
-        self.dims.iter().all(|d| d.is_static_affine())
-    }
-}
-
-/// Collects every element read of every tensor in `block` (recursively
-/// through nested patterns), classifying each index against `control`
-/// extended by the indices of the patterns traversed on the way down.
-pub fn collect_accesses(block: &Block, control: &BTreeSet<Sym>) -> Vec<TensorAccess> {
-    let mut out = Vec::new();
-    collect_block(block, control, &mut out);
-    out
-}
-
-fn collect_block(block: &Block, control: &BTreeSet<Sym>, out: &mut Vec<TensorAccess>) {
-    for stmt in &block.stmts {
-        match &stmt.op {
-            Op::Expr(e) => collect_expr(e, control, out),
-            Op::VarVec(items) => {
-                for it in items {
-                    if let Some(g) = &it.guard {
-                        collect_expr(g, control, out);
-                    }
-                    collect_expr(&it.value, control, out);
-                }
-            }
-            Op::Slice(_) | Op::Copy(_) => {}
-            Op::Pattern(p) => {
-                let mut inner = control.clone();
-                inner.extend(p.param_syms());
-                for b in p.child_blocks() {
-                    collect_block(b, &inner, out);
-                }
-                // Update locations are accesses into the accumulator.
-                if let crate::pattern::Pattern::MultiFold(mf) = p {
-                    for u in &mf.updates {
-                        for e in &u.loc {
-                            collect_expr(e, &inner, out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn collect_expr(e: &Expr, control: &BTreeSet<Sym>, out: &mut Vec<TensorAccess>) {
-    e.visit(&mut |sub| {
-        if let Expr::Read { tensor, index } = sub {
-            out.push(TensorAccess {
-                tensor: *tensor,
-                dims: index.iter().map(|i| classify_index(i, control)).collect(),
-            });
-        }
-    });
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use crate::block::{Block, GuardedItem, Op, SliceDim};
 use crate::expr::{Expr, Lit};
-use crate::pattern::{AccDef, AccUpdate, GbfBody, Lambda, Pattern};
+use crate::pattern::{AccDef, AccUpdate, GbfBody, Lambda, Pattern, Seg};
 use crate::program::Program;
 use crate::size::Size;
 use crate::types::{Sym, SymTable, Type};
@@ -80,6 +80,11 @@ fn lit_eq(a: &Lit, b: &Lit) -> bool {
         (Lit::Bool(x), Lit::Bool(y)) => x == y,
         _ => false,
     }
+}
+
+/// The location of a pattern's sub-scope `seg` below the pattern at `at`.
+fn sub(at: &str, seg: Seg) -> String {
+    format!("{at}/{seg}")
 }
 
 struct Matcher<'a> {
@@ -393,7 +398,7 @@ impl Matcher<'_> {
                 if !sizes_eq(&x.domain, &y.domain) {
                     return Err(format!("{at}: map domain differs"));
                 }
-                self.lambda(&x.body, &y.body, &format!("{at}/body"))
+                self.lambda(&x.body, &y.body, &sub(at, Seg::Body))
             }
             (Pattern::MultiFold(x), Pattern::MultiFold(y)) => {
                 if !sizes_eq(&x.domain, &y.domain) {
@@ -415,12 +420,12 @@ impl Matcher<'_> {
                 for (&ix, &iy) in x.idx.iter().zip(&y.idx) {
                     self.bind(ix, iy, at)?;
                 }
-                self.block(&x.pre, &y.pre, &format!("{at}/pre"))?;
+                self.block(&x.pre, &y.pre, &sub(at, Seg::Pre))?;
                 if x.updates.len() != y.updates.len() {
                     return Err(format!("{at}: update count differs"));
                 }
                 for (k, (ux, uy)) in x.updates.iter().zip(&y.updates).enumerate() {
-                    self.update(ux, uy, &format!("{at}/update[{k}]"))?;
+                    self.update(ux, uy, &sub(at, Seg::Update(Some(k))))?;
                 }
                 if x.combines.len() != y.combines.len() {
                     return Err(format!("{at}: combine count differs"));
@@ -428,11 +433,12 @@ impl Matcher<'_> {
                 for (k, (cx, cy)) in x.combines.iter().zip(&y.combines).enumerate() {
                     match (cx, cy) {
                         (Some(lx), Some(ly)) => {
-                            self.lambda(lx, ly, &format!("{at}/combine[{k}]"))?;
+                            self.lambda(lx, ly, &sub(at, Seg::Combine(Some(k))))?;
                         }
                         (None, None) => {}
                         _ => {
-                            return Err(format!("{at}/combine[{k}]: `_` on one side only"));
+                            let at = sub(at, Seg::Combine(Some(k)));
+                            return Err(format!("{at}: `_` on one side only"));
                         }
                     }
                 }
@@ -442,7 +448,7 @@ impl Matcher<'_> {
                 if !size_eq(&x.domain, &y.domain) {
                     return Err(format!("{at}: flatMap domain differs"));
                 }
-                self.lambda(&x.body, &y.body, &format!("{at}/body"))
+                self.lambda(&x.body, &y.body, &sub(at, Seg::Body))
             }
             (Pattern::GroupByFold(x), Pattern::GroupByFold(y)) => {
                 if !size_eq(&x.domain, &y.domain) {
@@ -450,7 +456,7 @@ impl Matcher<'_> {
                 }
                 self.acc_def(&x.acc, &y.acc, at)?;
                 self.bind(x.idx, y.idx, at)?;
-                self.block(&x.pre, &y.pre, &format!("{at}/pre"))?;
+                self.block(&x.pre, &y.pre, &sub(at, Seg::Pre))?;
                 match (&x.body, &y.body) {
                     (
                         GbfBody::Element {
@@ -462,15 +468,15 @@ impl Matcher<'_> {
                             update: uy,
                         },
                     ) => {
-                        self.expr(kx, ky, &format!("{at}/key"))?;
-                        self.update(ux, uy, &format!("{at}/update"))?;
+                        self.expr(kx, ky, &sub(at, Seg::Key))?;
+                        self.update(ux, uy, &sub(at, Seg::Update(None)))?;
                     }
                     (GbfBody::Merge { dict: dx }, GbfBody::Merge { dict: dy }) => {
-                        self.use_eq(*dx, *dy, &format!("{at}/merge"))?;
+                        self.use_eq(*dx, *dy, &sub(at, Seg::Merge))?;
                     }
                     _ => return Err(format!("{at}: element body vs merge body")),
                 }
-                self.lambda(&x.combine, &y.combine, &format!("{at}/combine"))
+                self.lambda(&x.combine, &y.combine, &sub(at, Seg::Combine(None)))
             }
             _ => Err(format!("{at}: pattern {} vs {}", a.kind(), b.kind())),
         }

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::expr::{BinOp, Expr, Lit, UnOp};
-use crate::path::IrPath;
 use crate::types::{DType, ScalarType, SymTable, Type};
 
 /// Errors produced during expression type inference.
@@ -38,60 +37,6 @@ impl fmt::Display for TypeError {
 }
 
 impl std::error::Error for TypeError {}
-
-/// A [`TypeError`] located at a human-readable IR path, so consumers can
-/// point at `kmeans/sums[2]/pre` instead of a bare symbol id. Programs that
-/// originate from `.ppl` text additionally carry the byte span of the
-/// offending source, letting frontends render `file:line:col` diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TypeErrorAt {
-    /// Rendered [`IrPath`](crate::path::IrPath) of the block the expression
-    /// appears in.
-    pub path: String,
-    /// The underlying inference error.
-    pub error: TypeError,
-    /// Source span, when the expression came from parsed text (`None` for
-    /// builder-constructed programs).
-    pub span: Option<crate::span::Span>,
-}
-
-impl TypeErrorAt {
-    /// Attaches a source span (builder programs leave it `None`).
-    #[must_use]
-    pub fn with_span(mut self, span: crate::span::Span) -> TypeErrorAt {
-        self.span = Some(span);
-        self
-    }
-}
-
-impl fmt::Display for TypeErrorAt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.path, self.error)
-    }
-}
-
-impl std::error::Error for TypeErrorAt {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
-/// Like [`infer_scalar_type`] but attaches the node's path to any error.
-///
-/// # Errors
-///
-/// Returns a [`TypeErrorAt`] wrapping the [`TypeError`] with `path`.
-pub fn infer_scalar_type_at(
-    expr: &Expr,
-    syms: &SymTable,
-    path: &IrPath,
-) -> Result<ScalarType, TypeErrorAt> {
-    infer_scalar_type(expr, syms).map_err(|error| TypeErrorAt {
-        path: path.to_string(),
-        error,
-        span: None,
-    })
-}
 
 /// Infers the scalar type of `expr` under the symbol table.
 ///
@@ -249,17 +194,6 @@ mod tests {
         let x = syms.fresh("x", Type::f32());
         let e = Expr::read(x, vec![Expr::int(0)]);
         assert!(infer_scalar_type(&e, &syms).is_err());
-    }
-
-    #[test]
-    fn located_error_carries_path() {
-        let mut syms = SymTable::new();
-        let x = syms.fresh("x", Type::f32());
-        let e = Expr::read(x, vec![Expr::int(0)]);
-        let path = crate::path::IrPath::root("prog").child("out[0]");
-        let err = infer_scalar_type_at(&e, &syms, &path).unwrap_err();
-        assert_eq!(err.path, "prog/out[0]");
-        assert!(err.to_string().starts_with("prog/out[0]: "));
     }
 
     #[test]

@@ -31,6 +31,7 @@
 pub mod access;
 pub mod block;
 pub mod builder;
+pub mod check;
 pub mod equiv;
 pub mod expr;
 pub mod infer;
@@ -45,6 +46,7 @@ pub mod span;
 pub mod types;
 
 pub use block::{Block, CopyOp, GuardedItem, Op, SliceDim, SliceOp, Stmt};
+pub use check::{Finding, ValidateError};
 pub use equiv::{structural_diff, structural_eq};
 pub use expr::{BinOp, Expr, Lit, UnOp};
 pub use path::IrPath;
@@ -52,7 +54,7 @@ pub use pattern::{
     AccDef, AccUpdate, FlatMapPat, GbfBody, GroupByFoldPat, Init, Lambda, MapPat, MultiFoldPat,
     Pattern,
 };
-pub use program::{Program, ValidateError};
+pub use program::Program;
 pub use size::{Size, SizeEnv};
 pub use span::{SourceMap, Span};
 pub use types::{DType, ScalarType, Sym, SymTable, Type};

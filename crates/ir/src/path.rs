@@ -4,8 +4,9 @@
 //! e.g. `kmeans/sums[2]/pre/best[1]/combine[0]` — instead of a bare symbol
 //! id. Each statement segment is the base name of the first symbol the
 //! statement binds plus the statement's index in its block; descending into
-//! a pattern appends the sub-block names the traversal passes through
-//! (`pre`, `update[k]`, `combine[k]`, `body`, `key`, `merge`). Paths are
+//! a pattern appends the sub-scope names the traversal passes through
+//! (the `Display` of [`Seg`](crate::pattern::Seg): `pre`, `update[k]`,
+//! `combine[k]`, `body`, `key`, `merge`). Paths are
 //! stable across symbol renumbering as long as the program structure is
 //! unchanged, which is what lets the verifier's allowlist and test
 //! assertions name nodes durably.
@@ -60,13 +61,14 @@ impl fmt::Display for IrPath {
 }
 
 /// The path segment for a statement: the base name of its first bound
-/// symbol plus its index in the enclosing block, e.g. `sums[2]`.
+/// symbol plus its index in the enclosing block, e.g. `sums[2]` (`stmt[2]`
+/// when it binds nothing the table knows).
 pub fn stmt_segment(syms: &SymTable, stmt: &Stmt, index: usize) -> String {
     let base = stmt
         .syms
         .first()
-        .map(|s| syms.info(*s).name.as_str())
-        .unwrap_or("stmt");
+        .filter(|s| s.index() < syms.len())
+        .map_or("stmt", |s| syms.info(*s).name.as_str());
     format!("{base}[{index}]")
 }
 

@@ -5,6 +5,8 @@
 //! ([`FlatMapPat`], [`GroupByFoldPat`]) have dynamic output sizes and are
 //! therefore restricted to one-dimensional domains.
 
+use std::fmt;
+
 use crate::block::Block;
 use crate::expr::{Expr, Lit};
 use crate::size::Size;
@@ -254,12 +256,12 @@ impl Pattern {
     }
 
     /// The iteration domain extents.
-    pub fn domain(&self) -> Vec<Size> {
+    pub fn domain(&self) -> &[Size] {
         match self {
-            Pattern::Map(p) => p.domain.clone(),
-            Pattern::MultiFold(p) => p.domain.clone(),
-            Pattern::FlatMap(p) => vec![p.domain.clone()],
-            Pattern::GroupByFold(p) => vec![p.domain.clone()],
+            Pattern::Map(p) => &p.domain,
+            Pattern::MultiFold(p) => &p.domain,
+            Pattern::FlatMap(p) => std::slice::from_ref(&p.domain),
+            Pattern::GroupByFold(p) => std::slice::from_ref(&p.domain),
         }
     }
 
@@ -271,30 +273,70 @@ impl Pattern {
         }
     }
 
-    /// All immediate child blocks (bodies, updates, combines) in
-    /// deterministic order.
-    pub fn child_blocks(&self) -> Vec<&Block> {
+    /// The index parameters, one per domain dimension in a well-formed
+    /// pattern. Every [`Scope`] with `on_index` sees them.
+    pub fn indices(&self) -> &[Sym] {
         match self {
-            Pattern::Map(p) => vec![&p.body.body],
+            Pattern::Map(p) => &p.body.params,
+            Pattern::MultiFold(p) => &p.idx,
+            Pattern::FlatMap(p) => &p.body.params,
+            Pattern::GroupByFold(p) => std::slice::from_ref(&p.idx),
+        }
+    }
+
+    /// The pattern's sub-scopes in traversal order. Which function
+    /// arguments each of the four patterns has, what each binds and sees,
+    /// and what it is called in a path is stated here and nowhere else:
+    /// the checker, the race detector, free-variable analysis and
+    /// [`Pattern::child_blocks`] are all views of this list. Scopes on the
+    /// index scope come first, so the index scope ends at the first one
+    /// that is not.
+    pub fn scopes(&self) -> Vec<Scope<'_>> {
+        match self {
+            Pattern::Map(p) => vec![Scope::block(Seg::Body, &p.body.body)],
+            Pattern::FlatMap(p) => vec![Scope::block(Seg::Body, &p.body.body)],
             Pattern::MultiFold(p) => {
-                let mut out = vec![&p.pre];
-                out.extend(p.updates.iter().map(|u| &u.body));
-                out.extend(p.combines.iter().flatten().map(|c| &c.body));
+                let mut out = vec![Scope::block(Seg::Pre, &p.pre)];
+                out.extend(
+                    p.updates
+                        .iter()
+                        .enumerate()
+                        .map(|(k, u)| Scope::update(Seg::Update(Some(k)), u)),
+                );
+                out.extend(p.combines.iter().enumerate().filter_map(|(k, c)| {
+                    c.as_ref().map(|c| Scope::combine(Seg::Combine(Some(k)), c))
+                }));
                 out
             }
-            Pattern::FlatMap(p) => vec![&p.body.body],
             Pattern::GroupByFold(p) => {
-                let mut out = vec![&p.pre];
-                if let GbfBody::Element { update, .. } = &p.body {
-                    out.push(&update.body);
+                let mut out = vec![Scope::block(Seg::Pre, &p.pre)];
+                match &p.body {
+                    GbfBody::Element { key, update: u } => {
+                        out.push(Scope {
+                            exprs: std::slice::from_ref(key),
+                            ..Scope::bare(Seg::Key)
+                        });
+                        out.push(Scope::update(Seg::Update(None), u));
+                    }
+                    GbfBody::Merge { dict } => out.push(Scope {
+                        uses: std::slice::from_ref(dict),
+                        ..Scope::bare(Seg::Merge)
+                    }),
                 }
-                out.push(&p.combine.body);
+                out.push(Scope::combine(Seg::Combine(None), &p.combine));
                 out
             }
         }
     }
 
-    /// Mutable variant of [`Pattern::child_blocks`].
+    /// All immediate child blocks (bodies, updates, combines) in
+    /// deterministic order.
+    pub fn child_blocks(&self) -> Vec<&Block> {
+        self.scopes().iter().filter_map(|s| s.block).collect()
+    }
+
+    /// Mutable variant of [`Pattern::child_blocks`] (the `&mut` twin of
+    /// [`Pattern::scopes`]' block order).
     pub fn child_blocks_mut(&mut self) -> Vec<&mut Block> {
         match self {
             Pattern::Map(p) => vec![&mut p.body.body],
@@ -319,70 +361,124 @@ impl Pattern {
     /// Parameter symbols bound by the pattern itself (indices, accumulator
     /// region parameters, combine operands).
     pub fn param_syms(&self) -> Vec<Sym> {
-        match self {
-            Pattern::Map(p) => p.body.params.clone(),
-            Pattern::MultiFold(p) => {
-                let mut out = p.idx.clone();
-                out.extend(p.updates.iter().map(|u| u.acc_param));
-                for c in p.combines.iter().flatten() {
-                    out.extend_from_slice(&c.params);
-                }
-                out
-            }
-            Pattern::FlatMap(p) => p.body.params.clone(),
-            Pattern::GroupByFold(p) => {
-                let mut out = vec![p.idx];
-                if let GbfBody::Element { update, .. } = &p.body {
-                    out.push(update.acc_param);
-                }
-                out.extend_from_slice(&p.combine.params);
-                out
-            }
+        let mut out = self.indices().to_vec();
+        for s in self.scopes() {
+            out.extend_from_slice(s.binds);
         }
+        out
     }
 
     /// Collects symbols referenced (not bound) by the pattern, including
     /// those referenced by nested blocks. Used for free-variable analysis.
     pub(crate) fn collect_used(&self, out: &mut Vec<Sym>) {
-        match self {
-            Pattern::Map(p) => p.body.body.collect_used_via(out),
-            Pattern::MultiFold(p) => {
-                p.pre.collect_used_via(out);
-                for u in &p.updates {
-                    for e in &u.loc {
-                        out.extend(e.syms());
-                    }
-                    u.body.collect_used_via(out);
-                }
-                for c in p.combines.iter().flatten() {
-                    c.body.collect_used_via(out);
-                }
+        for s in self.scopes() {
+            for e in s.exprs {
+                out.extend(e.syms());
             }
-            Pattern::FlatMap(p) => p.body.body.collect_used_via(out),
-            Pattern::GroupByFold(p) => {
-                p.pre.collect_used_via(out);
-                match &p.body {
-                    GbfBody::Element { key, update } => {
-                        out.extend(key.syms());
-                        for e in &update.loc {
-                            out.extend(e.syms());
-                        }
-                        update.body.collect_used_via(out);
-                    }
-                    GbfBody::Merge { dict } => out.push(*dict),
-                }
-                p.combine.body.collect_used_via(out);
+            out.extend_from_slice(s.uses);
+            if let Some(b) = s.block {
+                // A block's free symbols already account for nesting.
+                out.extend(b.free_syms());
             }
         }
     }
 }
 
-impl Block {
-    pub(crate) fn collect_used_via(&self, out: &mut Vec<Sym>) {
-        // Free-variable computation at the block level already handles
-        // nesting; reuse it here so a pattern's "used" set is its blocks'
-        // free symbols.
-        out.extend(self.free_syms());
+/// The name of a pattern sub-scope in an [`IrPath`](crate::path::IrPath);
+/// its `Display` is the one spelling of that path segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seg {
+    /// The value function of a `Map` / `FlatMap`.
+    Body,
+    /// The shared per-index block of a `MultiFold` / `GroupByFold`.
+    Pre,
+    /// `update[k]` of a `MultiFold`; the single `update` of a
+    /// `GroupByFold` element body (`None`).
+    Update(Option<usize>),
+    /// `combine[k]` of a `MultiFold`; the single `combine` of a
+    /// `GroupByFold` (`None`).
+    Combine(Option<usize>),
+    /// The bucket key of a `GroupByFold` element body.
+    Key,
+    /// The merged dictionary of a strip-mined `GroupByFold`.
+    Merge,
+}
+
+impl fmt::Display for Seg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Seg::Body => f.write_str("body"),
+            Seg::Pre => f.write_str("pre"),
+            Seg::Update(Some(k)) => write!(f, "update[{k}]"),
+            Seg::Update(None) => f.write_str("update"),
+            Seg::Combine(Some(k)) => write!(f, "combine[{k}]"),
+            Seg::Combine(None) => f.write_str("combine"),
+            Seg::Key => f.write_str("key"),
+            Seg::Merge => f.write_str("merge"),
+        }
+    }
+}
+
+/// One sub-scope of a pattern, as enumerated by [`Pattern::scopes`].
+#[derive(Debug, Clone, Copy)]
+pub struct Scope<'a> {
+    /// Its path segment.
+    pub seg: Seg,
+    /// `true` when the scope sees the pattern's indices and everything
+    /// the earlier `on_index` blocks (`pre`) bound; `false` when it sees
+    /// only the enclosing scope (a combine sees neither indices nor
+    /// `pre`).
+    pub on_index: bool,
+    /// Symbols bound on entry for `block` alone (accumulator region
+    /// parameter, combine operands). A scope that binds any gets a
+    /// private copy of its base scope: nothing `block` binds outlives it.
+    pub binds: &'a [Sym],
+    /// Scope-level expressions, evaluated before `binds` are in scope:
+    /// update locations, the group-by key.
+    pub exprs: &'a [Expr],
+    /// Scope-level sizes: the extent of an update's region.
+    pub sizes: &'a [Size],
+    /// Scope-level symbol uses: the merged dictionary.
+    pub uses: &'a [Sym],
+    /// The scope's block, if it has one (`key` and `merge` do not).
+    pub block: Option<&'a Block>,
+}
+
+impl<'a> Scope<'a> {
+    fn bare(seg: Seg) -> Scope<'a> {
+        Scope {
+            seg,
+            on_index: true,
+            binds: &[],
+            exprs: &[],
+            sizes: &[],
+            uses: &[],
+            block: None,
+        }
+    }
+
+    fn block(seg: Seg, block: &'a Block) -> Scope<'a> {
+        Scope {
+            block: Some(block),
+            ..Scope::bare(seg)
+        }
+    }
+
+    fn update(seg: Seg, u: &'a AccUpdate) -> Scope<'a> {
+        Scope {
+            binds: std::slice::from_ref(&u.acc_param),
+            exprs: &u.loc,
+            sizes: &u.shape,
+            ..Scope::block(seg, &u.body)
+        }
+    }
+
+    fn combine(seg: Seg, l: &'a Lambda) -> Scope<'a> {
+        Scope {
+            on_index: false,
+            binds: &l.params,
+            ..Scope::block(seg, &l.body)
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use crate::block::{Block, Op, SliceDim, Stmt};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::path::IrPath;
-use crate::pattern::{GbfBody, Pattern};
+use crate::pattern::{GbfBody, Pattern, Seg};
 use crate::program::Program;
 use crate::types::{Sym, SymTable};
 
@@ -65,10 +65,10 @@ impl<'a> Printer<'a> {
     }
 
     /// Descends the path by one segment for the duration of `f`.
-    fn scoped(&mut self, seg: &str, f: impl FnOnce(&mut Self)) {
+    fn scoped(&mut self, seg: Seg, f: impl FnOnce(&mut Self)) {
         let saved = self.path.clone();
         if let Some(p) = &self.path {
-            self.path = Some(p.child(seg));
+            self.path = Some(p.child(seg.to_string()));
         }
         f(self);
         self.path = saved;
@@ -189,7 +189,7 @@ impl<'a> Printer<'a> {
                     "{lhs} = map({}){{ ({params}) =>",
                     Self::sizes(&m.domain)
                 ));
-                self.scoped("body", |p| p.nested(&m.body.body, true));
+                self.scoped(Seg::Body, |p| p.nested(&m.body.body, true));
                 self.line("}");
             }
             Pattern::MultiFold(mf) => {
@@ -216,7 +216,7 @@ impl<'a> Printer<'a> {
                     Self::sizes(&mf.domain)
                 ));
                 self.indent += 1;
-                self.scoped("pre", |p| p.block_stmts(&mf.pre));
+                self.scoped(Seg::Pre, |p| p.block_stmts(&mf.pre));
                 for (k, u) in mf.updates.iter().enumerate() {
                     let loc = u
                         .loc
@@ -233,7 +233,7 @@ impl<'a> Printer<'a> {
                         "upd[{k}] @({loc}) : {} =>",
                         self.name(u.acc_param)
                     ));
-                    self.scoped(&format!("update[{k}]"), |p| p.nested(&u.body, true));
+                    self.scoped(Seg::Update(Some(k)), |p| p.nested(&u.body, true));
                 }
                 self.indent -= 1;
                 self.line("}{ (a,b) =>");
@@ -248,7 +248,7 @@ impl<'a> Printer<'a> {
                                 .collect::<Vec<_>>()
                                 .join(",");
                             self.line(&format!("combine({params}):"));
-                            self.scoped(&format!("combine[{k}]"), |p| p.nested(&l.body, true));
+                            self.scoped(Seg::Combine(Some(k)), |p| p.nested(&l.body, true));
                         }
                         None => self.line("_"),
                     }
@@ -259,19 +259,19 @@ impl<'a> Printer<'a> {
             Pattern::FlatMap(fm) => {
                 let i = self.name(fm.body.params[0]);
                 self.line(&format!("{lhs} = flatMap({}){{ {i} =>", fm.domain));
-                self.scoped("body", |p| p.nested(&fm.body.body, true));
+                self.scoped(Seg::Body, |p| p.nested(&fm.body.body, true));
                 self.line("}");
             }
             Pattern::GroupByFold(g) => {
                 let i = self.name(g.idx);
                 self.line(&format!("{lhs} = groupByFold({})(init){{ {i} =>", g.domain));
                 self.indent += 1;
-                self.scoped("pre", |p| p.block_stmts(&g.pre));
+                self.scoped(Seg::Pre, |p| p.block_stmts(&g.pre));
                 match &g.body {
                     GbfBody::Element { key, update } => {
                         let key = self.expr(key);
                         self.line(&format!("key = {key}; {} =>", self.name(update.acc_param)));
-                        self.scoped("update", |p| p.nested(&update.body, true));
+                        self.scoped(Seg::Update(None), |p| p.nested(&update.body, true));
                     }
                     GbfBody::Merge { dict } => {
                         self.line(&format!("merge {}", self.name(*dict)));

@@ -1,11 +1,7 @@
-//! Whole-program container and structural validation.
+//! Whole-program container. Well-formedness ([`Program::validate`]) lives
+//! in [`crate::check`].
 
-use std::collections::BTreeSet;
-use std::fmt;
-
-use crate::block::{Block, Op, SliceDim};
-use crate::pattern::Pattern;
-use crate::size::Size;
+use crate::block::Block;
 use crate::types::{Sym, SymTable, Type};
 
 /// A complete PPL program: symbolic sizes, tensor/scalar inputs, and a body
@@ -23,62 +19,6 @@ pub struct Program {
     /// Symbol table covering every symbol in the program.
     pub syms: SymTable,
 }
-
-/// Structural validation errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidateError {
-    /// A symbol is referenced before being bound.
-    UnboundSym { sym: Sym, context: String },
-    /// A symbol is bound more than once.
-    Rebound { sym: Sym },
-    /// A statement's symbol count doesn't match the operation's outputs.
-    OutputArity {
-        sym_count: usize,
-        expected: usize,
-        context: String,
-    },
-    /// Slice/copy dimension count doesn't match the tensor rank.
-    DimArity {
-        sym: Sym,
-        got: usize,
-        expected: usize,
-    },
-    /// A one-dimensional pattern was given a multidimensional domain.
-    BadDomain { context: String },
-    /// A size expression references an undeclared size variable.
-    UnknownSizeVar { var: String },
-}
-
-impl fmt::Display for ValidateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValidateError::UnboundSym { sym, context } => {
-                write!(f, "symbol {sym} referenced before binding in {context}")
-            }
-            ValidateError::Rebound { sym } => write!(f, "symbol {sym} bound more than once"),
-            ValidateError::OutputArity {
-                sym_count,
-                expected,
-                context,
-            } => write!(
-                f,
-                "statement binds {sym_count} symbols but operation produces {expected} in {context}"
-            ),
-            ValidateError::DimArity { sym, got, expected } => write!(
-                f,
-                "slice of {sym} has {got} dimension specs but tensor has rank {expected}"
-            ),
-            ValidateError::BadDomain { context } => {
-                write!(f, "one-dimensional pattern with non-1D domain in {context}")
-            }
-            ValidateError::UnknownSizeVar { var } => {
-                write!(f, "size variable `{var}` not declared by the program")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValidateError {}
 
 impl Program {
     /// Creates a program.
@@ -106,197 +46,5 @@ impl Program {
     /// Returns the type of a symbol.
     pub fn ty(&self, sym: Sym) -> &Type {
         self.syms.ty(sym)
-    }
-
-    /// Structurally validates the program: def-before-use, single binding,
-    /// output arity, slice arity, 1-D restrictions, declared size variables.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ValidateError`] encountered.
-    pub fn validate(&self) -> Result<(), ValidateError> {
-        let mut bound: BTreeSet<Sym> = self.inputs.iter().copied().collect();
-        let declared: BTreeSet<&String> = self.size_vars.iter().collect();
-        self.validate_block(&self.body, &mut bound, &declared, "program body")?;
-        Ok(())
-    }
-
-    fn check_size(&self, size: &Size, declared: &BTreeSet<&String>) -> Result<(), ValidateError> {
-        for v in size.vars() {
-            if !declared.contains(&v) {
-                return Err(ValidateError::UnknownSizeVar { var: v });
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_block(
-        &self,
-        block: &Block,
-        bound: &mut BTreeSet<Sym>,
-        declared: &BTreeSet<&String>,
-        context: &str,
-    ) -> Result<(), ValidateError> {
-        for stmt in &block.stmts {
-            // Check uses before binding outputs.
-            match &stmt.op {
-                Op::Expr(e) => self.check_syms(&e.syms(), bound, context)?,
-                Op::VarVec(items) => {
-                    for item in items {
-                        if let Some(g) = &item.guard {
-                            self.check_syms(&g.syms(), bound, context)?;
-                        }
-                        self.check_syms(&item.value.syms(), bound, context)?;
-                    }
-                }
-                Op::Slice(s) => {
-                    self.check_syms(&[s.tensor], bound, context)?;
-                    self.check_dims(s.tensor, &s.dims, bound, declared, context)?;
-                }
-                Op::Copy(c) => {
-                    self.check_syms(&[c.tensor], bound, context)?;
-                    self.check_dims(c.tensor, &c.dims, bound, declared, context)?;
-                }
-                Op::Pattern(p) => {
-                    self.validate_pattern(p, bound, declared)?;
-                }
-            }
-            // Arity.
-            let expected = match &stmt.op {
-                Op::Pattern(p) => p.output_count(),
-                _ => 1,
-            };
-            if stmt.syms.len() != expected {
-                return Err(ValidateError::OutputArity {
-                    sym_count: stmt.syms.len(),
-                    expected,
-                    context: context.to_string(),
-                });
-            }
-            // Bind outputs.
-            for s in &stmt.syms {
-                if !bound.insert(*s) {
-                    return Err(ValidateError::Rebound { sym: *s });
-                }
-            }
-        }
-        self.check_syms(&block.result, bound, context)?;
-        Ok(())
-    }
-
-    fn check_dims(
-        &self,
-        tensor: Sym,
-        dims: &[SliceDim],
-        bound: &BTreeSet<Sym>,
-        declared: &BTreeSet<&String>,
-        context: &str,
-    ) -> Result<(), ValidateError> {
-        let rank = self.syms.ty(tensor).rank();
-        if dims.len() != rank {
-            return Err(ValidateError::DimArity {
-                sym: tensor,
-                got: dims.len(),
-                expected: rank,
-            });
-        }
-        for d in dims {
-            match d {
-                SliceDim::Point(e) => self.check_syms(&e.syms(), bound, context)?,
-                SliceDim::Window { start, len } => {
-                    self.check_syms(&start.syms(), bound, context)?;
-                    self.check_size(len, declared)?;
-                }
-                SliceDim::Full => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_pattern(
-        &self,
-        pattern: &Pattern,
-        bound: &mut BTreeSet<Sym>,
-        declared: &BTreeSet<&String>,
-    ) -> Result<(), ValidateError> {
-        for s in pattern.domain() {
-            self.check_size(&s, declared)?;
-        }
-        let context = pattern.kind();
-        match pattern {
-            Pattern::Map(p) => {
-                let mut inner = bound.clone();
-                inner.extend(p.body.params.iter().copied());
-                self.validate_block(&p.body.body, &mut inner, declared, context)?;
-            }
-            Pattern::MultiFold(p) => {
-                for acc in &p.accs {
-                    for s in &acc.shape {
-                        self.check_size(s, declared)?;
-                    }
-                }
-                let mut inner = bound.clone();
-                inner.extend(p.idx.iter().copied());
-                self.validate_block(&p.pre, &mut inner, declared, context)?;
-                for u in &p.updates {
-                    for e in &u.loc {
-                        self.check_syms(&e.syms(), &inner, context)?;
-                    }
-                    for s in &u.shape {
-                        self.check_size(s, declared)?;
-                    }
-                    let mut ub = inner.clone();
-                    ub.insert(u.acc_param);
-                    self.validate_block(&u.body, &mut ub, declared, context)?;
-                }
-                for c in p.combines.iter().flatten() {
-                    let mut cb = bound.clone();
-                    cb.extend(c.params.iter().copied());
-                    self.validate_block(&c.body, &mut cb, declared, context)?;
-                }
-            }
-            Pattern::FlatMap(p) => {
-                let mut inner = bound.clone();
-                inner.extend(p.body.params.iter().copied());
-                self.validate_block(&p.body.body, &mut inner, declared, context)?;
-            }
-            Pattern::GroupByFold(p) => {
-                let mut inner = bound.clone();
-                inner.insert(p.idx);
-                self.validate_block(&p.pre, &mut inner, declared, context)?;
-                match &p.body {
-                    crate::pattern::GbfBody::Element { key, update } => {
-                        self.check_syms(&key.syms(), &inner, context)?;
-                        let mut ub = inner.clone();
-                        ub.insert(update.acc_param);
-                        self.validate_block(&update.body, &mut ub, declared, context)?;
-                    }
-                    crate::pattern::GbfBody::Merge { dict } => {
-                        self.check_syms(&[*dict], &inner, context)?;
-                    }
-                }
-                let mut cb = bound.clone();
-                cb.extend(p.combine.params.iter().copied());
-                self.validate_block(&p.combine.body, &mut cb, declared, context)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn check_syms(
-        &self,
-        syms: &[Sym],
-        bound: &BTreeSet<Sym>,
-        context: &str,
-    ) -> Result<(), ValidateError> {
-        for s in syms {
-            if !bound.contains(s) {
-                return Err(ValidateError::UnboundSym {
-                    sym: *s,
-                    context: context.to_string(),
-                });
-            }
-        }
-        Ok(())
     }
 }

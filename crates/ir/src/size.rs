@@ -137,11 +137,17 @@ impl Size {
 
     /// Returns `true` if no symbolic variables occur in the size.
     pub fn is_static(&self) -> bool {
+        self.all_vars(&|_| false)
+    }
+
+    /// `true` when `ok` holds for every symbolic variable in the size
+    /// (the allocation-free question [`Size::vars`] is usually asked for).
+    pub fn all_vars(&self, ok: &impl Fn(&str) -> bool) -> bool {
         match self {
             Size::Const(_) => true,
-            Size::Var(_) => false,
+            Size::Var(v) => ok(v),
             Size::Add(a, b) | Size::Sub(a, b) | Size::Mul(a, b) | Size::Div(a, b) => {
-                a.is_static() && b.is_static()
+                a.all_vars(ok) && b.all_vars(ok)
             }
         }
     }

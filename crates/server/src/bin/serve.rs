@@ -35,6 +35,9 @@
 //!
 //! The daemon runs until a client sends `{"method":"shutdown"}`, then
 //! checkpoints the cache (if `--cache`) and prints the final counters.
+//!
+//! A usage error (unknown flag, missing or malformed value) prints
+//! `serve: <message>` and exits 2 before anything is opened or bound.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -54,7 +57,13 @@ struct Args {
     print_addr: bool,
 }
 
-fn parse_args() -> Args {
+/// A flag's value as a number.
+fn num<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{flag} takes a number, got `{text}`"))
+}
+
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7340".to_string(),
         threads: 4,
@@ -65,56 +74,36 @@ fn parse_args() -> Args {
         print_addr: false,
     };
     let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match a.as_str() {
-            "--addr" => args.addr = val("--addr"),
-            "--threads" => args.threads = val("--threads").parse().expect("--threads N"),
-            "--dse-threads" => {
-                args.dse_threads = val("--dse-threads").parse().expect("--dse-threads N");
-            }
-            "--cache" => args.cache = Some(val("--cache")),
-            "--cache-sync-every" => {
-                args.journal_cfg.sync_every = val("--cache-sync-every")
-                    .parse()
-                    .expect("--cache-sync-every N");
-            }
-            "--cache-compact-bytes" => {
-                args.journal_cfg.compact_bytes = val("--cache-compact-bytes")
-                    .parse()
-                    .expect("--cache-compact-bytes N");
-            }
-            "--max-space" => {
-                args.limits.max_space = val("--max-space").parse().expect("--max-space N");
-            }
-            "--max-connections" => {
-                args.limits.max_connections = val("--max-connections")
-                    .parse()
-                    .expect("--max-connections N");
-            }
-            "--max-inflight" => {
-                args.limits.max_inflight = val("--max-inflight").parse().expect("--max-inflight N");
-            }
-            "--default-cycle-budget" => {
-                args.limits.default_cycle_budget = val("--default-cycle-budget")
-                    .parse()
-                    .expect("--default-cycle-budget N");
-            }
-            "--max-cycle-budget" => {
-                args.limits.max_cycle_budget = val("--max-cycle-budget")
-                    .parse()
-                    .expect("--max-cycle-budget N");
-            }
+    while let Some(flag) = it.next() {
+        let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--addr" => args.addr = val()?,
+            "--threads" => args.threads = num(&flag, val()?)?,
+            "--dse-threads" => args.dse_threads = num(&flag, val()?)?,
+            "--cache" => args.cache = Some(val()?),
+            "--cache-sync-every" => args.journal_cfg.sync_every = num(&flag, val()?)?,
+            "--cache-compact-bytes" => args.journal_cfg.compact_bytes = num(&flag, val()?)?,
+            "--max-space" => args.limits.max_space = num(&flag, val()?)?,
+            "--max-connections" => args.limits.max_connections = num(&flag, val()?)?,
+            "--max-inflight" => args.limits.max_inflight = num(&flag, val()?)?,
+            "--default-cycle-budget" => args.limits.default_cycle_budget = num(&flag, val()?)?,
+            "--max-cycle-budget" => args.limits.max_cycle_budget = num(&flag, val()?)?,
             "--debug-methods" => args.limits.debug_methods = true,
             "--print-addr" => args.print_addr = true,
-            other => panic!("unknown flag {other} (see the module docs)"),
+            other => return Err(format!("unknown flag {other} (see the module docs)")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = match parse_args() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("serve: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let evals = match &args.cache {
         Some(p) => match EvalCache::open_journaled_with(Path::new(p), args.journal_cfg) {
             Ok(cache) => {

@@ -21,6 +21,8 @@ use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use pphw_sim::fault::splitmix64;
+
 use crate::json::{parse_json, Json};
 use crate::server::Client;
 
@@ -228,12 +230,10 @@ impl RetryClient {
         Duration::from_millis(half + jitter)
     }
 
-    /// splitmix64 — tiny, seedable, and good enough for jitter.
+    /// A splitmix64 stream — tiny, seedable, and good enough for jitter.
     fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.rng_state);
         self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 }

@@ -134,6 +134,26 @@ fn counter(stats: &Json, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("stats has no {name}: {stats:?}"))
 }
 
+/// A usage error is refused with one `serve: ...` line and exit 2 before
+/// the daemon binds or prints anything.
+#[test]
+fn bad_flags_are_refused_before_binding() {
+    for flags in [&["--bogus"][..], &["--threads", "many"], &["--max-space"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--addr", "127.0.0.1:0", "--print-addr"])
+            .args(flags)
+            .output()
+            .expect("run serve");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1 && stderr.starts_with("serve: "),
+            "{flags:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?} bound before refusing");
+    }
+}
+
 #[test]
 fn mixed_batch_then_shutdown_exits_cleanly() {
     let daemon = Daemon::spawn(&[]);

@@ -3,7 +3,7 @@
 use pphw_hw::design::DramStream;
 
 use crate::error::SimError;
-use crate::fault::{FaultConfig, FaultRng, FaultStats};
+use crate::fault::{FaultConfig, FaultStats, Xoshiro256pp};
 
 /// Simulation parameters (defaults match the paper's Max4 Maia board).
 #[derive(Debug, Clone, PartialEq)]
@@ -202,7 +202,7 @@ pub struct Dram<'a> {
 #[derive(Debug)]
 struct FaultState {
     cfg: FaultConfig,
-    rng: FaultRng,
+    rng: Xoshiro256pp,
     stats: FaultStats,
 }
 
@@ -228,7 +228,7 @@ impl<'a> Dram<'a> {
         if !faults.is_inert() {
             d.faults = Some(FaultState {
                 cfg: faults.clone(),
-                rng: FaultRng::seed_from_u64(faults.seed),
+                rng: Xoshiro256pp::seed_from_u64(faults.seed),
                 stats: FaultStats::default(),
             });
         }

@@ -166,9 +166,10 @@ pub struct FaultStats {
     pub retry_cycles: f64,
 }
 
-/// One SplitMix64 step — the workspace's one copy: it seeds the fault
-/// generator here, `pphw_testkit::rng` re-exports it for seeded tests and
-/// workloads, and `pphw_dse::model` ranks calibration samples with it.
+/// One SplitMix64 step — the workspace's one copy: it seeds
+/// [`Xoshiro256pp`] here, `pphw_testkit::rng` re-exports it for seeded
+/// tests and workloads, `pphw_dse::model` ranks calibration samples with
+/// it and the daemon's retry client draws backoff jitter from it.
 #[must_use]
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -177,27 +178,35 @@ pub fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seedable xoshiro256++ (mirrors `pphw_testkit::rng::Rng` bit-for-bit).
+/// Seedable xoshiro256++ — the workspace's one generator core, seeded
+/// through SplitMix64 as the xoshiro authors recommend. The fault model
+/// draws from it directly; `pphw_testkit::rng::Rng` wraps it with range
+/// sampling, so a fault schedule and a test input drawn from one seed see
+/// one stream.
 #[derive(Debug, Clone)]
-pub(crate) struct FaultRng {
+pub struct Xoshiro256pp {
     s: [u64; 4],
 }
 
-impl FaultRng {
-    pub(crate) fn seed_from_u64(seed: u64) -> FaultRng {
+impl Xoshiro256pp {
+    /// Creates a generator from a 64-bit seed (SplitMix64 expansion).
+    #[must_use]
+    pub fn seed_from_u64(seed: u64) -> Xoshiro256pp {
         let mut sm = seed;
         let mut s = [0u64; 4];
         for w in &mut s {
             *w = splitmix64(sm);
             sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
         }
+        // All-zero state is the one degenerate seed for xoshiro.
         if s == [0, 0, 0, 0] {
             s[0] = 0x9E37_79B9_7F4A_7C15;
         }
-        FaultRng { s }
+        Xoshiro256pp { s }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    /// The next raw 64-bit output.
+    pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -212,7 +221,8 @@ impl FaultRng {
         result
     }
 
-    fn next_f64(&mut self) -> f64 {
+    /// A uniform f64 in `[0, 1)` (53 mantissa bits).
+    pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -292,13 +302,13 @@ mod tests {
 
     #[test]
     fn rng_deterministic_and_seed_sensitive() {
-        let mut r = FaultRng::seed_from_u64(42);
-        let mut s = FaultRng::seed_from_u64(42);
+        let mut r = Xoshiro256pp::seed_from_u64(42);
+        let mut s = Xoshiro256pp::seed_from_u64(42);
         for _ in 0..64 {
             assert_eq!(r.next_u64(), s.next_u64());
         }
-        let mut a = FaultRng::seed_from_u64(7);
-        let mut b = FaultRng::seed_from_u64(8);
+        let mut a = Xoshiro256pp::seed_from_u64(7);
+        let mut b = Xoshiro256pp::seed_from_u64(8);
         assert_ne!(
             (0..8).map(|_| a.next_u64()).collect::<Vec<_>>(),
             (0..8).map(|_| b.next_u64()).collect::<Vec<_>>()
@@ -307,7 +317,7 @@ mod tests {
 
     #[test]
     fn uniform_inclusive_respects_bound() {
-        let mut r = FaultRng::seed_from_u64(3);
+        let mut r = Xoshiro256pp::seed_from_u64(3);
         for _ in 0..1000 {
             assert!(r.uniform_inclusive(10) <= 10);
         }

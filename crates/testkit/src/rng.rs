@@ -1,58 +1,38 @@
 //! Deterministic, dependency-free pseudo-random numbers.
 //!
-//! The generator is xoshiro256++ seeded through SplitMix64, following the
-//! reference initialization recommended by the xoshiro authors. It exists so
-//! the workspace needs no registry crates: every seeded workload, property
-//! test, and differential sweep in the repo draws from this generator, and a
-//! printed seed is always enough to reproduce a run bit-for-bit.
+//! The generator is xoshiro256++ seeded through SplitMix64; its core lives
+//! in `pphw_sim::fault`, where the simulator's fault model draws from the
+//! same type. It exists so the workspace needs no registry crates: every
+//! seeded workload, property test, and differential sweep in the repo draws
+//! from this generator, and a printed seed is always enough to reproduce a
+//! run bit-for-bit.
 
 use std::ops::Range;
 
 /// One SplitMix64 step — used for seeding and for deriving per-case seeds.
 pub use pphw_sim::fault::splitmix64;
+use pphw_sim::fault::Xoshiro256pp;
 
-/// A seedable xoshiro256++ generator.
+/// A seedable xoshiro256++ generator: [`pphw_sim::fault::Xoshiro256pp`]
+/// plus the range sampling tests and workloads draw with.
 #[derive(Debug, Clone)]
-pub struct Rng {
-    s: [u64; 4],
-}
+pub struct Rng(Xoshiro256pp);
 
 impl Rng {
     /// Creates a generator from a 64-bit seed (SplitMix64 expansion).
     #[must_use]
     pub fn seed_from_u64(seed: u64) -> Rng {
-        let mut sm = seed;
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = splitmix64(sm);
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        }
-        // All-zero state is the one degenerate seed for xoshiro.
-        if s == [0, 0, 0, 0] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
-        }
-        Rng { s }
+        Rng(Xoshiro256pp::seed_from_u64(seed))
     }
 
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[0]
-            .wrapping_add(self.s[3])
-            .rotate_left(23)
-            .wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        self.0.next_u64()
     }
 
     /// A uniform f64 in `[0, 1)` (53 mantissa bits).
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.0.next_f64()
     }
 
     /// A uniform f32 in `[0, 1)` (24 mantissa bits).

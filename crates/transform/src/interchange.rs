@@ -401,7 +401,7 @@ fn try_split(mf: &mut MultiFoldPat, syms: &mut SymTable, cfg: &TileConfig) -> Op
     // Find a strided scalar pattern in the pre block.
     let pos = mf.pre.stmts.iter().position(|s| match &s.op {
         Op::Pattern(p) => {
-            is_strided(&p.domain())
+            is_strided(p.domain())
                 && s.syms.len() == 1
                 && matches!(syms.ty(s.syms[0]), Type::Scalar(_))
         }

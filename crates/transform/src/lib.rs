@@ -22,6 +22,6 @@ pub mod strip_mine;
 pub mod tiling;
 
 pub use config::{TileConfig, TileError};
-pub use pipeline::{check_pass, deep_verifier_runs, install_deep_verifier, verification_enabled};
+pub use pipeline::{check_pass, deep_verifier_runs, verification_enabled};
 pub use strip_mine::strip_mine_program;
 pub use tiling::{tile_program, tile_program_no_interchange};

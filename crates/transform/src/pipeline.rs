@@ -1,45 +1,29 @@
-//! Per-pass verification hook for the tiling pipeline.
+//! Per-pass verification for the tiling pipeline.
 //!
-//! The deep semantic verifier lives in `pphw-verify`, which sits *above*
-//! this crate in the dependency graph (it also analyzes hardware designs),
-//! so the pipeline cannot call it directly. Instead the driver installs it
-//! here once via [`install_deep_verifier`], and [`tile_program`]
-//! (crate::tiling) calls [`check_pass`] after every pass: a transform bug
-//! is then reported at the pass that introduced it, not three passes later
-//! as a simulation divergence.
-//!
-//! Two layers run at different costs:
+//! [`tile_program`](crate::tiling) calls [`check_pass`] after every pass,
+//! so a transform bug is reported at the pass that introduced it, not
+//! three passes later as a simulation divergence. Both layers are modes of
+//! the one checker in [`pphw_ir::check`], and run at different costs:
 //!
 //! - the structural `Program::validate` postcondition is always on (cheap,
 //!   and already part of the pipeline's contract);
-//! - the installed deep verifier runs only when [`verification_enabled`]
-//!   says so — debug builds, or any build with `PPHW_VERIFY` set in the
-//!   environment (CI sets it) — so the release DSE hot path keeps its
-//!   measured performance.
+//! - the deep check (typing, ranks, update shapes) replaces it when
+//!   [`verification_enabled`] says so — debug builds, or any build with
+//!   `PPHW_VERIFY` set in the environment (CI sets it) — so the release
+//!   DSE hot path keeps its measured performance. It needs no installing:
+//!   every caller of the pipeline gets it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use pphw_ir::check::check_deep;
 use pphw_ir::program::Program;
 
 use crate::config::TileError;
 
-/// A deep verifier: returns `Err(description)` when `prog` violates a
-/// semantic invariant. The `&str` argument names the pass that just ran.
-pub type DeepVerifier = dyn Fn(&Program, &str) -> Result<(), String> + Send + Sync;
-
-static DEEP_VERIFIER: OnceLock<Box<DeepVerifier>> = OnceLock::new();
 static DEEP_RUNS: AtomicU64 = AtomicU64::new(0);
 
-/// Installs the process-wide deep verifier run after every tiling pass.
-///
-/// First installation wins; later calls are ignored (the driver installs
-/// the same verifier from every entry point, so this is idempotent).
-pub fn install_deep_verifier(v: Box<DeepVerifier>) {
-    let _ = DEEP_VERIFIER.set(v);
-}
-
-/// How many times the installed deep verifier has run in this process.
+/// How many times the deep per-pass check has run in this process.
 /// Lets tests (and the CI differential gate) assert the per-pass checks
 /// were actually active rather than silently skipped.
 pub fn deep_verifier_runs() -> u64 {
@@ -62,30 +46,29 @@ pub fn verification_enabled() -> bool {
     })
 }
 
-/// Checks `prog` after `pass`: structural validation always, plus the
-/// installed deep verifier when [`verification_enabled`].
+/// Checks `prog` after `pass`: the deep check when
+/// [`verification_enabled`] (it subsumes the structural one), structural
+/// validation otherwise.
 ///
 /// # Errors
 ///
-/// Returns [`TileError::Unsupported`] naming the failing pass when either
-/// layer rejects the program.
+/// Returns [`TileError::Unsupported`] naming the failing pass and every
+/// finding of the mode that ran.
 pub fn check_pass(prog: &Program, pass: &str) -> Result<(), TileError> {
-    if let Err(e) = prog.validate() {
-        return Err(TileError::Unsupported(format!(
-            "program invalid after pass `{pass}`: {e}"
-        )));
+    let findings = if verification_enabled() {
+        DEEP_RUNS.fetch_add(1, Ordering::Relaxed);
+        check_deep(prog)
+    } else {
+        prog.validate().err().into_iter().collect()
+    };
+    if findings.is_empty() {
+        return Ok(());
     }
-    if verification_enabled() {
-        if let Some(v) = DEEP_VERIFIER.get() {
-            DEEP_RUNS.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = v(prog, pass) {
-                return Err(TileError::Unsupported(format!(
-                    "program rejected by verifier after pass `{pass}`: {e}"
-                )));
-            }
-        }
-    }
-    Ok(())
+    let text: Vec<String> = findings.iter().map(ToString::to_string).collect();
+    Err(TileError::Unsupported(format!(
+        "program invalid after pass `{pass}`: {}",
+        text.join("\n")
+    )))
 }
 
 #[cfg(test)]

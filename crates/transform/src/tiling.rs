@@ -3,10 +3,9 @@
 //! Composes the passes in the order the paper describes (§4): strip mining
 //! (Table 1), the split heuristic for imperfect nests, pattern interchange,
 //! tile-copy insertion, then code motion / CSE / DCE cleanups. After every
-//! pass the program is re-checked via [`check_pass`] — structural
-//! validation always, plus the driver-installed deep verifier in debug/CI
-//! builds (see [`crate::pipeline`]) — so a miscompile is attributed to the
-//! pass that introduced it.
+//! pass the program is re-checked via [`check_pass`] — structurally
+//! always, deeply in debug/CI builds (see [`crate::pipeline`]) — so a
+//! miscompile is attributed to the pass that introduced it.
 
 use pphw_ir::program::Program;
 

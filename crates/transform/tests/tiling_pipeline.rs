@@ -12,7 +12,9 @@ use pphw_ir::size::Size;
 use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_transform::cost::analyze_cost;
-use pphw_transform::{tile_program, tile_program_no_interchange, TileConfig};
+use pphw_transform::{
+    deep_verifier_runs, tile_program, tile_program_no_interchange, verification_enabled, TileConfig,
+};
 
 fn mat_f32(r: usize, c: usize, f: impl Fn(usize, usize) -> f32) -> Value {
     let mut data = Vec::with_capacity(r * c);
@@ -72,6 +74,30 @@ fn gemm_full_pipeline_preserves_semantics() {
         base[0].approx_eq(&out[0], 1e-5),
         "pipeline broke gemm:\n{}",
         print_program(&tiled)
+    );
+}
+
+/// The deep per-pass check is part of the pipeline, not something a
+/// driver installs: a bare `tile_program` call runs it after each of its
+/// seven passes whenever verification is on (always in debug builds).
+#[test]
+fn bare_tile_program_runs_the_deep_check_after_every_pass() {
+    let cfg = TileConfig::new(
+        &[("m", 4), ("n", 4), ("p", 4)],
+        &[("m", 8), ("n", 12), ("p", 16)],
+    );
+    let before = deep_verifier_runs();
+    tile_program(&gemm_program(), &cfg).unwrap();
+    // Tests of this binary tile concurrently, so the count is a floor.
+    let ran = deep_verifier_runs() - before;
+    if verification_enabled() {
+        assert!(ran >= 7, "deep check ran {ran} times across seven passes");
+    } else {
+        assert_eq!(ran, 0, "deep check must stay off when disabled");
+    }
+    assert_eq!(
+        verification_enabled(),
+        cfg!(debug_assertions) || std::env::var("PPHW_VERIFY").is_ok_and(|v| v != "0")
     );
 }
 

@@ -1,453 +1,27 @@
-//! IR well-formedness verifier.
-//!
-//! Mirrors the traversal of [`Program::validate`] but collects *every*
-//! finding (instead of stopping at the first), attaches an
-//! [`IrPath`](pphw_ir::path::IrPath) to each, and layers semantic checks
-//! on top of the structural ones: expression typing via
-//! [`pphw_ir::infer`], tensor-access rank checks, and accumulator
-//! update/initializer shape legality. Def-before-use over single-binding
-//! straight-line blocks also establishes acyclicity of the dataflow.
+//! IR well-formedness verifier: the deep walk of [`pphw_ir::check`]
+//! (def-before-use, binding discipline, arity, expression typing, access
+//! rank, accumulator update/initializer shapes — every finding collected,
+//! each at its [`IrPath`](pphw_ir::path::IrPath)), reported under the
+//! stable `PPHW001`–`PPHW008` codes.
 
-use std::collections::BTreeSet;
-
-use pphw_ir::block::{Block, Op, SliceDim, Stmt};
-use pphw_ir::expr::Expr;
-use pphw_ir::infer::infer_scalar_type_at;
-use pphw_ir::path::IrPath;
-use pphw_ir::pattern::{GbfBody, Lambda, Pattern};
+use pphw_ir::check::{check_deep, ValidateError};
 use pphw_ir::program::Program;
-use pphw_ir::size::Size;
-use pphw_ir::types::{Sym, Type};
 
 use crate::{DiagCode, Severity, VerifyReport};
 
 /// Checks the whole program, appending findings to `report`.
 pub fn check_program(prog: &Program, report: &mut VerifyReport) {
-    let mut cx = Cx {
-        prog,
-        declared: prog.size_vars.iter().collect(),
-        report,
-    };
-    let mut bound: BTreeSet<Sym> = prog.inputs.iter().copied().collect();
-    let root = IrPath::root(&prog.name);
-    cx.block(&prog.body, &mut bound, &root);
-}
-
-struct Cx<'a, 'r> {
-    prog: &'a Program,
-    declared: BTreeSet<&'a String>,
-    report: &'r mut VerifyReport,
-}
-
-impl Cx<'_, '_> {
-    fn err(&mut self, code: DiagCode, path: &IrPath, message: String) {
-        self.report.push(code, Severity::Error, path, message);
-    }
-
-    /// `true` if `sym` indexes into the program's symbol table at all.
-    fn in_range(&self, sym: Sym) -> bool {
-        sym.index() < self.prog.syms.len()
-    }
-
-    fn sym_label(&self, sym: Sym) -> String {
-        if self.in_range(sym) {
-            self.prog.syms.name(sym)
-        } else {
-            format!("{sym}")
-        }
-    }
-
-    /// Reports unbound / out-of-range symbols; returns `true` when all
-    /// are usable (so dependent checks can run without panicking).
-    fn check_syms(&mut self, syms: &[Sym], bound: &BTreeSet<Sym>, path: &IrPath) -> bool {
-        let mut ok = true;
-        for s in syms {
-            if !self.in_range(*s) || !bound.contains(s) {
-                ok = false;
-                self.err(
-                    DiagCode::UnboundSym,
-                    path,
-                    format!("symbol {} referenced before binding", self.sym_label(*s)),
-                );
-            }
-        }
-        ok
-    }
-
-    fn check_size(&mut self, size: &Size, path: &IrPath) {
-        for v in size.vars() {
-            if !self.declared.contains(&v) {
-                self.err(
-                    DiagCode::UnknownSizeVar,
-                    path,
-                    format!("size variable `{v}` not declared by the program"),
-                );
-            }
-        }
-    }
-
-    /// Type-checks a scalar expression (only when its symbols resolved)
-    /// and checks every embedded tensor read for rank agreement.
-    fn check_expr(&mut self, e: &Expr, bound: &BTreeSet<Sym>, path: &IrPath) {
-        if !self.check_syms(&e.syms(), bound, path) {
-            return; // typing an expression over unbound symbols is noise
-        }
-        let mut reads: Vec<(Sym, usize)> = Vec::new();
-        e.visit(&mut |node| {
-            if let Expr::Read { tensor, index } = node {
-                reads.push((*tensor, index.len()));
-            }
-        });
-        for (tensor, got) in reads {
-            let expected = match self.prog.syms.ty(tensor) {
-                Type::Tensor { shape, .. } => shape.len(),
-                Type::DynVec { .. } => 1,
-                // Reading a scalar/dict is a type error, reported below
-                // by inference as PPHW006.
-                _ => continue,
-            };
-            if got != expected {
-                self.err(
-                    DiagCode::RankMismatch,
-                    path,
-                    format!(
-                        "read of {} uses {got} indices but the tensor has rank {expected}",
-                        self.sym_label(tensor)
-                    ),
-                );
-            }
-        }
-        if let Err(e) = infer_scalar_type_at(e, &self.prog.syms, path) {
-            self.err(DiagCode::IllTypedExpr, path, e.error.to_string());
-        }
-    }
-
-    fn check_dims(&mut self, tensor: Sym, dims: &[SliceDim], bound: &BTreeSet<Sym>, path: &IrPath) {
-        let rank = self.prog.syms.ty(tensor).rank();
-        if dims.len() != rank {
-            self.err(
-                DiagCode::RankMismatch,
-                path,
-                format!(
-                    "slice/copy of {} has {} dimension specs but the tensor has rank {rank}",
-                    self.sym_label(tensor),
-                    dims.len()
-                ),
-            );
-        }
-        for d in dims {
-            match d {
-                SliceDim::Point(e) => self.check_expr(e, bound, path),
-                SliceDim::Window { start, len } => {
-                    self.check_expr(start, bound, path);
-                    self.check_size(len, path);
-                }
-                SliceDim::Full => {}
-            }
-        }
-    }
-
-    fn block(&mut self, block: &Block, bound: &mut BTreeSet<Sym>, path: &IrPath) {
-        for (i, stmt) in block.stmts.iter().enumerate() {
-            let at = path.stmt(&self.prog.syms, stmt, i);
-            self.stmt(stmt, bound, &at);
-        }
-        self.check_syms(&block.result, bound, path);
-    }
-
-    fn stmt(&mut self, stmt: &Stmt, bound: &mut BTreeSet<Sym>, at: &IrPath) {
-        match &stmt.op {
-            Op::Expr(e) => self.check_expr(e, bound, at),
-            Op::VarVec(items) => {
-                for item in items {
-                    if let Some(g) = &item.guard {
-                        self.check_expr(g, bound, at);
-                    }
-                    self.check_expr(&item.value, bound, at);
-                }
-            }
-            Op::Slice(s) => {
-                if self.check_syms(&[s.tensor], bound, at) {
-                    self.check_dims(s.tensor, &s.dims, bound, at);
-                }
-            }
-            Op::Copy(c) => {
-                if self.check_syms(&[c.tensor], bound, at) {
-                    self.check_dims(c.tensor, &c.dims, bound, at);
-                }
-            }
-            Op::Pattern(p) => self.pattern(p, bound, at),
-        }
-        let expected = match &stmt.op {
-            Op::Pattern(p) => p.output_count(),
-            _ => 1,
+    for f in check_deep(prog) {
+        let code = match f.kind {
+            ValidateError::UnboundSym => DiagCode::UnboundSym,
+            ValidateError::Rebound => DiagCode::Rebound,
+            ValidateError::OutputArity => DiagCode::OutputArity,
+            ValidateError::BadDomain => DiagCode::BadDomain,
+            ValidateError::UnknownSizeVar => DiagCode::UnknownSizeVar,
+            ValidateError::IllTyped => DiagCode::IllTypedExpr,
+            ValidateError::DimArity | ValidateError::ReadRank => DiagCode::RankMismatch,
+            ValidateError::UpdateShape => DiagCode::UpdateShapeMismatch,
         };
-        if stmt.syms.len() != expected {
-            self.err(
-                DiagCode::OutputArity,
-                at,
-                format!(
-                    "statement binds {} symbols but the operation produces {expected}",
-                    stmt.syms.len()
-                ),
-            );
-        }
-        for s in &stmt.syms {
-            if !self.in_range(*s) || !bound.insert(*s) {
-                self.err(
-                    DiagCode::Rebound,
-                    at,
-                    format!("symbol {} bound more than once", self.sym_label(*s)),
-                );
-            }
-        }
-    }
-
-    fn lambda_arity(&mut self, l: &Lambda, expected: usize, what: &str, at: &IrPath) {
-        if l.params.len() != expected {
-            self.err(
-                DiagCode::OutputArity,
-                at,
-                format!(
-                    "{what} takes {} parameters but must take {expected}",
-                    l.params.len()
-                ),
-            );
-        }
-    }
-
-    fn pattern(&mut self, p: &Pattern, bound: &BTreeSet<Sym>, at: &IrPath) {
-        for s in p.domain() {
-            self.check_size(&s, at);
-        }
-        match p {
-            Pattern::Map(m) => {
-                if m.body.params.len() != m.domain.len() {
-                    self.err(
-                        DiagCode::BadDomain,
-                        at,
-                        format!(
-                            "map over a rank-{} domain binds {} index parameters",
-                            m.domain.len(),
-                            m.body.params.len()
-                        ),
-                    );
-                }
-                let mut inner = bound.clone();
-                inner.extend(m.body.params.iter().copied());
-                self.block(&m.body.body, &mut inner, &at.child("body"));
-            }
-            Pattern::MultiFold(mf) => {
-                if mf.idx.len() != mf.domain.len() {
-                    self.err(
-                        DiagCode::BadDomain,
-                        at,
-                        format!(
-                            "multiFold over a rank-{} domain binds {} index parameters",
-                            mf.domain.len(),
-                            mf.idx.len()
-                        ),
-                    );
-                }
-                if mf.updates.len() != mf.accs.len() || mf.combines.len() != mf.accs.len() {
-                    self.err(
-                        DiagCode::OutputArity,
-                        at,
-                        format!(
-                            "multiFold has {} accumulators, {} updates, {} combines",
-                            mf.accs.len(),
-                            mf.updates.len(),
-                            mf.combines.len()
-                        ),
-                    );
-                }
-                for (k, acc) in mf.accs.iter().enumerate() {
-                    for s in &acc.shape {
-                        self.check_size(s, at);
-                    }
-                    if acc.init.splat.len() != acc.elem.width() {
-                        self.err(
-                            DiagCode::UpdateShapeMismatch,
-                            at,
-                            format!(
-                                "accumulator {k} (`{}`) has element width {} but its \
-                                 initializer splats {} literals",
-                                acc.name,
-                                acc.elem.width(),
-                                acc.init.splat.len()
-                            ),
-                        );
-                    }
-                }
-                let mut inner = bound.clone();
-                inner.extend(mf.idx.iter().copied());
-                self.block(&mf.pre, &mut inner, &at.child("pre"));
-                for (k, u) in mf.updates.iter().enumerate() {
-                    let upath = at.child(format!("update[{k}]"));
-                    let Some(acc) = mf.accs.get(k) else { continue };
-                    // An empty extent is the single-element update (the
-                    // interpreter expands it to an all-ones region), so
-                    // only a non-empty extent must match the rank.
-                    if u.loc.len() != acc.shape.len()
-                        || (!u.shape.is_empty() && u.shape.len() != acc.shape.len())
-                    {
-                        self.err(
-                            DiagCode::UpdateShapeMismatch,
-                            &upath,
-                            format!(
-                                "update addresses {} location / {} extent dimensions but \
-                                 accumulator `{}` has rank {}",
-                                u.loc.len(),
-                                u.shape.len(),
-                                acc.name,
-                                acc.shape.len()
-                            ),
-                        );
-                    }
-                    for e in &u.loc {
-                        self.check_expr(e, &inner, &upath);
-                    }
-                    for s in &u.shape {
-                        self.check_size(s, &upath);
-                    }
-                    let mut ub = inner.clone();
-                    ub.insert(u.acc_param);
-                    self.block(&u.body, &mut ub, &upath);
-                    if u.body.result.len() != 1 {
-                        self.err(
-                            DiagCode::OutputArity,
-                            &upath,
-                            format!("update body yields {} results, not 1", u.body.result.len()),
-                        );
-                    }
-                }
-                for (k, c) in mf.combines.iter().enumerate() {
-                    let Some(c) = c else { continue };
-                    let cpath = at.child(format!("combine[{k}]"));
-                    self.lambda_arity(c, 2, "combine", &cpath);
-                    let mut cb = bound.clone();
-                    cb.extend(c.params.iter().copied());
-                    self.block(&c.body, &mut cb, &cpath);
-                }
-            }
-            Pattern::FlatMap(fm) => {
-                self.lambda_arity(&fm.body, 1, "flatMap body", at);
-                let mut inner = bound.clone();
-                inner.extend(fm.body.params.iter().copied());
-                self.block(&fm.body.body, &mut inner, &at.child("body"));
-            }
-            Pattern::GroupByFold(g) => {
-                for s in &g.acc.shape {
-                    self.check_size(s, at);
-                }
-                let mut inner = bound.clone();
-                inner.insert(g.idx);
-                self.block(&g.pre, &mut inner, &at.child("pre"));
-                match &g.body {
-                    GbfBody::Element { key, update } => {
-                        self.check_expr(key, &inner, &at.child("key"));
-                        let upath = at.child("update");
-                        let mut ub = inner.clone();
-                        ub.insert(update.acc_param);
-                        self.block(&update.body, &mut ub, &upath);
-                    }
-                    GbfBody::Merge { dict } => {
-                        self.check_syms(&[*dict], &inner, &at.child("merge"));
-                    }
-                }
-                let cpath = at.child("combine");
-                self.lambda_arity(&g.combine, 2, "combine", &cpath);
-                let mut cb = bound.clone();
-                cb.extend(g.combine.params.iter().copied());
-                self.block(&g.combine.body, &mut cb, &cpath);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
-    use pphw_ir::builder::ProgramBuilder;
-    use pphw_ir::types::DType;
-
-    use super::*;
-
-    fn sum_program() -> Program {
-        let mut b = ProgramBuilder::new("sum");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            pphw_ir::types::ScalarType::Prim(DType::F32),
-            pphw_ir::pattern::Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        b.finish(vec![out])
-    }
-
-    fn check(prog: &Program) -> VerifyReport {
-        let mut r = VerifyReport::new();
-        check_program(prog, &mut r);
-        r
-    }
-
-    #[test]
-    fn well_formed_program_is_clean() {
-        let r = check(&sum_program());
-        assert!(r.is_clean(), "{}", r.to_text());
-    }
-
-    #[test]
-    fn unbound_result_is_pphw001_with_path() {
-        let mut p = sum_program();
-        p.body.result = vec![Sym(9999)];
-        let r = check(&p);
-        assert!(r.has(DiagCode::UnboundSym), "{}", r.to_text());
-        assert!(r.errors().any(|d| d.path == "sum"), "{}", r.to_text());
-    }
-
-    #[test]
-    fn wrong_read_rank_is_pphw007() {
-        let mut b = ProgramBuilder::new("bad");
-        let m = b.size("m");
-        let n = b.size("n");
-        let x = b.input("x", DType::F32, vec![m.clone(), n]);
-        // Reads the rank-2 tensor with a single index.
-        let out = b.map(vec![m], |c, idx| c.read(x, vec![c.var(idx[0])]));
-        let p = b.finish(vec![out]);
-        let r = check(&p);
-        assert!(r.has(DiagCode::RankMismatch), "{}", r.to_text());
-    }
-
-    #[test]
-    fn multiple_findings_are_all_collected() {
-        let mut p = sum_program();
-        // Break the result AND rebind an input in one program.
-        let extra = p.body.result[0];
-        p.body.result = vec![Sym(9999)];
-        p.body
-            .stmts
-            .push(Stmt::new(p.inputs[0], Op::Expr(Expr::var(extra))));
-        let r = check(&p);
-        assert!(r.has(DiagCode::UnboundSym));
-        assert!(r.has(DiagCode::Rebound), "{}", r.to_text());
-        assert!(r.error_count() >= 2);
-    }
-
-    #[test]
-    fn bad_init_width_is_pphw008() {
-        let mut p = sum_program();
-        for stmt in &mut p.body.stmts {
-            if let Op::Pattern(Pattern::MultiFold(mf)) = &mut stmt.op {
-                mf.accs[0].init.splat.push(pphw_ir::expr::Lit::I32(0));
-            }
-        }
-        let r = check(&p);
-        assert!(r.has(DiagCode::UpdateShapeMismatch), "{}", r.to_text());
+        report.push(code, Severity::Error, f.path, f.message);
     }
 }

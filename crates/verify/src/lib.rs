@@ -4,7 +4,8 @@
 //! with stable diagnostic codes (`PPHW0xx`) and a machine-readable JSON
 //! report. Four analyzer families:
 //!
-//! 1. **IR verifier** ([`ir_check`]) — def-before-use, binding discipline,
+//! 1. **IR verifier** ([`ir_check`], the deep mode of
+//!    [`pphw_ir::check`]) — def-before-use, binding discipline,
 //!    output/update arity, shape and rank consistency (cross-checked with
 //!    [`pphw_ir::infer`]), accessor legality. Because blocks are
 //!    straight-line with single bindings, def-before-use also establishes

@@ -24,7 +24,7 @@
 use pphw_ir::block::{Block, Op};
 use pphw_ir::expr::{BinOp, Expr};
 use pphw_ir::path::IrPath;
-use pphw_ir::pattern::{GbfBody, Lambda, Pattern};
+use pphw_ir::pattern::Seg;
 use pphw_ir::program::Program;
 use pphw_ir::types::{Sym, SymTable};
 
@@ -37,12 +37,12 @@ pub fn check_races(prog: &Program, cfg: &VerifyConfig, report: &mut VerifyReport
         return; // a serial reduction applies updates in order: no race
     }
     let root = IrPath::root(&prog.name);
-    let mut check = |l: &Lambda, cpath: &IrPath| {
+    let mut check = |operands: &[Sym], body: &Block, cpath: &IrPath| {
         let rendered = cpath.to_string();
         if cfg.allow_combines.contains(&rendered) {
             return;
         }
-        if let Err(why) = combine_is_assoc_comm(l) {
+        if let Err(why) = combine_is_assoc_comm(operands, body) {
             report.push(
                 DiagCode::NonAssocCombine,
                 Severity::Error,
@@ -66,8 +66,8 @@ pub fn check_races(prog: &Program, cfg: &VerifyConfig, report: &mut VerifyReport
 #[must_use]
 pub fn non_assoc_combines(prog: &Program) -> Vec<String> {
     let mut found = Vec::new();
-    let mut collect = |l: &Lambda, path: &IrPath| {
-        if combine_is_assoc_comm(l).is_err() {
+    let mut collect = |operands: &[Sym], body: &Block, path: &IrPath| {
+        if combine_is_assoc_comm(operands, body).is_err() {
             found.push(path.to_string());
         }
     };
@@ -80,55 +80,37 @@ pub fn non_assoc_combines(prog: &Program) -> Vec<String> {
     found
 }
 
-/// Visits every combine lambda in the block (recursively), handing each
-/// to `f` with its path (`…/combine[k]` / `…/combine`). The recursion
-/// mirrors [`crate::ir_check`]'s traversal so both agree on paths.
+/// Visits every combine in the block (recursively), handing its operands
+/// and body to `f` with its path (`…/combine[k]` / `…/combine`). Descent
+/// and paths come from [`Pattern::scopes`](pphw_ir::pattern::Pattern::scopes),
+/// as the IR checker's do.
 fn visit_combines(
     block: &Block,
     syms: &SymTable,
     path: &IrPath,
-    f: &mut impl FnMut(&Lambda, &IrPath),
+    f: &mut impl FnMut(&[Sym], &Block, &IrPath),
 ) {
     for (i, stmt) in block.stmts.iter().enumerate() {
         let Op::Pattern(p) = &stmt.op else { continue };
         let at = path.stmt(syms, stmt, i);
-        match p {
-            Pattern::Map(m) => visit_combines(&m.body.body, syms, &at.child("body"), f),
-            Pattern::MultiFold(mf) => {
-                visit_combines(&mf.pre, syms, &at.child("pre"), f);
-                for (k, u) in mf.updates.iter().enumerate() {
-                    visit_combines(&u.body, syms, &at.child(format!("update[{k}]")), f);
-                }
-                for (k, c) in mf.combines.iter().enumerate() {
-                    if let Some(l) = c {
-                        let cpath = at.child(format!("combine[{k}]"));
-                        f(l, &cpath);
-                        visit_combines(&l.body, syms, &cpath, f);
-                    }
-                }
+        for scope in p.scopes() {
+            let Some(body) = scope.block else { continue };
+            let here = at.child(scope.seg.to_string());
+            if let Seg::Combine(_) = scope.seg {
+                f(scope.binds, body, &here);
             }
-            Pattern::FlatMap(fm) => visit_combines(&fm.body.body, syms, &at.child("body"), f),
-            Pattern::GroupByFold(g) => {
-                visit_combines(&g.pre, syms, &at.child("pre"), f);
-                if let GbfBody::Element { update, .. } = &g.body {
-                    visit_combines(&update.body, syms, &at.child("update"), f);
-                }
-                let cpath = at.child("combine");
-                f(&g.combine, &cpath);
-                visit_combines(&g.combine.body, syms, &cpath, f);
-            }
+            visit_combines(body, syms, &here, f);
         }
     }
 }
 
 /// Structural proof attempt. `Ok(())` means the combine is recognized as
 /// associative-commutative; `Err` names the first obstruction.
-pub fn combine_is_assoc_comm(l: &Lambda) -> Result<(), String> {
-    if l.params.len() != 2 {
-        return Err(format!("combine takes {} operands, not 2", l.params.len()));
-    }
-    let (a, b) = (l.params[0], l.params[1]);
-    let body = inline_body(l)?;
+pub fn combine_is_assoc_comm(operands: &[Sym], body: &Block) -> Result<(), String> {
+    let &[a, b] = operands else {
+        return Err(format!("combine takes {} operands, not 2", operands.len()));
+    };
+    let body = inline_body(body)?;
     // Plain commutative-monoid operators over the two operands.
     if let Expr::Bin(op, x, y) = &body {
         if is_ac_op(*op) && is_operand_pair(x, y, a, b) {
@@ -165,10 +147,10 @@ pub fn combine_is_assoc_comm(l: &Lambda) -> Result<(), String> {
 }
 
 /// Inlines a straight-line, expression-only combine body into a single
-/// expression over the lambda parameters.
-fn inline_body(l: &Lambda) -> Result<Expr, String> {
+/// expression over the combine's operands.
+fn inline_body(body: &Block) -> Result<Expr, String> {
     let mut defs: Vec<(Sym, Expr)> = Vec::new();
-    for stmt in &l.body.stmts {
+    for stmt in &body.stmts {
         let Op::Expr(e) = &stmt.op else {
             return Err("combine body contains a non-scalar operation".to_string());
         };
@@ -183,13 +165,12 @@ fn inline_body(l: &Lambda) -> Result<Expr, String> {
         });
         defs.push((stmt.syms[0], inlined));
     }
-    if l.body.result.len() != 1 {
+    let &[r] = &body.result[..] else {
         return Err(format!(
             "combine body yields {} results, not 1",
-            l.body.result.len()
+            body.result.len()
         ));
-    }
-    let r = l.body.result[0];
+    };
     if let Some((_, e)) = defs.iter().rev().find(|(d, _)| *d == r) {
         return Ok(e.clone());
     }
@@ -246,9 +227,14 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use pphw_ir::block::Stmt;
+    use pphw_ir::pattern::Lambda;
     use pphw_ir::types::Type;
 
     use super::*;
+
+    fn combine_is_assoc_comm(l: &Lambda) -> Result<(), String> {
+        super::combine_is_assoc_comm(&l.params, &l.body)
+    }
 
     /// Builds `(a, b) -> body(a, b)` as the builder would: one statement
     /// binding the combined value, sealed as the block result.

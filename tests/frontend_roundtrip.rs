@@ -2,13 +2,38 @@
 //!
 //! Covers every builder benchmark plus a seeded family of random IR
 //! programs, and additionally checks that pretty-printing the re-parsed
-//! program is byte-identical to the first print (emitter idempotence).
+//! program is byte-identical to the first print (emitter idempotence),
+//! and that every key of the parse's source map is *exactly* a path the
+//! scope walk enumerates — `SourceMap::lookup`'s ancestor fallback would
+//! otherwise turn a drifted spelling into a silently coarser span.
+//! (`examples/*.ppl` are these emitted texts, byte for byte.)
+
+use std::collections::BTreeSet;
 
 use pphw_frontend::{arbitrary::random_program, parse_program};
+use pphw_ir::block::{Block, Op};
 use pphw_ir::equiv::structural_diff;
+use pphw_ir::path::IrPath;
 use pphw_ir::pretty::emit_program;
 use pphw_ir::program::Program;
+use pphw_ir::types::SymTable;
 use pphw_testkit::prop::Check;
+
+/// Every path below `at`: each statement, each pattern sub-scope.
+fn walk_paths(block: &Block, syms: &SymTable, at: &IrPath, out: &mut BTreeSet<String>) {
+    for (i, stmt) in block.stmts.iter().enumerate() {
+        let here = at.stmt(syms, stmt, i);
+        out.insert(here.to_string());
+        let Op::Pattern(p) = &stmt.op else { continue };
+        for scope in p.scopes() {
+            let sub = here.child(scope.seg.to_string());
+            out.insert(sub.to_string());
+            if let Some(b) = scope.block {
+                walk_paths(b, syms, &sub, out);
+            }
+        }
+    }
+}
 
 /// Checks the full round trip for one program.
 fn check_round_trip(p: &Program, label: &str) -> Result<(), String> {
@@ -26,6 +51,14 @@ fn check_round_trip(p: &Program, label: &str) -> Result<(), String> {
     if let Some(diff) = structural_diff(p, &out.program) {
         return Err(format!(
             "{label}: round trip not structurally equal: {diff}\n--- source ---\n{text}"
+        ));
+    }
+    let root = IrPath::root(&out.program.name);
+    let mut paths = BTreeSet::from([root.to_string()]);
+    walk_paths(&out.program.body, &out.program.syms, &root, &mut paths);
+    if let Some((stray, _)) = out.source_map.iter().find(|(k, _)| !paths.contains(*k)) {
+        return Err(format!(
+            "{label}: source map records `{stray}`, which is no path of the program\n--- source ---\n{text}"
         ));
     }
     let second = emit_program(&out.program);

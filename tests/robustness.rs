@@ -197,6 +197,11 @@ fn run_case(c: &FuzzCase) -> Result<(), String> {
             Ok(compiled) => compiled,
             Err(_) => return, // typed rejection is a pass
         };
+        // Whatever the tiling pipeline accepted, both checker modes
+        // accept: its per-pass gate is one of them.
+        let deep = pphw_ir::check::check_deep(&compiled.program);
+        assert!(deep.is_empty(), "compiled program is ill-formed: {deep:?}");
+        assert_eq!(compiled.program.validate(), Ok(()));
         // Keep runaway-but-valid configurations bounded: the watchdog
         // must turn them into errors, and quickly enough to fuzz.
         let budget = if c.dim0.max(c.dim1) > 1 << 20 {

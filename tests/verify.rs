@@ -14,13 +14,19 @@
 //!   diagnostic, the mutation-testing discipline that proves the
 //!   analyzers actually fire.
 
+use std::collections::BTreeSet;
+
 use pphw::{compile, OptLevel, VerifyConfig};
 use pphw_apps::all_benchmarks;
 use pphw_hw::design::{
     BufId, Buffer, BufferKind, Ctrl, CtrlKind, Design, DesignStyle, Node, Unit, UnitKind,
 };
+use pphw_ir::block::{Block, Op};
 use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::pattern::Init;
+use pphw_ir::check::check_deep;
+use pphw_ir::expr::{Expr, Lit};
+use pphw_ir::pattern::{Init, Pattern};
+use pphw_ir::size::Size;
 use pphw_ir::types::{DType, ScalarType, Sym};
 use pphw_ir::Program;
 use pphw_verify::{verify_design, verify_program, DiagCode};
@@ -206,6 +212,131 @@ fn unbound_result_is_pphw001() {
     prog.body.result = vec![Sym(9999)];
     let report = verify_program(&prog, &VerifyConfig::default());
     assert!(report.has(DiagCode::UnboundSym), "{}", report.to_text());
+}
+
+/// Visits `block` and every nested block, numbering them in pre-order.
+fn blocks_mut(block: &mut Block, n: &mut usize, f: &mut impl FnMut(&mut Block, usize)) {
+    f(block, *n);
+    *n += 1;
+    for stmt in &mut block.stmts {
+        if let Op::Pattern(p) = &mut stmt.op {
+            for child in p.child_blocks_mut() {
+                blocks_mut(child, n, f);
+            }
+        }
+    }
+}
+
+/// Mutation `m` of statement `j` of `b`; `false` where it does not apply.
+/// 0–5 break the binding discipline; 6–8 and 11 only what the deep run
+/// checks (rank, typing, initializer width, update shape); the rest a
+/// pattern's own arities and scopes.
+fn mutate(b: &mut Block, j: usize, m: usize, tensor: Sym) -> bool {
+    let dangling = Sym(99_999);
+    if j >= b.stmts.len() {
+        return false;
+    }
+    let stmt = &mut b.stmts[j];
+    match (m, &mut stmt.op) {
+        (0, _) => b.result = vec![dangling],
+        (1, _) => drop(b.stmts.remove(j)),
+        (2, _) => {
+            let twin = stmt.clone();
+            b.stmts.insert(j, twin);
+        }
+        (3, _) => stmt.syms.push(stmt.syms[0]),
+        (4, _) => stmt.syms[0] = dangling,
+        (5, Op::Slice(s)) => drop(s.dims.pop()),
+        (5, Op::Copy(c)) => drop(c.dims.pop()),
+        (6, Op::Expr(e)) => *e = Expr::read(tensor, vec![]),
+        (7, Op::Expr(e)) => *e = Expr::var(tensor),
+        (8, Op::Pattern(Pattern::MultiFold(mf))) => mf.accs[0].init.splat.push(Lit::I32(0)),
+        (9, Op::Pattern(Pattern::MultiFold(mf))) => mf.domain.push(Size::var("undeclared")),
+        (9, Op::Pattern(Pattern::Map(map))) => map.domain.push(Size::var("undeclared")),
+        (10, Op::Pattern(Pattern::MultiFold(mf))) => drop(mf.idx.pop()),
+        (10, Op::Pattern(Pattern::Map(map))) => drop(map.body.params.pop()),
+        (10, Op::Pattern(Pattern::FlatMap(fm))) => drop(fm.body.params.pop()),
+        (11, Op::Pattern(Pattern::MultiFold(mf))) => mf.updates[0].loc.push(Expr::int(0)),
+        (12, Op::Pattern(Pattern::MultiFold(mf))) => drop(mf.combines.pop()),
+        (13, Op::Pattern(Pattern::MultiFold(mf))) => mf.updates[0].body.result.clear(),
+        (14, Op::Pattern(Pattern::MultiFold(mf))) => match &mut mf.combines[0] {
+            // A combine sees neither the indices nor `pre`.
+            Some(c) => c.body.result = vec![mf.idx[0]],
+            None => return false,
+        },
+        (15, Op::Pattern(Pattern::GroupByFold(g))) => drop(g.combine.params.pop()),
+        _ => return false,
+    }
+    true
+}
+
+/// The checker's two modes agree on every seeded mutant of every
+/// benchmark, source and tiled: `validate()` fails exactly when the deep
+/// run has a structural finding, its one finding is among the deep run's,
+/// and `verify_program` reports the deep findings one for one — a
+/// structural kind under `PPHW001`–`PPHW005` or a slice/copy `PPHW007`.
+#[test]
+fn structural_and_deep_checks_agree_on_seeded_mutants() {
+    let (mut structural, mut deep_only) = (0, 0);
+    let mut coded = BTreeSet::new();
+    for spec in all_benchmarks() {
+        let source = (spec.program)();
+        let tiled = compile(&source, &spec.options().opt(OptLevel::Tiled))
+            .expect("benchmark compiles")
+            .program;
+        for prog in [source, tiled] {
+            let mut blocks = 0;
+            blocks_mut(&mut prog.clone().body, &mut blocks, &mut |_, _| {});
+            for (at, j, m) in (0..blocks)
+                .flat_map(|at| (0..8).flat_map(move |j| (0..16).map(move |m| (at, j, m))))
+            {
+                let mut mutant = prog.clone();
+                let (tensor, mut applied) = (mutant.inputs[0], false);
+                blocks_mut(&mut mutant.body, &mut 0, &mut |b, k| {
+                    applied |= k == at && mutate(b, j, m, tensor);
+                });
+                if !applied {
+                    continue;
+                }
+                let deep = check_deep(&mutant);
+                let first = mutant.validate().err();
+                let tag = format!("{} block {at} stmt {j} mutation {m}: {deep:?}", prog.name);
+                assert_eq!(
+                    first.is_some(),
+                    deep.iter().any(|f| f.kind.is_structural()),
+                    "{tag}"
+                );
+                assert!(
+                    first.iter().all(|f| deep.contains(f)),
+                    "{first:?} not in {tag}"
+                );
+                let report = verify_program(&mutant, &VerifyConfig::default());
+                assert_eq!(report.diagnostics.len(), deep.len(), "{tag}");
+                for (d, f) in report.diagnostics.iter().zip(&deep) {
+                    assert_eq!((&d.path, &d.message), (&f.path.to_string(), &f.message));
+                    let structural_code = d.code <= DiagCode::UnknownSizeVar
+                        || (d.code == DiagCode::RankMismatch
+                            && d.message.starts_with("slice/copy"));
+                    assert_eq!(structural_code, f.kind.is_structural(), "{d} in {tag}");
+                    coded.insert((d.code.code(), format!("{:?}", f.kind)));
+                }
+                structural += usize::from(first.is_some());
+                deep_only += usize::from(first.is_none() && !deep.is_empty());
+            }
+        }
+    }
+    // Every rule was exercised, and each is reported under one code.
+    let coded: Vec<_> = coded.iter().map(|(c, k)| format!("{c} {k}")).collect();
+    assert_eq!(
+        coded.join(", "),
+        "PPHW001 UnboundSym, PPHW002 Rebound, PPHW003 OutputArity, PPHW004 BadDomain, \
+         PPHW005 UnknownSizeVar, PPHW006 IllTyped, PPHW007 DimArity, PPHW007 ReadRank, \
+         PPHW008 UpdateShape"
+    );
+    assert!(
+        structural > 500 && deep_only > 50,
+        "the mutant family went vacuous: {structural} structural, {deep_only} deep-only"
+    );
 }
 
 /// The JSON report is machine-readable: codes, severities, and paths all
