@@ -449,4 +449,41 @@ mod tests {
         let s = guided.summary();
         assert!(s.contains("guided: 1 calibration samples"), "{s}");
     }
+
+    /// Every byte of a report with predictions and an error text that
+    /// needs escaping; the literal is never edited to make a change pass.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut r = report();
+        for p in r
+            .evaluated
+            .iter_mut()
+            .chain(r.frontier.iter_mut())
+            .chain(std::iter::once(&mut r.best))
+        {
+            p.predicted_cycles = Some(11.0);
+        }
+        r.failures[0].error = "say \"hi\" \\ then\nstop\u{1}".into();
+        let point = |label: &str, cycles: u64, err: &str| {
+            format!(
+                "{{\"label\":\"{label}\",\"tiles\":[{{\"dim\":\"m\",\"tile\":8}}],\
+                 \"inner_par\":16,\"sim\":\"max4\",\"cycles\":{cycles},\"dram_words\":10,\
+                 \"on_chip_bytes\":256,\"area\":{{\"logic\":100,\"ff\":200,\"mem\":3}},\
+                 \"area_score\":0.25,\"predicted_cycles\":11.0,\"prediction_error\":{err}}}"
+            )
+        };
+        let (a, b) = (point("a", 10, "0.1000"), point("b", 20, "-0.4500"));
+        assert_eq!(
+            r.to_json(),
+            format!(
+                "{{\"name\":\"t\",\"best\":{a},\"frontier\":[{a}],\"evaluated\":[{a},{b}],\
+                 \"failures\":[{{\"label\":\"c\",\
+                 \"error\":\"say \\\"hi\\\" \\\\ then\\nstop\\u0001\"}}],\
+                 \"stats\":{{\"exhaustive\":6,\"pruned_tile\":0,\"pruned_verify\":1,\
+                 \"pruned_budget\":2,\"pruned_area\":0,\"evaluated\":3,\"infeasible\":0,\
+                 \"failed\":1,\"sampled\":0,\"ranked\":0,\"simulated\":0,\
+                 \"skipped_model\":0,\"cache_hits\":0,\"cache_misses\":3}}}}"
+            )
+        );
+    }
 }

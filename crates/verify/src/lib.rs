@@ -505,6 +505,48 @@ mod tests {
         );
     }
 
+    /// Every byte of a report without and with a file and spans; the
+    /// literals are never edited to make a change pass.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut r = VerifyReport::new();
+        r.push(
+            DiagCode::UnboundSym,
+            Severity::Error,
+            "p/x[0]/body",
+            "a \"b\"",
+        );
+        r.push(
+            DiagCode::OverProvisionedChannel,
+            Severity::Warning,
+            "d/c",
+            "w\n",
+        );
+        assert_eq!(
+            r.to_json(),
+            "{\"error_count\":1,\"diagnostics\":[\
+             {\"code\":\"PPHW001\",\"severity\":\"error\",\"path\":\"p/x[0]/body\",\
+             \"message\":\"a \\\"b\\\"\"},\
+             {\"code\":\"PPHW044\",\"severity\":\"warning\",\"path\":\"d/c\",\
+             \"message\":\"w\\n\"}]}"
+        );
+        let mut map = pphw_ir::span::SourceMap::new("t\\.ppl");
+        map.record("p/x[0]", pphw_ir::span::Span::new(17, 26));
+        r.attach_spans(&map, "program p(n) {\n  let x = 1\n}\n");
+        assert_eq!(
+            r.to_json(),
+            "{\"error_count\":1,\"file\":\"t\\\\.ppl\",\"diagnostics\":[\
+             {\"code\":\"PPHW001\",\"severity\":\"error\",\"path\":\"p/x[0]/body\",\
+             \"message\":\"a \\\"b\\\"\",\"span\":{\"start\":17,\"end\":26,\"line\":2,\"col\":3}},\
+             {\"code\":\"PPHW044\",\"severity\":\"warning\",\"path\":\"d/c\",\
+             \"message\":\"w\\n\"}]}"
+        );
+        assert_eq!(
+            VerifyReport::new().to_json(),
+            "{\"error_count\":0,\"diagnostics\":[]}"
+        );
+    }
+
     #[test]
     fn merge_concatenates() {
         let mut a = VerifyReport::new();
