@@ -39,7 +39,8 @@
 //!
 //! A usage error (unknown flag, missing or malformed value, a
 //! combination the shared parsers refuse) prints `dse: <message>` and
-//! exits 2 before anything is swept.
+//! exits 2 before anything is swept. A search that finds nothing feasible
+//! or a report that cannot be written prints `dse: <message>` and exits 1.
 
 use std::path::Path;
 use std::process::exit;
@@ -128,12 +129,13 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Refuses a usage error — this bin's own or one the shared parsers
-/// reject: prints the message and exits before anything is swept.
-fn or_refuse<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|e| {
+/// Prints `dse: <message>` and exits with `code` on an error: 2 for a
+/// usage error (this bin's own or one the shared parsers reject, before
+/// anything is swept), 1 for a run that fails.
+fn or_exit<T>(result: Result<T, String>, code: i32) -> T {
+    result.unwrap_or_else(|e| {
         eprintln!("dse: {e}");
-        exit(2);
+        exit(code);
     })
 }
 
@@ -150,28 +152,30 @@ fn export(path: &str, name: &str, multi: bool, contents: &str) {
     } else {
         path.to_string()
     };
-    std::fs::write(&target, contents).unwrap_or_else(|e| panic!("writing {target}: {e}"));
+    let written = std::fs::write(&target, contents);
+    or_exit(written.map_err(|e| format!("writing {target}: {e}")), 1);
     println!("  wrote {target}");
 }
 
 fn main() {
-    let args = or_refuse(parse_args());
+    let args = or_exit(parse_args(), 2);
     let specs = match &args.bench {
-        Some(name) => vec![or_refuse(pphw_apps::benchmark(name))],
+        Some(name) => vec![or_exit(pphw_apps::benchmark(name), 2)],
         None => all_benchmarks(),
     };
     let multi = specs.len() > 1;
 
     // The same vocabulary and the same refusals as the daemon's `dse`
     // method (`--area-cap F` alone implies `--objective area-cap`).
-    let strategy = or_refuse(Strategy::parse(
+    let strategy = Strategy::parse(
         args.strategy.as_deref(),
         args.sample,
         args.top_k,
         args.explore,
         args.seed,
-    ));
-    let objective = or_refuse(Objective::parse(args.objective.as_deref(), args.area_cap));
+    );
+    let objective = Objective::parse(args.objective.as_deref(), args.area_cap);
+    let (strategy, objective) = (or_exit(strategy, 2), or_exit(objective, 2));
 
     let sim_variants = sweep_sim_variants(args.quick);
 
@@ -212,7 +216,8 @@ fn main() {
             &eval_cache,
             Arc::clone(&designs),
         )
-        .unwrap_or_else(|e| panic!("{}: search failed: {e}", spec.name));
+        .map_err(|e| format!("{}: search failed: {e}", spec.name));
+        let report = or_exit(report, 1);
         print!("{}", report.summary());
         if let Some(p) = &args.json {
             export(p, spec.name, multi, &report.to_json());

@@ -22,7 +22,7 @@
 
 use pphw_frontend::parse_program;
 use pphw_ir::interp::{Interpreter, ScalarVal, Value};
-use pphw_ir::json::escape;
+use pphw_ir::json;
 use pphw_ir::pretty::emit_program;
 use pphw_ir::types::{DType, ScalarType, Type};
 use pphw_verify::{verify_program, VerifyConfig};
@@ -185,15 +185,14 @@ fn main() {
         Ok(out) => out,
         Err(errs) => {
             if args.json {
-                let body = errs
-                    .iter()
-                    .map(|e| e.to_json(&src, file))
-                    .collect::<Vec<_>>()
-                    .join(",");
+                let located = errs.iter().map(|e| e.locate(&src, file));
                 println!(
-                    "{{\"file\":{},\"error_count\":{},\"parse_errors\":[{body}]}}",
-                    escape(file),
-                    errs.len()
+                    "{}",
+                    json::object(|o| {
+                        o.field("file", file)
+                            .field("error_count", errs.len())
+                            .list("parse_errors", located);
+                    })
                 );
             } else {
                 for e in &errs {
@@ -215,9 +214,12 @@ fn main() {
     let errors = report.error_count();
     if args.json {
         println!(
-            "{{\"file\":{},\"error_count\":{errors},\"report\":{}}}",
-            escape(file),
-            report.to_json()
+            "{}",
+            json::object(|o| {
+                o.field("file", file)
+                    .field("error_count", errors)
+                    .field("report", &report);
+            })
         );
     } else {
         println!(

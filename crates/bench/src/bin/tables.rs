@@ -12,7 +12,8 @@
 //!   metapipelining on/off, gemm tile size, k-means interchange on/off,
 //!   accumulator elision on/off, gda outer-product parallelism
 //!
-//! With no arguments, prints everything.
+//! With no arguments, prints everything. Any other argument prints
+//! `tables: unknown flag …` and exits 2.
 
 use pphw::{compile, CompileOptions, OptLevel};
 use pphw_ir::pretty::print_program;
@@ -21,41 +22,39 @@ use pphw_sim::SimConfig;
 use pphw_transform::cost::analyze_cost;
 use pphw_transform::{strip_mine_program, tile_program, tile_program_no_interchange, TileConfig};
 
+/// The sections, in print order, under the flag that selects each.
+const SECTIONS: [(&str, fn()); 9] = [
+    ("--table1", table1),
+    ("--table2", table2),
+    ("--table3", table3),
+    ("--table4", table4),
+    ("--table5", table5),
+    ("--fig5", fig5),
+    ("--fig5c", fig5c),
+    ("--fig6", fig6),
+    ("--ablation", ablation),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |flag: &str| args.is_empty() || args.iter().any(|a| a == flag);
+    let flags = SECTIONS.map(|(flag, _)| flag);
+    if let Some(bad) = args.iter().find(|a| !flags.contains(&a.as_str())) {
+        eprintln!("tables: unknown flag {bad} (one of {})", flags.join(" "));
+        std::process::exit(2);
+    }
+    for (flag, print) in SECTIONS {
+        if args.is_empty() || args.iter().any(|a| a == flag) {
+            print();
+        }
+    }
+}
 
-    if want("--table1") {
-        table1();
-    }
-    if want("--table2") {
-        table2();
-    }
-    if want("--table3") {
-        table3();
-    }
-    if want("--table4") {
-        table4();
-    }
-    if want("--table5") {
-        table5();
-    }
-    if want("--fig5") {
-        fig5();
-    }
-    if want("--fig5c") {
-        fig5c();
-    }
-    if want("--fig6") {
-        fig6();
-    }
-    if want("--ablation") {
-        ablation_metapipeline();
-        ablation_tile_size();
-        ablation_interchange();
-        ablation_elision();
-        ablation_gda_parallelism();
-    }
+fn ablation() {
+    ablation_metapipeline();
+    ablation_tile_size();
+    ablation_interchange();
+    ablation_elision();
+    ablation_gda_parallelism();
 }
 
 fn header(title: &str) {

@@ -21,6 +21,7 @@
 use pphw::{compile, flow_timing, OptLevel};
 use pphw_apps::all_benchmarks;
 use pphw_hw::channel::{channels, Channel};
+use pphw_ir::json::{self, Obj};
 use pphw_sim::SimConfig;
 use pphw_verify::flow::{infer_capacities, predict_bottleneck, CapacityChange};
 use pphw_verify::{verify_program, VerifyConfig, VerifyReport};
@@ -50,43 +51,31 @@ struct Row {
     flow: Option<FlowInfo>,
 }
 
-fn flow_json(f: &FlowInfo) -> String {
-    let chans = f
-        .channels
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"ctrl\":\"{}\",\"buffer\":\"{}\",\"producer\":\"{}\",\
-                 \"consumer\":\"{}\",\"token_words\":{},\"capacity_words\":{},\
-                 \"slots\":{},\"backward\":{}}}",
-                c.ctrl,
-                c.buf_name,
-                c.producer_name,
-                c.consumer_name,
-                c.token_words,
-                c.capacity_words,
-                c.slots(),
-                c.is_backward()
-            )
+fn flow_json(o: &mut Obj<'_>, f: &FlowInfo) {
+    o.field("bottleneck", &f.bottleneck)
+        .arr("channels", |a| {
+            for c in &f.channels {
+                a.obj(|o| {
+                    o.field("ctrl", &c.ctrl)
+                        .field("buffer", &c.buf_name)
+                        .field("producer", &c.producer_name)
+                        .field("consumer", &c.consumer_name)
+                        .field("token_words", c.token_words)
+                        .field("capacity_words", c.capacity_words)
+                        .field("slots", c.slots())
+                        .field("backward", c.is_backward());
+                });
+            }
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let inferred = f
-        .inferred
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"buffer\":\"{}\",\"old_words\":{},\"new_words\":{}}}",
-                c.name, c.old_words, c.new_words
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let bottleneck = match &f.bottleneck {
-        Some(b) => format!("\"{b}\""),
-        None => "null".to_string(),
-    };
-    format!("{{\"bottleneck\":{bottleneck},\"channels\":[{chans}],\"inferred\":[{inferred}]}}")
+        .arr("inferred", |a| {
+            for c in &f.inferred {
+                a.obj(|o| {
+                    o.field("buffer", &c.name)
+                        .field("old_words", c.old_words)
+                        .field("new_words", c.new_words);
+                });
+            }
+        });
 }
 
 fn main() {
@@ -166,25 +155,24 @@ fn main() {
     let error_count: usize = rows.iter().map(|r| r.report.error_count()).sum();
     let warning_count: usize = rows.iter().map(|r| r.report.warning_count()).sum();
     if json {
-        let body = rows
-            .iter()
-            .map(|r| {
-                let flow = match &r.flow {
-                    Some(f) => format!(",\"flow\":{}", flow_json(f)),
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"bench\":\"{}\",\"stage\":\"{}\",\"report\":{}{flow}}}",
-                    r.bench,
-                    r.stage,
-                    r.report.to_json()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
         println!(
-            "{{\"error_count\":{error_count},\"warning_count\":{warning_count},\
-             \"runs\":[{body}]}}"
+            "{}",
+            json::object(|o| {
+                o.field("error_count", error_count)
+                    .field("warning_count", warning_count)
+                    .arr("runs", |a| {
+                        for r in &rows {
+                            a.obj(|o| {
+                                o.field("bench", r.bench)
+                                    .field("stage", &r.stage)
+                                    .field("report", &r.report);
+                                if let Some(f) = &r.flow {
+                                    o.obj("flow", |o| flow_json(o, f));
+                                }
+                            });
+                        }
+                    });
+            })
         );
     } else {
         for r in &rows {

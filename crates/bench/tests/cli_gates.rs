@@ -155,6 +155,7 @@ fn dse_refuses_area_cap_without_the_capped_objective() {
 #[test]
 fn dse_refuses_unknown_and_removed_flags() {
     const FAULTS: &str = env!("CARGO_BIN_EXE_faults");
+    const TABLES: &str = env!("CARGO_BIN_EXE_tables");
     for (exe, name, flags) in [
         (DSE, "dse", "--bogus"),
         (DSE, "dse", "--quick --threads"),
@@ -165,6 +166,7 @@ fn dse_refuses_unknown_and_removed_flags() {
         (DSE, "dse", concat!("--cap", "-permilles 500")),
         (FAULTS, "faults", "--bogus"),
         (FAULTS, "faults", "--rates 0.1,x"),
+        (TABLES, "tables", "--fig7"),
     ] {
         let mut cmd = cli(exe, flags);
         let out = cmd.output().unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
@@ -176,6 +178,29 @@ fn dse_refuses_unknown_and_removed_flags() {
         );
         assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{cmd:?} swept before refusing");
+    }
+}
+
+/// A search that finds nothing and a report that cannot be written are
+/// failures of the run, not of the bin: exit 1 with one `dse: <bench or
+/// path>: ...` line, never a panic.
+#[test]
+fn dse_reports_run_failures_without_panicking() {
+    for (flags, prefix) in [
+        ("--budget 1", "dse: sumrows: search failed: "),
+        (
+            "--json /nonexistent/dir/x.json",
+            "dse: writing /nonexistent/dir/x.json: ",
+        ),
+    ] {
+        let mut cmd = cli(DSE, &format!("--quick --bench sumrows {flags}"));
+        let out = cmd.output().unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1 && stderr.starts_with(prefix),
+            "{cmd:?}: {stderr}"
+        );
     }
 }
 

@@ -55,18 +55,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// different orders still share cache entries.
 #[must_use]
 pub fn config_key(program: &str, sizes: &[(String, i64)], salt: &str, c: &Candidate) -> u64 {
-    let mut sorted_sizes: Vec<_> = sizes.iter().collect();
-    sorted_sizes.sort();
-    let mut sorted_tiles: Vec<_> = c.tiles.iter().collect();
-    sorted_tiles.sort();
-    let canon = format!(
-        "prog={program}|sizes={:?}|tiles={:?}|par={}|sim={}|salt={salt}",
-        sorted_sizes,
-        sorted_tiles,
-        c.inner_par,
-        c.sim.canonical_key()
-    );
-    fnv1a64(canon.as_bytes())
+    let sim = format!("sim={}|", c.sim.canonical_key());
+    fnv1a64(canonical(program, sizes, salt, c, &sim).as_bytes())
 }
 
 /// The design identity of a candidate: the canonical configuration hash
@@ -75,15 +65,24 @@ pub fn config_key(program: &str, sizes: &[(String, i64)], salt: &str, c: &Candid
 /// differs — so they can share one compile artifact.
 #[must_use]
 pub fn design_key(program: &str, sizes: &[(String, i64)], salt: &str, c: &Candidate) -> u64 {
-    let mut sorted_sizes: Vec<_> = sizes.iter().collect();
-    sorted_sizes.sort();
-    let mut sorted_tiles: Vec<_> = c.tiles.iter().collect();
-    sorted_tiles.sort();
-    let canon = format!(
-        "prog={program}|sizes={sorted_sizes:?}|tiles={sorted_tiles:?}|par={}|salt={salt}",
-        c.inner_par
-    );
-    fnv1a64(canon.as_bytes())
+    fnv1a64(canonical(program, sizes, salt, c, "").as_bytes())
+}
+
+/// The text both keys hash; `sim` (empty, or `sim=…|`) is the only part
+/// in which they differ.
+fn canonical(
+    program: &str,
+    sizes: &[(String, i64)],
+    salt: &str,
+    c: &Candidate,
+    sim: &str,
+) -> String {
+    let mut sizes: Vec<_> = sizes.iter().collect();
+    sizes.sort();
+    let mut tiles: Vec<_> = c.tiles.iter().collect();
+    tiles.sort();
+    let par = c.inner_par;
+    format!("prog={program}|sizes={sizes:?}|tiles={tiles:?}|par={par}|{sim}salt={salt}")
 }
 
 /// A thread-safe share-one-computation table: the first caller of

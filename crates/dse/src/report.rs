@@ -1,9 +1,8 @@
 //! Search results: the best point, the Pareto frontier, evaluation
-//! counts, and JSON/CSV export (hand-rolled — the workspace carries no
-//! serialization dependency).
+//! counts, and JSON (through [`pphw_ir::json`]'s writer) and CSV export.
 
 use pphw_hw::Area;
-use pphw_ir::json::escape;
+use pphw_ir::json::{self, ToJson};
 
 /// One evaluated (feasible) point of the search space.
 #[derive(Debug, Clone)]
@@ -130,99 +129,69 @@ pub struct DseReport {
     pub stats: DseStats,
 }
 
-fn point_json(p: &EvaluatedPoint) -> String {
-    let tiles = p
-        .tiles
-        .iter()
-        .map(|(k, v)| format!("{{\"dim\":{},\"tile\":{v}}}", escape(k)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let predicted = match p.predicted_cycles {
-        Some(v) => format!("{v:.1}"),
-        None => "null".to_string(),
-    };
-    let pred_err = match p.prediction_error() {
-        Some(v) => format!("{v:.4}"),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"label\":{},\"tiles\":[{tiles}],\"inner_par\":{},\"sim\":{},\
-         \"cycles\":{},\"dram_words\":{},\"on_chip_bytes\":{},\
-         \"area\":{{\"logic\":{},\"ff\":{},\"mem\":{}}},\"area_score\":{},\
-         \"predicted_cycles\":{predicted},\"prediction_error\":{pred_err}}}",
-        escape(&p.label),
-        p.inner_par,
-        escape(&p.sim_label),
-        p.cycles,
-        p.dram_words,
-        p.on_chip_bytes,
-        p.area.logic,
-        p.area.ff,
-        p.area.mem,
-        p.area_score
-    )
+impl ToJson for EvaluatedPoint {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("label", &self.label)
+                .arr("tiles", |a| {
+                    for (dim, tile) in &self.tiles {
+                        a.obj(|t| {
+                            t.field("dim", dim).field("tile", tile);
+                        });
+                    }
+                })
+                .field("inner_par", self.inner_par)
+                .field("sim", &self.sim_label)
+                .field("cycles", self.cycles)
+                .field("dram_words", self.dram_words)
+                .field("on_chip_bytes", self.on_chip_bytes)
+                .field("area", self.area)
+                .field("area_score", self.area_score)
+                .fixed("predicted_cycles", self.predicted_cycles, 1)
+                .fixed("prediction_error", self.prediction_error(), 4);
+        });
+    }
 }
 
 impl DseReport {
     /// Renders the full report as JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let frontier = self
-            .frontier
-            .iter()
-            .map(point_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let evaluated = self
-            .evaluated
-            .iter()
-            .map(point_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let failures = self
-            .failures
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"label\":{},\"error\":{}}}",
-                    escape(&f.label),
-                    escape(&f.error)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
         let s = &self.stats;
-        // `cache_hits`/`cache_misses` must stay the last two stats keys:
-        // comparisons of warm against cold reports (the benchmark's
-        // `dse_warm_replay` check, `crates/bench/tests/cli_gates.rs`) mask
-        // from `"cache_hits"` to the object's closing brace.
-        format!(
-            "{{\"name\":{},\"best\":{},\"frontier\":[{frontier}],\
-             \"evaluated\":[{evaluated}],\"failures\":[{failures}],\
-             \"stats\":{{\"exhaustive\":{},\
-             \"pruned_tile\":{},\"pruned_verify\":{},\
-             \"pruned_budget\":{},\"pruned_area\":{},\
-             \"evaluated\":{},\"infeasible\":{},\"failed\":{},\
-             \"sampled\":{},\"ranked\":{},\"simulated\":{},\
-             \"skipped_model\":{},\
-             \"cache_hits\":{},\"cache_misses\":{}}}}}",
-            escape(&self.name),
-            point_json(&self.best),
-            s.exhaustive,
-            s.pruned_tile,
-            s.pruned_verify,
-            s.pruned_budget,
-            s.pruned_area,
-            s.evaluated,
-            s.infeasible,
-            s.failed,
-            s.sampled,
-            s.ranked,
-            s.simulated,
-            s.skipped_model,
-            s.cache_hits,
-            s.cache_misses
-        )
+        json::object(|o| {
+            o.field("name", &self.name)
+                .field("best", &self.best)
+                .list("frontier", &self.frontier)
+                .list("evaluated", &self.evaluated)
+                .arr("failures", |a| {
+                    for f in &self.failures {
+                        a.obj(|o| {
+                            o.field("label", &f.label).field("error", &f.error);
+                        });
+                    }
+                })
+                // `cache_hits`/`cache_misses` must stay the last two stats
+                // keys: comparisons of warm against cold reports (the
+                // benchmark's `dse_warm_replay` check, `crates/bench/tests/
+                // cli_gates.rs`) mask from `"cache_hits"` to the object's
+                // closing brace.
+                .obj("stats", |o| {
+                    o.field("exhaustive", s.exhaustive)
+                        .field("pruned_tile", s.pruned_tile)
+                        .field("pruned_verify", s.pruned_verify)
+                        .field("pruned_budget", s.pruned_budget)
+                        .field("pruned_area", s.pruned_area)
+                        .field("evaluated", s.evaluated)
+                        .field("infeasible", s.infeasible)
+                        .field("failed", s.failed)
+                        .field("sampled", s.sampled)
+                        .field("ranked", s.ranked)
+                        .field("simulated", s.simulated)
+                        .field("skipped_model", s.skipped_model)
+                        .field("cache_hits", s.cache_hits)
+                        .field("cache_misses", s.cache_misses);
+                });
+        })
     }
 
     /// Renders every feasible point as CSV (best first), with a
@@ -323,6 +292,26 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use pphw_ir::json::{parse_json, Json};
+
+    /// The report parsed back.
+    fn parsed(r: &DseReport) -> Json {
+        parse_json(&r.to_json()).expect("the report is JSON")
+    }
+
+    /// An object's keys, in written order.
+    fn keys(v: &Json) -> Vec<&str> {
+        v.as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect()
+    }
+
+    fn at<'j>(v: &'j Json, path: &[&str]) -> &'j Json {
+        path.iter()
+            .fold(v, |v, k| v.get(k).unwrap_or_else(|| panic!("no {k}")))
+    }
 
     fn pt(label: &str, cycles: u64) -> EvaluatedPoint {
         EvaluatedPoint {
@@ -367,20 +356,63 @@ mod tests {
 
     #[test]
     fn json_contains_every_section() {
-        let j = report().to_json();
-        for needle in [
-            "\"name\":\"t\"",
-            "\"best\":",
-            "\"frontier\":[",
-            "\"evaluated\":[",
-            "\"exhaustive\":6",
-            "\"pruned_budget\":2",
-            "\"pruned_verify\":1",
-            "\"cycles\":10",
-            "\"failures\":[{\"label\":\"c\"",
-            "\"failed\":1",
+        let j = parsed(&report());
+        let sections = ["name", "best", "frontier", "evaluated", "failures", "stats"];
+        assert_eq!(keys(&j), sections);
+        assert_eq!(
+            keys(at(&j, &["stats"])),
+            [
+                "exhaustive",
+                "pruned_tile",
+                "pruned_verify",
+                "pruned_budget",
+                "pruned_area",
+                "evaluated",
+                "infeasible",
+                "failed",
+                "sampled",
+                "ranked",
+                "simulated",
+                "skipped_model",
+                "cache_hits",
+                "cache_misses"
+            ]
+        );
+        let best = at(&j, &["best"]);
+        assert_eq!(
+            keys(best),
+            [
+                "label",
+                "tiles",
+                "inner_par",
+                "sim",
+                "cycles",
+                "dram_words",
+                "on_chip_bytes",
+                "area",
+                "area_score",
+                "predicted_cycles",
+                "prediction_error"
+            ]
+        );
+        assert_eq!(keys(at(best, &["area"])), ["logic", "ff", "mem"]);
+        assert_eq!(at(&j, &["name"]).as_str(), Some("t"));
+        assert_eq!(at(best, &["cycles"]).as_u64(), Some(10));
+        assert_eq!(at(best, &["area", "ff"]).as_f64(), Some(200.0));
+        let tile = &at(best, &["tiles"]).as_arr().unwrap()[0];
+        assert_eq!(keys(tile), ["dim", "tile"]);
+        assert_eq!(at(&j, &["frontier"]).as_arr().unwrap().len(), 1);
+        assert_eq!(at(&j, &["evaluated"]).as_arr().unwrap().len(), 2);
+        let failure = &at(&j, &["failures"]).as_arr().unwrap()[0];
+        assert_eq!(keys(failure), ["label", "error"]);
+        assert_eq!(at(failure, &["label"]).as_str(), Some("c"));
+        for (stat, want) in [
+            ("exhaustive", 6),
+            ("pruned_budget", 2),
+            ("pruned_verify", 1),
+            ("failed", 1),
         ] {
-            assert!(j.contains(needle), "missing {needle} in {j}");
+            assert_eq!(at(&j, &["stats", stat]).as_u64(), Some(want), "{stat}");
         }
     }
 
@@ -413,9 +445,11 @@ mod tests {
     #[test]
     fn prediction_columns_are_null_when_exhaustive_and_audited_when_guided() {
         let exhaustive = report();
-        let j = exhaustive.to_json();
-        assert!(j.contains("\"predicted_cycles\":null"), "{j}");
-        assert!(j.contains("\"prediction_error\":null"), "{j}");
+        let j = parsed(&exhaustive);
+        for p in at(&j, &["evaluated"]).as_arr().unwrap() {
+            assert_eq!(at(p, &["predicted_cycles"]), &Json::Null);
+            assert_eq!(at(p, &["prediction_error"]), &Json::Null);
+        }
         let csv = exhaustive.to_csv();
         assert!(csv.lines().next().unwrap().contains("predicted_cycles"));
         assert!(csv.lines().next().unwrap().contains("prediction_error"));
@@ -435,17 +469,18 @@ mod tests {
         guided.stats.simulated = 2;
         guided.stats.skipped_model = 1;
         assert_eq!(guided.best.prediction_error(), Some(0.1));
-        let j = guided.to_json();
-        assert!(j.contains("\"predicted_cycles\":11.0"), "{j}");
-        assert!(j.contains("\"prediction_error\":0.1000"), "{j}");
-        assert!(j.contains("\"sampled\":1"), "{j}");
-        assert!(j.contains("\"skipped_model\":1"), "{j}");
+        let j = parsed(&guided);
+        let best = at(&j, &["best"]);
+        assert_eq!(at(best, &["predicted_cycles"]).as_f64(), Some(11.0));
+        assert_eq!(at(best, &["prediction_error"]).as_f64(), Some(0.1));
+        assert_eq!(at(&j, &["stats", "sampled"]).as_u64(), Some(1));
+        assert_eq!(at(&j, &["stats", "skipped_model"]).as_u64(), Some(1));
         let csv = guided.to_csv();
         assert!(csv.contains(",11.0,"), "{csv}");
         // New stats keys must precede the cache counters so masking the
         // counters (see `to_json`) cannot swallow them.
-        let stats_tail = j.split("\"sampled\"").nth(1).unwrap();
-        assert!(stats_tail.contains("\"cache_hits\""));
+        let stats = keys(at(&j, &["stats"]));
+        assert_eq!(stats[stats.len() - 2..], ["cache_hits", "cache_misses"]);
         let s = guided.summary();
         assert!(s.contains("guided: 1 calibration samples"), "{s}");
     }

@@ -23,9 +23,9 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 
-use pphw_ir::json::escape;
+use pphw_ir::json::{self, ToJson};
 use pphw_ir::program::Program;
-use pphw_ir::span::{caret_snippet, line_col, SourceMap, Span};
+use pphw_ir::span::{caret_snippet, line_col, DiagSpan, SourceMap, Span};
 
 /// Stable diagnostic codes for frontend errors, in the `PPLP0xx` space
 /// (the verifier owns `PPHW0xx`).
@@ -88,20 +88,40 @@ impl ParseError {
         out
     }
 
-    /// Renders as the JSON object the `parse --json` binary and the
-    /// daemon's `EPPL` errors both carry: code, message, file, and the
-    /// byte span with its line and column.
-    pub fn to_json(&self, src: &str, file: &str) -> String {
-        let (line, col) = line_col(src, self.span.start);
-        format!(
-            "{{\"code\":{},\"message\":{},\"file\":{},\
-             \"span\":{{\"start\":{},\"end\":{},\"line\":{line},\"col\":{col}}}}}",
-            escape(self.code),
-            escape(&self.message),
-            escape(file),
-            self.span.start,
-            self.span.end
-        )
+    /// This error located in `src`, the text of `file`: what the `parse
+    /// --json` binary prints and the daemon's `EPPL` errors carry.
+    pub fn locate(&self, src: &str, file: &str) -> LocatedError {
+        LocatedError {
+            code: self.code,
+            message: self.message.clone(),
+            file: file.to_string(),
+            span: DiagSpan::locate(src, self.span),
+        }
+    }
+}
+
+/// A [`ParseError`] located in its source file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocatedError {
+    /// `PPLP0xx` code (see [`codes`]).
+    pub code: &'static str,
+    /// Human-readable description.
+    pub message: String,
+    /// The file the error cites.
+    pub file: String,
+    /// The byte span with its line and column.
+    pub span: DiagSpan,
+}
+
+/// `{"code":…,"message":…,"file":…,"span":{…}}`.
+impl ToJson for LocatedError {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("code", self.code)
+                .field("message", &self.message)
+                .field("file", &self.file)
+                .field("span", self.span);
+        });
     }
 }
 

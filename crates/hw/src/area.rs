@@ -8,6 +8,8 @@
 //! between the baseline, tiled, and metapipelined designs, as the paper
 //! reports.
 
+use pphw_ir::json::{self, ToJson};
+
 use crate::design::{BufferKind, CtrlKind, Design, UnitKind};
 
 /// Area estimate in the three categories Figure 7 reports.
@@ -40,6 +42,18 @@ impl Area {
             ff: safe(self.ff, base.ff),
             mem: safe(self.mem, base.mem),
         }
+    }
+}
+
+/// `{"logic":…,"ff":…,"mem":…}`: the area object of every DSE report and
+/// daemon response.
+impl ToJson for Area {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("logic", self.logic)
+                .field("ff", self.ff)
+                .field("mem", self.mem);
+        });
     }
 }
 

@@ -10,6 +10,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{self, ToJson};
+
 /// A half-open byte range `[start, end)` into a source string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Span {
@@ -48,6 +50,50 @@ impl Span {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.end == self.start
+    }
+}
+
+/// A span located in its source: the byte range plus the 1-based line and
+/// column of its start, so a report can render `file:line:col` without
+/// re-scanning the source. Verifier findings and frontend errors on
+/// programs parsed from `.ppl` text carry one; builder-constructed
+/// programs locate findings by path alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DiagSpan {
+    /// Byte offset of the first character in the source.
+    pub start: usize,
+    /// Byte offset one past the last character.
+    pub end: usize,
+    /// 1-based line of `start`.
+    pub line: usize,
+    /// 1-based column of `start`.
+    pub col: usize,
+}
+
+impl DiagSpan {
+    /// Locates `span` within `src`.
+    #[must_use]
+    pub fn locate(src: &str, span: Span) -> DiagSpan {
+        let (line, col) = line_col(src, span.start);
+        DiagSpan {
+            start: span.start,
+            end: span.end,
+            line,
+            col,
+        }
+    }
+}
+
+/// `{"start":…,"end":…,"line":…,"col":…}`: the span object of every JSON
+/// report (verify findings, parse errors).
+impl ToJson for DiagSpan {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("start", self.start)
+                .field("end", self.end)
+                .field("line", self.line)
+                .field("col", self.col);
+        });
     }
 }
 

@@ -5,11 +5,9 @@
 //!
 //! The interactive pipeline (`parse` → `compile` → `simulate` → `dse`
 //! binaries) pays full compilation for every invocation; a serving
-//! deployment amortizes that across requests. This crate provides the
-//! three layers:
+//! deployment amortizes that across requests. This crate provides four
+//! layers:
 //!
-//! - [`json`] — a std-only JSON value, parser, and canonical writer (the
-//!   workspace builds `--offline` with zero registry dependencies).
 //! - [`protocol`] — the wire types: request decoding with per-field
 //!   validation, typed error codes, server [`protocol::Limits`].
 //! - [`service`] — the engine: method dispatch over the shared caches
@@ -34,12 +32,14 @@
 #![allow(clippy::must_use_candidate)]
 #![allow(clippy::missing_panics_doc)]
 
-pub mod json;
 pub mod protocol;
 pub mod retry;
 pub mod server;
 pub mod service;
 
+/// The workspace's JSON layer, re-exported at the path `benchmark/` and
+/// wire clients import it from.
+pub use pphw_ir::json;
 pub use protocol::{codes, ErrorBody, Limits};
 pub use retry::{CallOutcome, RetryClient, RetryConfig, RetryStats};
 pub use server::{Client, Server};

@@ -18,10 +18,11 @@
 //! decode) and the canonical request fingerprint used for in-flight
 //! deduplication.
 
-use crate::json::{escape, parse_json, to_string, Json};
 use pphw::OptLevel;
 use pphw_dse::cache::fnv1a64;
 use pphw_dse::{Objective, Strategy};
+use pphw_frontend::LocatedError;
+use pphw_ir::json::{self, parse_json, Json};
 use pphw_sim::SimConfig;
 
 /// Stable wire-protocol error codes.
@@ -60,17 +61,20 @@ pub mod codes {
     pub const INTERNAL: &str = "EINTERNAL";
 }
 
-/// A typed protocol error: a stable code, a message, and optional extra
-/// JSON (e.g. a diagnostics array) spliced into the error object.
+/// A typed protocol error: a stable code, a message, and the two extras
+/// some errors carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorBody {
     /// One of the [`codes`] constants.
     pub code: &'static str,
     /// Human-readable description.
     pub message: String,
-    /// Extra `"key":value` fragments for the error object, already
-    /// rendered as JSON (empty for most errors).
-    pub extra: Vec<(String, String)>,
+    /// Written as `"retryable":true` when set (the [`codes::OVERLOAD`]
+    /// sheds: nothing ran and nothing was cached).
+    pub retryable: bool,
+    /// Written as `"diagnostics":[…]` when non-empty (the spanned frontend
+    /// errors of a [`codes::PPL`] error).
+    pub diagnostics: Vec<LocatedError>,
 }
 
 impl ErrorBody {
@@ -79,24 +83,23 @@ impl ErrorBody {
         ErrorBody {
             code,
             message: message.into(),
-            extra: Vec::new(),
+            retryable: false,
+            diagnostics: Vec::new(),
         }
     }
 
     /// Renders the `{"code":…,"message":…}` object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"code\":{},\"message\":{}",
-            escape(self.code),
-            escape(&self.message)
-        );
-        for (k, v) in &self.extra {
-            use std::fmt::Write as _;
-            let _ = write!(out, ",{}:{v}", escape(k));
-        }
-        out.push('}');
-        out
+        json::object(|o| {
+            o.field("code", self.code).field("message", &self.message);
+            if self.retryable {
+                o.field("retryable", true);
+            }
+            if !self.diagnostics.is_empty() {
+                o.list("diagnostics", &self.diagnostics);
+            }
+        })
     }
 }
 
@@ -104,47 +107,43 @@ impl ErrorBody {
 /// retryable: the server did no work and cached nothing.
 #[must_use]
 pub fn overload_inflight(limit: usize) -> ErrorBody {
-    let mut err = ErrorBody::new(
-        codes::OVERLOAD,
-        format!(
-            "server overloaded: in-flight work budget reached (limit {limit}); retry with backoff"
-        ),
-    );
-    err.extra
-        .push(("retryable".to_string(), "true".to_string()));
-    err
+    overloaded(&format!("in-flight work budget reached (limit {limit})"))
 }
 
 /// The typed shed error for a full connection cap. Marked retryable: the
 /// daemon wrote this one line and closed the connection without reading.
 #[must_use]
 pub fn overload_connections(limit: usize) -> ErrorBody {
-    let mut err = ErrorBody::new(
-        codes::OVERLOAD,
-        format!("server overloaded: connection limit reached (limit {limit}); retry with backoff"),
-    );
-    err.extra
-        .push(("retryable".to_string(), "true".to_string()));
-    err
+    overloaded(&format!("connection limit reached (limit {limit})"))
 }
 
-/// Renders a success response line (no trailing newline).
+fn overloaded(why: &str) -> ErrorBody {
+    ErrorBody {
+        retryable: true,
+        ..ErrorBody::new(
+            codes::OVERLOAD,
+            format!("server overloaded: {why}; retry with backoff"),
+        )
+    }
+}
+
+/// Renders a response line (no trailing newline) around an already
+/// rendered `result` (when `ok`) or `error` object.
 #[must_use]
-pub fn ok_line(id: &Json, result: &str) -> String {
-    format!(
-        "{{\"id\":{},\"ok\":true,\"result\":{result}}}",
-        to_string(id)
-    )
+pub fn response_line(id: &Json, ok: bool, body: &str) -> String {
+    let mut out = String::with_capacity(body.len() + 32);
+    json::write_object(&mut out, |o| {
+        o.field("id", id)
+            .field("ok", ok)
+            .raw(if ok { "result" } else { "error" }, body);
+    });
+    out
 }
 
 /// Renders an error response line (no trailing newline).
 #[must_use]
 pub fn err_line(id: &Json, err: &ErrorBody) -> String {
-    format!(
-        "{{\"id\":{},\"ok\":false,\"error\":{}}}",
-        to_string(id),
-        err.to_json()
-    )
+    response_line(id, false, &err.to_json())
 }
 
 /// Server-enforced request limits. Every limit degrades to a typed
@@ -868,7 +867,7 @@ mod tests {
     #[test]
     fn response_lines_render_stably() {
         assert_eq!(
-            ok_line(&Json::Num(3.0), "{\"pong\":true}"),
+            response_line(&Json::Num(3.0), true, "{\"pong\":true}"),
             "{\"id\":3,\"ok\":true,\"result\":{\"pong\":true}}"
         );
         assert_eq!(

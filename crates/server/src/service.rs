@@ -38,16 +38,16 @@ use pphw::{CompileOptions, PphwError};
 use pphw_dse::cache::{config_key, fnv1a64, DesignCache, EvalCache};
 use pphw_dse::pool::panic_message;
 use pphw_dse::space::Candidate;
-use pphw_dse::{DseConfig, EvalOutcome, Evaluate, Measurement, SearchSpace};
+use pphw_dse::{DseConfig, EvalOutcome, Evaluate, SearchSpace};
+use pphw_ir::json::{self, Obj};
 use pphw_ir::program::Program;
 use pphw_ir::span::SourceMap;
 use pphw_sim::{SimConfig, SimError};
 use pphw_verify::VerifyConfig;
 
-use crate::json::escape;
 use crate::protocol::{
-    codes, err_line, ok_line, opt_name, overload_inflight, DseRequest, ErrorBody, Limits, Method,
-    ProgramRef, Request, WorkRequest,
+    codes, err_line, opt_name, overload_inflight, response_line, DseRequest, ErrorBody, Limits,
+    Method, ProgramRef, Request, WorkRequest,
 };
 
 /// Counter snapshot reported by the `stats` method and the daemon's exit
@@ -92,27 +92,22 @@ impl ServiceStats {
     /// Renders the stats as the `stats` result object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"requests\":{},\"errors\":{},\"dedup_hits\":{},\"dedup_builds\":{},\
-             \"design_builds\":{},\"design_reuses\":{},\"eval_hits\":{},\
-             \"eval_misses\":{},\"eval_len\":{},\"shed_requests\":{},\
-             \"shed_connections\":{},\"accepted_connections\":{},\"panics\":{},\
-             \"save_failures\":{}}}",
-            self.requests,
-            self.errors,
-            self.dedup_hits,
-            self.dedup_builds,
-            self.design_builds,
-            self.design_reuses,
-            self.eval_hits,
-            self.eval_misses,
-            self.eval_len,
-            self.shed_requests,
-            self.shed_connections,
-            self.accepted_connections,
-            self.panics,
-            self.save_failures
-        )
+        json::object(|o| {
+            o.field("requests", self.requests)
+                .field("errors", self.errors)
+                .field("dedup_hits", self.dedup_hits)
+                .field("dedup_builds", self.dedup_builds)
+                .field("design_builds", self.design_builds)
+                .field("design_reuses", self.design_reuses)
+                .field("eval_hits", self.eval_hits)
+                .field("eval_misses", self.eval_misses)
+                .field("eval_len", self.eval_len)
+                .field("shed_requests", self.shed_requests)
+                .field("shed_connections", self.shed_connections)
+                .field("accepted_connections", self.accepted_connections)
+                .field("panics", self.panics)
+                .field("save_failures", self.save_failures);
+        })
     }
 }
 
@@ -242,22 +237,22 @@ impl Service {
     /// degradation gauge a load balancer or operator needs.
     #[must_use]
     pub fn health_json(&self) -> String {
-        format!(
-            "{{\"healthy\":true,\"inflight\":{},\"max_inflight\":{},\
-             \"connections\":{},\"max_connections\":{},\"shed_requests\":{},\
-             \"shed_connections\":{},\"panics\":{},\"save_failures\":{},\
-             \"eval_len\":{},\"journaled\":{}}}",
-            self.inflight.load(Ordering::SeqCst),
-            self.limits.max_inflight,
-            self.connections.load(Ordering::SeqCst),
-            self.limits.max_connections,
-            self.shed_requests.load(Ordering::Relaxed),
-            self.shed_connections.load(Ordering::Relaxed),
-            self.panics.load(Ordering::Relaxed),
-            self.save_failures.load(Ordering::Relaxed),
-            self.evals.len(),
-            self.evals.is_journaled()
-        )
+        json::object(|o| {
+            o.field("healthy", true)
+                .field("inflight", self.inflight.load(Ordering::SeqCst))
+                .field("max_inflight", self.limits.max_inflight)
+                .field("connections", self.connections.load(Ordering::SeqCst))
+                .field("max_connections", self.limits.max_connections)
+                .field("shed_requests", self.shed_requests.load(Ordering::Relaxed))
+                .field(
+                    "shed_connections",
+                    self.shed_connections.load(Ordering::Relaxed),
+                )
+                .field("panics", self.panics.load(Ordering::Relaxed))
+                .field("save_failures", self.save_failures.load(Ordering::Relaxed))
+                .field("eval_len", self.evals.len())
+                .field("journaled", self.evals.is_journaled());
+        })
     }
 
     /// Current counter snapshot.
@@ -336,12 +331,12 @@ impl Service {
             }
         } else {
             match &req.method {
-                Method::Ping => (true, "{\"pong\":true}".to_string()),
+                Method::Ping => (true, flag("pong")),
                 Method::Stats => (true, self.stats().to_json()),
                 Method::Health => (true, self.health_json()),
                 Method::Shutdown => {
                     self.request_shutdown();
-                    (true, "{\"shutting_down\":true}".to_string())
+                    (true, flag("shutting_down"))
                 }
                 // is_work() covered the rest.
                 _ => (
@@ -350,15 +345,10 @@ impl Service {
                 ),
             }
         };
-        if ok {
-            Some(ok_line(&id, &body))
-        } else {
+        if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
-            Some(format!(
-                "{{\"id\":{},\"ok\":false,\"error\":{body}}}",
-                crate::json::to_string(&id)
-            ))
         }
+        Some(response_line(&id, ok, &body))
     }
 
     fn run_work(&self, method: &Method) -> MemoBody {
@@ -373,10 +363,14 @@ impl Service {
             // is_work() gates this path to the five above.
             _ => Err(ErrorBody::new(codes::METHOD, "not a work method")),
         };
-        match out {
+        let (ok, mut body) = match out {
             Ok(result) => (true, result),
             Err(err) => (false, err.to_json()),
-        }
+        };
+        // The memo holds the body for the life of the process: keep none
+        // of the writer's spare capacity.
+        body.shrink_to_fit();
+        (ok, body)
     }
 
     // ---- request resolution -------------------------------------------
@@ -457,20 +451,14 @@ impl Service {
         match &*self.evaluator(&r).artifact(&r.candidate()) {
             Ok(compiled) => {
                 let hgl = compiled.emit_hgl();
-                Ok(format!(
-                    "{{\"program\":{},\"opt\":{},\"tiles\":{},\"inner_par\":{},\
-                     \"on_chip_bytes\":{},\"buffers\":{},\
-                     \"area\":{},\"hgl_fnv1a64\":\"{:016x}\",\"hgl_lines\":{}}}",
-                    escape(&r.display_name),
-                    escape(opt_name(r.opts.opt)),
-                    dims_json(&r.opts.tiles),
-                    r.opts.inner_par,
-                    compiled.design.on_chip_bytes(),
-                    compiled.design.buffers.len(),
-                    area_json(compiled.area()),
-                    fnv1a64(hgl.as_bytes()),
-                    hgl.lines().count()
-                ))
+                Ok(json::object(|o| {
+                    design_fields(o, &r)
+                        .field("on_chip_bytes", compiled.design.on_chip_bytes())
+                        .field("buffers", compiled.design.buffers.len())
+                        .field("area", compiled.area())
+                        .field("hgl_fnv1a64", format!("{:016x}", fnv1a64(hgl.as_bytes())))
+                        .field("hgl_lines", hgl.lines().count());
+                }))
             }
             Err(why) => Err(ErrorBody::new(codes::COMPILE, why.clone())),
         }
@@ -492,13 +480,12 @@ impl Service {
         if let Some((text, map)) = &r.source {
             report.attach_spans(map, text);
         }
-        Ok(format!(
-            "{{\"program\":{},\"inner_par\":{},\"error_count\":{},\"report\":{}}}",
-            escape(&r.display_name),
-            r.opts.inner_par,
-            report.error_count(),
-            report.to_json()
-        ))
+        Ok(json::object(|o| {
+            o.field("program", &r.display_name)
+                .field("inner_par", r.opts.inner_par)
+                .field("error_count", report.error_count())
+                .field("report", &report);
+        }))
     }
 
     fn simulate_method(&self, w: &WorkRequest) -> Result<String, ErrorBody> {
@@ -519,7 +506,13 @@ impl Service {
             fresh
         };
         match outcome {
-            EvalOutcome::Feasible(m) => Ok(simulate_result(&r, &m)),
+            EvalOutcome::Feasible(m) => Ok(json::object(|o| {
+                design_fields(o, &r)
+                    .field("cycles", m.cycles)
+                    .field("dram_words", m.dram_words)
+                    .field("on_chip_bytes", m.on_chip_bytes)
+                    .field("area", m.area);
+            })),
             // `Failed` is never stored (`EvalCache::insert`) nor built
             // above; the arm only keeps the match exhaustive.
             EvalOutcome::Infeasible(e) | EvalOutcome::Failed(e) => {
@@ -599,24 +592,23 @@ impl Service {
             Arc::clone(&self.designs),
         )
         .map_err(|e| ErrorBody::new(codes::DSE, e.to_string()))?;
-        let s = report.stats;
-        Ok(format!(
-            "{{\"program\":{},\"best\":{{\"label\":{},\"cycles\":{},\"area_score\":{}}},\
-             \"space\":{},\"evaluated\":{},\"frontier\":{},\"failures\":{},\
-             \"pruned\":{},\"simulated\":{},\"sampled\":{},\"skipped_model\":{}}}",
-            escape(&r.display_name),
-            escape(&report.best.label),
-            report.best.cycles,
-            report.best.area_score,
-            s.exhaustive,
-            report.evaluated.len(),
-            report.frontier.len(),
-            report.failures.len(),
-            s.pruned_total(),
-            s.simulated,
-            s.sampled,
-            s.skipped_model
-        ))
+        let (best, s) = (&report.best, report.stats);
+        Ok(json::object(|o| {
+            o.field("program", &r.display_name)
+                .obj("best", |b| {
+                    b.field("label", &best.label)
+                        .field("cycles", best.cycles)
+                        .field("area_score", best.area_score);
+                })
+                .field("space", s.exhaustive)
+                .field("evaluated", report.evaluated.len())
+                .field("frontier", report.frontier.len())
+                .field("failures", report.failures.len())
+                .field("pruned", s.pruned_total())
+                .field("simulated", s.simulated)
+                .field("sampled", s.sampled)
+                .field("skipped_model", s.skipped_model);
+        }))
     }
 }
 
@@ -656,21 +648,26 @@ fn sim_error(e: PphwError) -> ErrorBody {
     }
 }
 
-fn dims_json(pairs: &[(String, i64)]) -> String {
-    let mut sorted: Vec<_> = pairs.iter().collect();
-    sorted.sort();
-    let body: Vec<String> = sorted
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", escape(k)))
-        .collect();
-    format!("{{{}}}", body.join(","))
+/// `{"<key>":true}`: the `ping` and `shutdown` results.
+fn flag(key: &str) -> String {
+    json::object(|o| {
+        o.field(key, true);
+    })
 }
 
-fn area_json(a: pphw_hw::Area) -> String {
-    format!(
-        "{{\"logic\":{},\"ff\":{},\"mem\":{}}}",
-        a.logic, a.ff, a.mem
-    )
+/// The fields `compile` and `simulate` results open with: the program,
+/// its optimization level, tiles (sorted by dimension) and parallelism.
+fn design_fields<'o, 'w>(o: &'o mut Obj<'w>, r: &Resolved) -> &'o mut Obj<'w> {
+    let mut tiles: Vec<_> = r.opts.tiles.iter().collect();
+    tiles.sort();
+    o.field("program", &r.display_name)
+        .field("opt", opt_name(r.opts.opt))
+        .obj("tiles", |t| {
+            for (dim, tile) in tiles {
+                t.field(dim, tile);
+            }
+        })
+        .field("inner_par", r.opts.inner_par)
 }
 
 fn budgeted(mut sim: SimConfig, cycle_budget: u64) -> SimConfig {
@@ -678,32 +675,16 @@ fn budgeted(mut sim: SimConfig, cycle_budget: u64) -> SimConfig {
     sim
 }
 
-fn simulate_result(r: &Resolved, m: &Measurement) -> String {
-    format!(
-        "{{\"program\":{},\"opt\":{},\"tiles\":{},\"inner_par\":{},\"cycles\":{},\
-         \"dram_words\":{},\"on_chip_bytes\":{},\"area\":{}}}",
-        escape(&r.display_name),
-        escape(opt_name(r.opts.opt)),
-        dims_json(&r.opts.tiles),
-        r.opts.inner_par,
-        m.cycles,
-        m.dram_words,
-        m.on_chip_bytes,
-        area_json(m.area)
-    )
-}
-
 /// Renders frontend parse errors as a [`codes::PPL`] error with a spanned
 /// diagnostics array.
 fn ppl_error(errs: &[pphw_frontend::ParseError], src: &str, file: &str) -> ErrorBody {
-    let diags: Vec<String> = errs.iter().map(|e| e.to_json(src, file)).collect();
-    let mut err = ErrorBody::new(
-        codes::PPL,
-        format!("{} parse error(s) in {file}", errs.len()),
-    );
-    err.extra
-        .push(("diagnostics".to_string(), format!("[{}]", diags.join(","))));
-    err
+    ErrorBody {
+        diagnostics: errs.iter().map(|e| e.locate(src, file)).collect(),
+        ..ErrorBody::new(
+            codes::PPL,
+            format!("{} parse error(s) in {file}", errs.len()),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -711,7 +692,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::json::Json;
+    use crate::json::{escape, Json};
 
     fn service() -> Service {
         Service::new(Limits::default(), 1, EvalCache::new())

@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pphw_ir::json;
+
 use crate::rng::{splitmix64, Rng};
 
 /// Per-chunk fault probabilities and magnitudes. Probabilities are
@@ -311,19 +313,26 @@ impl Drop for ChaosProxy {
 /// misses and bound the design builds by the distinct verified benches.
 #[must_use]
 pub fn population_line(client: usize, i: usize) -> String {
-    let id = client * 1000 + i;
     let benches = ["sumrows", "outerprod", "gemm"];
     let bench = benches[(client + i) % benches.len()];
     let scale = if i.is_multiple_of(2) { 8 } else { 16 };
-    match i % 4 {
-        0 => format!("{{\"id\":{id},\"method\":\"ping\"}}"),
-        1 | 2 => format!(
-            "{{\"id\":{id},\"method\":\"simulate\",\"bench\":\"{bench}\",\
-             \"sizes\":{{\"m\":{scale},\"n\":{scale},\"p\":{scale}}},\
-             \"tiles\":{{\"m\":4,\"n\":4}},\"inner_par\":4}}"
-        ),
-        _ => format!("{{\"id\":{id},\"method\":\"verify\",\"bench\":\"{bench}\"}}"),
-    }
+    json::object(|o| {
+        o.field("id", client * 1000 + i);
+        match i % 4 {
+            0 => o.field("method", "ping"),
+            1 | 2 => o
+                .field("method", "simulate")
+                .field("bench", bench)
+                .obj("sizes", |s| {
+                    s.field("m", scale).field("n", scale).field("p", scale);
+                })
+                .obj("tiles", |t| {
+                    t.field("m", 4).field("n", 4);
+                })
+                .field("inner_par", 4),
+            _ => o.field("method", "verify").field("bench", bench),
+        };
+    })
 }
 
 /// Forwards `from` → `to` one chunk at a time, applying the scheduled

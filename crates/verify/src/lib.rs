@@ -40,8 +40,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use pphw_hw::design::Design;
-use pphw_ir::json::escape;
+use pphw_ir::json::{self, ToJson};
 use pphw_ir::program::Program;
+pub use pphw_ir::span::DiagSpan;
 
 /// Stable diagnostic codes. The numeric ranges group the families:
 /// `001`–`009` IR well-formedness, `010`–`019` parallelization races,
@@ -202,24 +203,6 @@ impl fmt::Display for Severity {
     }
 }
 
-/// A resolved source location for a diagnostic: the byte span plus its
-/// precomputed 1-based line/column, so consumers can render
-/// `file:line:col` without re-scanning the source. Only present on
-/// diagnostics whose program came from parsed `.ppl` text (see
-/// [`VerifyReport::attach_spans`]); builder-constructed programs locate
-/// findings by path alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiagSpan {
-    /// Byte offset of the first character in the source.
-    pub start: usize,
-    /// Byte offset one past the last character.
-    pub end: usize,
-    /// 1-based line of `start`.
-    pub line: usize,
-    /// 1-based column of `start`.
-    pub col: usize,
-}
-
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -231,7 +214,8 @@ pub struct Diagnostic {
     pub path: String,
     /// What went wrong, in terms of the node at `path`.
     pub message: String,
-    /// Source location, when the program was parsed from text.
+    /// Source location, when the program was parsed from text (see
+    /// [`VerifyReport::attach_spans`]).
     pub span: Option<DiagSpan>,
 }
 
@@ -350,13 +334,7 @@ impl VerifyReport {
         self.file = Some(map.file.clone());
         for d in &mut self.diagnostics {
             if let Some(span) = map.lookup(&d.path) {
-                let (line, col) = pphw_ir::span::line_col(src, span.start);
-                d.span = Some(DiagSpan {
-                    start: span.start,
-                    end: span.end,
-                    line,
-                    col,
-                });
+                d.span = Some(DiagSpan::locate(src, span));
             }
         }
     }
@@ -381,33 +359,7 @@ impl VerifyReport {
     /// CI gate consume this).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"error_count\":");
-        out.push_str(&self.error_count().to_string());
-        if let Some(file) = &self.file {
-            out.push_str(&format!(",\"file\":{}", escape(file)));
-        }
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"path\":{},\"message\":{}",
-                d.code.code(),
-                d.severity,
-                escape(&d.path),
-                escape(&d.message)
-            ));
-            if let Some(s) = &d.span {
-                out.push_str(&format!(
-                    ",\"span\":{{\"start\":{},\"end\":{},\"line\":{},\"col\":{}}}",
-                    s.start, s.end, s.line, s.col
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self)
     }
 
     /// One line per finding (empty string when clean). Findings with a
@@ -421,6 +373,32 @@ impl VerifyReport {
                 _ => format!("{d}\n"),
             })
             .collect::<String>()
+    }
+}
+
+/// `{"error_count":…,["file":…,]"diagnostics":[…]}`, each finding
+/// `{"code","severity","path","message"[,"span"]}`.
+impl ToJson for VerifyReport {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("error_count", self.error_count());
+            if let Some(file) = &self.file {
+                o.field("file", file);
+            }
+            o.arr("diagnostics", |a| {
+                for d in &self.diagnostics {
+                    a.obj(|o| {
+                        o.field("code", d.code.code())
+                            .field("severity", d.severity.to_string())
+                            .field("path", &d.path)
+                            .field("message", &d.message);
+                        if let Some(span) = &d.span {
+                            o.field("span", span);
+                        }
+                    });
+                }
+            });
+        });
     }
 }
 

@@ -25,6 +25,7 @@ use pphw_ir::block::{Block, Op};
 use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::check::check_deep;
 use pphw_ir::expr::{Expr, Lit};
+use pphw_ir::json::{parse_json, Json};
 use pphw_ir::pattern::{Init, Pattern};
 use pphw_ir::size::Size;
 use pphw_ir::types::{DType, ScalarType, Sym};
@@ -343,15 +344,40 @@ fn structural_and_deep_checks_agree_on_seeded_mutants() {
 /// appear, and a clean report is an empty diagnostics array.
 #[test]
 fn json_report_is_machine_readable() {
+    let keys = |v: &Json| -> Vec<String> {
+        let fields = v.as_obj().expect("an object");
+        fields.iter().map(|(k, _)| k.clone()).collect()
+    };
     let report = verify_program(&subfold(), &VerifyConfig::with_inner_par(8));
-    let json = report.to_json();
-    assert!(json.contains("\"PPHW010\""), "{json}");
-    assert!(json.contains("\"error\""), "{json}");
-    assert!(json.contains("subfold"), "{json}");
+    let json = parse_json(&report.to_json()).expect("the report is JSON");
+    assert_eq!(keys(&json), ["error_count", "diagnostics"]);
+    let errors = json.get("error_count").and_then(Json::as_u64);
+    assert_eq!(errors, Some(report.error_count() as u64));
+    let diags = json
+        .get("diagnostics")
+        .and_then(Json::as_arr)
+        .expect("array");
+    assert_eq!(diags.len(), report.diagnostics.len());
+    for (got, want) in diags.iter().zip(&report.diagnostics) {
+        assert_eq!(keys(got), ["code", "severity", "path", "message"]);
+        let text = |key: &str| got.get(key).and_then(Json::as_str).expect("a string");
+        assert_eq!(text("code"), want.code.code());
+        assert_eq!(text("severity"), want.severity.to_string());
+        assert_eq!(text("path"), want.path);
+        assert_eq!(text("message"), want.message);
+    }
+    let race = diags
+        .iter()
+        .find(|d| d.get("code") == Some(&Json::Str("PPHW010".into())));
+    let race = race.expect("the race is reported");
+    assert_eq!(race.get("severity").and_then(Json::as_str), Some("error"));
+    let path = race.get("path").and_then(Json::as_str).expect("a path");
+    assert!(path.starts_with("subfold/"), "{path}");
 
     let clean = verify_program(&subfold(), &VerifyConfig::default());
     assert!(clean.is_clean());
-    assert!(clean.to_json().contains("\"diagnostics\":[]"));
+    let json = parse_json(&clean.to_json()).expect("the report is JSON");
+    assert_eq!(json.get("diagnostics"), Some(&Json::Arr(Vec::new())));
 }
 
 /// Flow-analyzer family (`PPHW040`–`PPHW044`): seeded channel mutants of
