@@ -146,6 +146,34 @@ const GOLDEN_DSE: &[(&str, u64)] = &[
     ("kmeans", 0x9eadad22b6b94264),
 ];
 
+/// Name-blind fingerprints, one per (benchmark, opt level), each over the
+/// eight reports of that design: the four substrates of
+/// [`name_blind_substrates`], fault-free and under [`golden_faults`].
+/// Every number of a report is in, but no name, and stage statistics
+/// only as totals; the design's area and on-chip bytes are in too. Two
+/// programs that differ only in how their symbols are spelled compile
+/// to designs with equal rows here.
+const GOLDEN_NAME_BLIND: &[(&str, &str, u64)] = &[
+    ("outerprod", "baseline", 0x39522575ee334ceb),
+    ("outerprod", "tiled", 0x1890b6721c68ef53),
+    ("outerprod", "meta", 0x3e259950d1aae10e),
+    ("sumrows", "baseline", 0xf8d92fce86c8d49f),
+    ("sumrows", "tiled", 0xc84145c1f324fa2a),
+    ("sumrows", "meta", 0x283f07395f2db134),
+    ("gemm", "baseline", 0x10927edfbb0817cc),
+    ("gemm", "tiled", 0x22878cc8720aeb2f),
+    ("gemm", "meta", 0xc4de5857394393b8),
+    ("tpchq6", "baseline", 0xe007c60238615c5b),
+    ("tpchq6", "tiled", 0xbdae7a22ad49b193),
+    ("tpchq6", "meta", 0x4190426a001651ae),
+    ("gda", "baseline", 0x6d7bfe7c77584f86),
+    ("gda", "tiled", 0x4cf2e2e41dcb144b),
+    ("gda", "meta", 0x80269b628083c892),
+    ("kmeans", "baseline", 0x3fa69cfd51b8a648),
+    ("kmeans", "tiled", 0x80fc66c87c7fab30),
+    ("kmeans", "meta", 0xf1f935041ac6fed4),
+];
+
 fn mix(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *h ^= b as u64;
@@ -183,6 +211,21 @@ fn fingerprint_sim(r: &SimReport) -> u64 {
         mix_u64(&mut h, s.dram_words);
     }
     h
+}
+
+/// [`fingerprint_sim`] without names: the design and stage names are
+/// left out, and the per-stage statistics enter as their integer totals.
+fn mix_name_blind(h: &mut u64, r: &SimReport) {
+    mix_u64(h, r.cycles);
+    mix_u64(h, r.seconds.to_bits());
+    mix_u64(h, r.dram_bytes);
+    mix_u64(h, r.dram_words);
+    mix_u64(h, r.faults.jitter_cycles);
+    mix_u64(h, r.faults.degraded_requests);
+    mix_u64(h, r.faults.retries);
+    mix_u64(h, r.faults.retry_cycles.to_bits());
+    mix_u64(h, r.stages.iter().map(|s| s.invocations).sum());
+    mix_u64(h, r.stages.iter().map(|s| s.dram_words).sum());
 }
 
 /// Canonical fingerprint of a DSE report: the best point, the frontier,
@@ -383,6 +426,59 @@ fn simulate_matches_stepping_fingerprints_on_every_substrate() {
     assert!(
         failures.is_empty(),
         "drifted reports:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The substrates of [`GOLDEN_NAME_BLIND`]: the default board, then those
+/// of [`GOLDEN_SUBSTRATE`].
+fn name_blind_substrates() -> Vec<SimConfig> {
+    let rest = golden_substrates().into_iter().map(|(_, cfg)| cfg);
+    std::iter::once(SimConfig::default()).chain(rest).collect()
+}
+
+#[test]
+fn designs_match_name_blind_fingerprints() {
+    let mut failures = Vec::new();
+    for spec in all_benchmarks() {
+        let prog = (spec.program)();
+        for level in OptLevel::all() {
+            let compiled = compile(&prog, &spec.options().opt(level)).expect("benchmark compiles");
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for cfg in name_blind_substrates() {
+                let clean = compiled.simulate(&cfg).expect("benchmark simulates");
+                let faulted = compiled
+                    .simulate_with_faults(&cfg, &golden_faults())
+                    .expect("benchmark simulates under faults");
+                mix_name_blind(&mut h, &clean);
+                mix_name_blind(&mut h, &faulted);
+            }
+            let area = compiled.area();
+            for v in [area.logic, area.ff, area.mem] {
+                mix_u64(&mut h, v.to_bits());
+            }
+            mix_u64(&mut h, compiled.design.on_chip_bytes());
+            let tag = level_tag(level);
+            if print_mode() {
+                println!("    (\"{}\", \"{tag}\", {h:#018x}),", spec.name);
+                continue;
+            }
+            let want = GOLDEN_NAME_BLIND
+                .iter()
+                .find(|(n, l, _)| *n == spec.name && *l == tag)
+                .map(|(_, _, f)| *f)
+                .expect("fingerprint recorded");
+            if h != want {
+                failures.push(format!(
+                    "{} [{tag}]: name-blind fingerprint {h:#018x} != golden {want:#018x}",
+                    spec.name
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "drifted designs:\n{}",
         failures.join("\n")
     );
 }
