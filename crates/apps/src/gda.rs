@@ -6,70 +6,19 @@
 //! vector subtraction feeds a vector outer product accumulated into a
 //! `d×d` on-chip matrix — a naturally balanced nested metapipeline.
 
-use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::expr::Expr;
 use pphw_ir::interp::Value;
-use pphw_ir::pattern::Init;
 use pphw_ir::size::SizeEnv;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 
 use crate::data::{dim, rand_labels, rand_tensor, rng};
+use crate::Ppl;
+
+/// `examples/gda.ppl`.
+pub static GDA: Ppl = ppl!("gda");
 
 /// The GDA covariance program.
 pub fn gda_program() -> Program {
-    let mut b = ProgramBuilder::new("gda");
-    let n = b.size("n");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![n.clone(), d.clone()]);
-    let y = b.input("y", DType::I32, vec![n.clone()]);
-    let mu0 = b.input("mu0", DType::F32, vec![d.clone()]);
-    let mu1 = b.input("mu1", DType::F32, vec![d.clone()]);
-    let d2 = d.clone();
-    let out = b.with_ctx(|c| {
-        c.multi_fold(
-            "sigma",
-            vec![n.clone()],
-            vec![d.clone(), d.clone()],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            move |c, idx| {
-                let i = idx[0];
-                let label = c.scalar("label", c.read(y, vec![c.var(i)]));
-                // sub(p) = x(i,p) - mu_{y_i}(p)
-                let sub = c.map(vec![d2.clone()], |mc, p| {
-                    let p = p[0];
-                    let mu = mc.select(
-                        mc.lt(mc.var(label), mc.int(1)),
-                        mc.read(mu0, vec![mc.var(p)]),
-                        mc.read(mu1, vec![mc.var(p)]),
-                    );
-                    mc.sub(mc.read(x, vec![mc.var(i), mc.var(p)]), mu)
-                });
-                let dd = d2.clone();
-                (
-                    vec![Expr::int(0), Expr::int(0)],
-                    vec![dd.clone(), dd.clone()],
-                    Box::new(move |uc: &mut pphw_ir::builder::Ctx<'_>, acc| {
-                        uc.map(vec![dd.clone(), dd.clone()], |mc, ab| {
-                            let (a, b2) = (ab[0], ab[1]);
-                            mc.add(
-                                mc.read(acc, vec![mc.var(a), mc.var(b2)]),
-                                mc.mul(
-                                    mc.read(sub, vec![mc.var(a)]),
-                                    mc.read(sub, vec![mc.var(b2)]),
-                                ),
-                            )
-                        })
-                    }),
-                )
-            },
-            Some(Box::new(|c2: &mut pphw_ir::builder::Ctx<'_>, a, b2| {
-                c2.add(c2.var(a), c2.var(b2))
-            })),
-        )
-    });
-    b.finish(vec![out])
+    GDA.program()
 }
 
 /// Default workload sizes.

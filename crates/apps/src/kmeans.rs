@@ -4,185 +4,19 @@
 //! data-dependent location), followed by the averaging map that produces
 //! the new centroids.
 
-use pphw_ir::block::{Block, Op, Stmt};
-use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::expr::Expr;
 use pphw_ir::interp::Value;
-use pphw_ir::pattern::{AccDef, AccUpdate, Init, Lambda, MultiFoldPat, Pattern};
-use pphw_ir::size::{Size, SizeEnv};
-use pphw_ir::types::{DType, ScalarType, Type};
+use pphw_ir::size::SizeEnv;
 use pphw_ir::Program;
 
 use crate::data::{dim, rand_tensor, rng};
+use crate::Ppl;
+
+/// `examples/kmeans.ppl`.
+pub static KMEANS: Ppl = ppl!("kmeans");
 
 /// The fused k-means program (Figure 4): outputs the new centroids.
 pub fn kmeans_program() -> Program {
-    let mut b = ProgramBuilder::new("kmeans");
-    let n = b.size("n");
-    let k = b.size("k");
-    let d = b.size("d");
-    let points = b.input("points", DType::F32, vec![n.clone(), d.clone()]);
-    let centroids = b.input("centroids", DType::F32, vec![k.clone(), d.clone()]);
-    let f32t = ScalarType::Prim(DType::F32);
-
-    let (n2, k2, d2) = (n.clone(), k.clone(), d.clone());
-    let new_centroids = b.with_ctx(move |c| {
-        // ---- the fused assign + sum + count MultiFold ----
-        let i = c.syms().fresh("i", Type::i32());
-
-        // pre: buffer the current point (Figure 4's `pt = points.slice(i, *)`)
-        // and find its closest centroid.
-        let (pre, (pt, min_idx)) = c.block(|pc| {
-            let pt = pc.slice(
-                "pt",
-                points,
-                vec![
-                    pphw_ir::block::SliceDim::Point(Expr::var(i)),
-                    pphw_ir::block::SliceDim::Full,
-                ],
-            );
-            let (kk, dd) = (k2.clone(), d2.clone());
-            let best = pc.fold(
-                "best",
-                vec![kk],
-                vec![],
-                ScalarType::Tuple(vec![DType::F32, DType::I32]),
-                Init::argmin(),
-                |fc, j, acc| {
-                    let j = j[0];
-                    let dist = fc.fold(
-                        "dist",
-                        vec![dd.clone()],
-                        vec![],
-                        ScalarType::Prim(DType::F32),
-                        Init::zeros(),
-                        |dc, p, acc2| {
-                            let diff = dc.sq_diff(
-                                dc.read(pt, vec![dc.var(p[0])]),
-                                dc.read(centroids, vec![dc.var(j), dc.var(p[0])]),
-                            );
-                            dc.add(dc.var(acc2), diff)
-                        },
-                        |dc, a, b2| dc.add(dc.var(a), dc.var(b2)),
-                    );
-                    let cand = fc.tuple(vec![fc.var(dist), fc.var(j)]);
-                    fc.select(
-                        fc.lt(fc.field(fc.var(acc), 0), fc.var(dist)),
-                        fc.var(acc),
-                        cand,
-                    )
-                },
-                |fc, a, b2| {
-                    fc.select(
-                        fc.lt(fc.field(fc.var(a), 0), fc.field(fc.var(b2), 0)),
-                        fc.var(a),
-                        fc.var(b2),
-                    )
-                },
-            );
-            let min_idx = pc.scalar("minIdx", pc.field(pc.var(best), 1));
-            (pt, min_idx)
-        });
-
-        // sums update: add point i into row minIdx.
-        let sums_acc = c
-            .syms()
-            .fresh("accRow", Type::tensor(f32t.clone(), vec![d2.clone()]));
-        let (mut sums_body, sums_new) = c.block(|uc| {
-            uc.map(vec![d2.clone()], |mc, j| {
-                let j = j[0];
-                mc.add(
-                    mc.read(sums_acc, vec![mc.var(j)]),
-                    mc.read(pt, vec![mc.var(j)]),
-                )
-            })
-        });
-        sums_body.result = vec![sums_new];
-
-        // counts update: increment bucket minIdx.
-        let counts_acc = c.syms().fresh("accCnt", Type::Scalar(f32t.clone()));
-        let counts_new = c.syms().fresh("cntNew", Type::Scalar(f32t.clone()));
-        let counts_body = Block {
-            stmts: vec![Stmt::new(
-                counts_new,
-                Op::Expr(Expr::var(counts_acc).add(Expr::f32(1.0))),
-            )],
-            result: vec![counts_new],
-        };
-
-        // scalar elementwise combines (a + b).
-        let add_lambda = |c: &mut pphw_ir::builder::Ctx<'_>| {
-            let a = c.syms().fresh("a", Type::Scalar(f32t.clone()));
-            let b2 = c.syms().fresh("b", Type::Scalar(f32t.clone()));
-            let r = c.syms().fresh("r", Type::Scalar(f32t.clone()));
-            let body = Block {
-                stmts: vec![Stmt::new(r, Op::Expr(Expr::var(a).add(Expr::var(b2))))],
-                result: vec![r],
-            };
-            Lambda::new(vec![a, b2], body)
-        };
-        let comb_sums = add_lambda(c);
-        let comb_counts = add_lambda(c);
-
-        let mf = MultiFoldPat {
-            domain: vec![n2.clone()],
-            accs: vec![
-                AccDef {
-                    name: "sums".into(),
-                    shape: vec![k2.clone(), d2.clone()],
-                    elem: f32t.clone(),
-                    init: Init::zeros(),
-                },
-                AccDef {
-                    name: "counts".into(),
-                    shape: vec![k2.clone()],
-                    elem: f32t.clone(),
-                    init: Init::zeros(),
-                },
-            ],
-            idx: vec![i],
-            pre,
-            updates: vec![
-                AccUpdate {
-                    loc: vec![Expr::var(min_idx), Expr::int(0)],
-                    shape: vec![Size::Const(1), d2.clone()],
-                    acc_param: sums_acc,
-                    body: sums_body,
-                },
-                AccUpdate {
-                    loc: vec![Expr::var(min_idx)],
-                    shape: vec![],
-                    acc_param: counts_acc,
-                    body: counts_body,
-                },
-            ],
-            combines: vec![Some(comb_sums), Some(comb_counts)],
-        };
-        let outs = c.push_pattern(
-            vec![
-                (
-                    "sums".to_string(),
-                    Type::tensor(f32t.clone(), vec![k2.clone(), d2.clone()]),
-                ),
-                (
-                    "counts".to_string(),
-                    Type::tensor(f32t.clone(), vec![k2.clone()]),
-                ),
-            ],
-            Pattern::MultiFold(mf),
-        );
-        let (sums, counts) = (outs[0], outs[1]);
-
-        // ---- averaging: newCentroids(i,j) = sums(i,j) / max(counts(i), 1) ----
-        c.map(vec![k2, d2], move |mc, ij| {
-            let (ci, cj) = (ij[0], ij[1]);
-            mc.div(
-                mc.read(sums, vec![mc.var(ci), mc.var(cj)]),
-                mc.max2(mc.read(counts, vec![mc.var(ci)]), mc.f32(1.0)),
-            )
-        })
-    });
-    b.finish(vec![new_centroids])
+    KMEANS.program()
 }
 
 /// Default workload sizes (clusters and features stay on chip, as in
@@ -247,6 +81,7 @@ pub fn kmeans_golden(inputs: &[Value], env: &SizeEnv) -> Vec<Value> {
 mod tests {
     use super::*;
     use pphw_ir::interp::Interpreter;
+    use pphw_ir::size::Size;
 
     #[test]
     fn kmeans_validates() {

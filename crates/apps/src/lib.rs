@@ -1,10 +1,35 @@
 //! # pphw-apps — the paper's benchmark suite (Table 5)
 //!
-//! The six data-analytics applications the paper evaluates, written in
-//! PPL: vector outer product, matrix row summation, matrix multiplication,
-//! TPC-H Query 6, Gaussian discriminant analysis, and k-means clustering —
-//! plus seeded workload generators and plain-Rust golden implementations
-//! used to validate every compiled configuration.
+//! The six data-analytics applications the paper evaluates: vector outer
+//! product, matrix row summation, matrix multiplication, TPC-H Query 6,
+//! Gaussian discriminant analysis, and k-means clustering. Each program
+//! is its PPL text under `examples/` (`examples/gemm.ppl`, …): the file is
+//! compiled into this crate as a [`Ppl`], parsed at most once per process,
+//! and every accessor returns a clone of that parse. Beside each program
+//! live its Table 5 sizes and tiles, a seeded workload generator and a
+//! plain-Rust golden implementation used to validate every compiled
+//! configuration. The Table 2 examples that are not benchmarks
+//! ([`simple::doubling_program`], [`simple::sumrows_fused_program`],
+//! [`simple::histogram_program`], [`tpchq6::tpchq6_filter_program`]) are
+//! `.ppl` files loaded the same way.
+
+use std::sync::OnceLock;
+
+use pphw::CompileOptions;
+use pphw_frontend::{parse_program, ParseOutput};
+use pphw_ir::interp::Value;
+use pphw_ir::size::SizeEnv;
+use pphw_ir::Program;
+
+/// The [`Ppl`] of `examples/<name>.ppl`.
+macro_rules! ppl {
+    ($name:literal) => {
+        $crate::Ppl::new(
+            concat!("examples/", $name, ".ppl"),
+            include_str!(concat!("../../../examples/", $name, ".ppl")),
+        )
+    };
+}
 
 pub mod data;
 pub mod gda;
@@ -12,12 +37,50 @@ pub mod kmeans;
 pub mod simple;
 pub mod tpchq6;
 
-use pphw::CompileOptions;
-use pphw_ir::interp::Value;
-use pphw_ir::size::SizeEnv;
-use pphw_ir::Program;
+/// A program file under `examples/`, compiled into this crate and parsed
+/// at most once per process.
+pub struct Ppl {
+    /// The file's path from the repository root; diagnostics cite it.
+    pub file: &'static str,
+    /// The file's text.
+    pub text: &'static str,
+    parsed: OnceLock<ParseOutput>,
+}
 
-/// One benchmark: program constructor, workload, and reference semantics.
+impl Ppl {
+    const fn new(file: &'static str, text: &'static str) -> Ppl {
+        Ppl {
+            file,
+            text,
+            parsed: OnceLock::new(),
+        }
+    }
+
+    /// The file's program and source map, parsed on first use.
+    ///
+    /// # Panics
+    ///
+    /// If the file does not parse (`tests/frontend_roundtrip.rs` parses
+    /// every one).
+    pub fn parsed(&self) -> &ParseOutput {
+        self.parsed.get_or_init(|| {
+            parse_program(self.text, self.file).unwrap_or_else(|errs| {
+                let shown: Vec<String> = errs
+                    .iter()
+                    .map(|e| e.render(self.text, self.file))
+                    .collect();
+                panic!("{}", shown.join("\n"))
+            })
+        })
+    }
+
+    /// A clone of the parsed program.
+    pub fn program(&self) -> Program {
+        self.parsed().program.clone()
+    }
+}
+
+/// One benchmark: program, workload, and reference semantics.
 pub struct BenchSpec {
     /// Benchmark name (Table 5 row).
     pub name: &'static str,
@@ -25,7 +88,9 @@ pub struct BenchSpec {
     pub description: &'static str,
     /// Major collections operations, as listed in Table 5.
     pub collections_ops: &'static str,
-    /// Builds the PPL program.
+    /// The `.ppl` file the program is parsed from.
+    pub source: &'static Ppl,
+    /// The PPL program: a clone of `source`'s parse.
     pub program: fn() -> Program,
     /// Default workload sizes.
     pub sizes: fn() -> Vec<(&'static str, i64)>,
@@ -69,6 +134,7 @@ pub fn all_benchmarks() -> Vec<BenchSpec> {
             name: "outerprod",
             description: "Vector outer product",
             collections_ops: "map",
+            source: &simple::OUTERPROD,
             program: simple::outerprod_program,
             sizes: simple::outerprod_sizes,
             tiles: simple::outerprod_tiles,
@@ -81,6 +147,7 @@ pub fn all_benchmarks() -> Vec<BenchSpec> {
             name: "sumrows",
             description: "Matrix summation through rows",
             collections_ops: "map, reduce",
+            source: &simple::SUMROWS,
             program: simple::sumrows_program,
             sizes: simple::sumrows_sizes,
             tiles: simple::sumrows_tiles,
@@ -93,6 +160,7 @@ pub fn all_benchmarks() -> Vec<BenchSpec> {
             name: "gemm",
             description: "Matrix multiplication",
             collections_ops: "map, reduce",
+            source: &simple::GEMM,
             program: simple::gemm_program,
             sizes: simple::gemm_sizes,
             tiles: simple::gemm_tiles,
@@ -105,6 +173,7 @@ pub fn all_benchmarks() -> Vec<BenchSpec> {
             name: "tpchq6",
             description: "TPC-H Query 6",
             collections_ops: "filter, reduce",
+            source: &tpchq6::TPCHQ6,
             program: tpchq6::tpchq6_program,
             sizes: tpchq6::tpchq6_sizes,
             tiles: tpchq6::tpchq6_tiles,
@@ -117,6 +186,7 @@ pub fn all_benchmarks() -> Vec<BenchSpec> {
             name: "gda",
             description: "Gaussian discriminant analysis",
             collections_ops: "map, filter, reduce",
+            source: &gda::GDA,
             program: gda::gda_program,
             sizes: gda::gda_sizes,
             tiles: gda::gda_tiles,
@@ -129,6 +199,7 @@ pub fn all_benchmarks() -> Vec<BenchSpec> {
             name: "kmeans",
             description: "k-means clustering",
             collections_ops: "map, groupBy, reduce",
+            source: &kmeans::KMEANS,
             program: kmeans::kmeans_program,
             sizes: kmeans::kmeans_sizes,
             tiles: kmeans::kmeans_tiles,

@@ -1,34 +1,24 @@
 //! The dense linear-algebra benchmarks: vector outer product, matrix row
-//! summation, and matrix multiplication (Table 5).
+//! summation, and matrix multiplication (Table 5); and Table 2's
+//! element-wise map, fused row sums and histogram.
 
-use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::expr::Expr;
 use pphw_ir::interp::Value;
-use pphw_ir::pattern::Init;
 use pphw_ir::size::SizeEnv;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 
 use crate::data::{dim, rand_tensor, rng};
+use crate::Ppl;
 
 // ---------------------------------------------------------------------
 // outerprod
 // ---------------------------------------------------------------------
 
+/// `examples/outerprod.ppl`.
+pub static OUTERPROD: Ppl = ppl!("outerprod");
+
 /// Vector outer product: `out(i,j) = x(i) * y(j)`.
 pub fn outerprod_program() -> Program {
-    let mut b = ProgramBuilder::new("outerprod");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone()]);
-    let y = b.input("y", DType::F32, vec![n.clone()]);
-    let out = b.map(vec![m, n], |c, idx| {
-        c.mul(
-            c.read(x, vec![c.var(idx[0])]),
-            c.read(y, vec![c.var(idx[1])]),
-        )
-    });
-    b.finish(vec![out])
+    OUTERPROD.program()
 }
 
 /// Default workload sizes for outerprod.
@@ -68,59 +58,21 @@ pub fn outerprod_golden(inputs: &[Value], env: &SizeEnv) -> Vec<Value> {
 // sumrows
 // ---------------------------------------------------------------------
 
+/// `examples/sumrows.ppl`.
+pub static SUMROWS: Ppl = ppl!("sumrows");
+
 /// Matrix summation through rows: `out(i) = sum_j x(i,j)` — written as
 /// the user would (`x.map{ row => row.fold(0)(+) }`), a map of folds.
 pub fn sumrows_program() -> Program {
-    let mut b = ProgramBuilder::new("sumrows");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m], |c, i| {
-            let i = i[0];
-            c.fold(
-                "rowsum",
-                vec![n.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, j, acc| c.add(c.var(acc), c.read(x, vec![c.var(i), c.var(j[0])])),
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    SUMROWS.program()
 }
+
+static SUMROWS_FUSED: Ppl = ppl!("sumrows_fused");
 
 /// The fused single-`MultiFold` variant of sumrows (Table 2's
 /// location-based form), used by transformation tests.
 pub fn sumrows_fused_program() -> Program {
-    let mut b = ProgramBuilder::new("sumrows_fused");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.multi_fold(
-            "rowsums",
-            vec![m.clone(), n.clone()],
-            vec![m.clone()],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, idx| {
-                let (i, j) = (idx[0], idx[1]);
-                let v = c.read(x, vec![c.var(i), c.var(j)]);
-                (
-                    vec![Expr::var(i)],
-                    vec![],
-                    Box::new(move |c2: &mut pphw_ir::builder::Ctx<'_>, acc| c2.add(c2.var(acc), v)),
-                )
-            },
-            Some(Box::new(|c2: &mut pphw_ir::builder::Ctx<'_>, a, b2| {
-                c2.add(c2.var(a), c2.var(b2))
-            })),
-        )
-    });
-    b.finish(vec![out])
+    SUMROWS_FUSED.program()
 }
 
 /// Default workload sizes for sumrows.
@@ -156,35 +108,12 @@ pub fn sumrows_golden(inputs: &[Value], env: &SizeEnv) -> Vec<Value> {
 // gemm
 // ---------------------------------------------------------------------
 
+/// `examples/gemm.ppl`.
+pub static GEMM: Ppl = ppl!("gemm");
+
 /// Matrix multiplication: `out(i,j) = sum_k x(i,k) * y(k,j)`.
 pub fn gemm_program() -> Program {
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    GEMM.program()
 }
 
 /// Default workload sizes for gemm.
@@ -223,6 +152,24 @@ pub fn gemm_golden(inputs: &[Value], env: &SizeEnv) -> Vec<Value> {
         }
     }
     vec![Value::tensor_f32(&[m, n], out)]
+}
+
+// ---------------------------------------------------------------------
+// Table 2's other strip-mining examples
+// ---------------------------------------------------------------------
+
+static DOUBLE: Ppl = ppl!("double");
+
+/// Element-wise map: `out(i) = 2 * x(i)`.
+pub fn doubling_program() -> Program {
+    DOUBLE.program()
+}
+
+static HISTOGRAM: Ppl = ppl!("histogram");
+
+/// Histogram calculation: a `GroupByFold` counting `x(i) / 10`.
+pub fn histogram_program() -> Program {
+    HISTOGRAM.program()
 }
 
 #[cfg(test)]

@@ -6,80 +6,35 @@
 //! scalar fold whose contribution is predicated. A standalone `FlatMap`
 //! filter variant is also provided to exercise the parallel-FIFO path.
 
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::interp::Value;
-use pphw_ir::pattern::Init;
 use pphw_ir::size::SizeEnv;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 
 use crate::data::{dim, rand_tensor, rng};
+use crate::Ppl;
 
-/// Query constants (scaled-down TPC-H Q6 predicate).
+/// Query constants (scaled-down TPC-H Q6 predicate), as the golden
+/// implementation reads them; `examples/tpchq6.ppl` spells the same ones.
 const DATE_LO: f32 = 30.0;
 const DATE_HI: f32 = 60.0;
 const DISC_LO: f32 = 0.05;
 const DISC_HI: f32 = 0.07;
 const QTY_MAX: f32 = 24.0;
 
+/// `examples/tpchq6.ppl`.
+pub static TPCHQ6: Ppl = ppl!("tpchq6");
+
 /// The fused filter + reduce query.
 pub fn tpchq6_program() -> Program {
-    let mut b = ProgramBuilder::new("tpchq6");
-    let n = b.size("n");
-    let shipdate = b.input("shipdate", DType::F32, vec![n.clone()]);
-    let discount = b.input("discount", DType::F32, vec![n.clone()]);
-    let quantity = b.input("quantity", DType::F32, vec![n.clone()]);
-    let price = b.input("price", DType::F32, vec![n.clone()]);
-    let out = b.fold(
-        "revenue",
-        vec![n],
-        vec![],
-        ScalarType::Prim(DType::F32),
-        Init::zeros(),
-        |c, i, acc| {
-            let i = i[0];
-            let date = c.read(shipdate, vec![c.var(i)]);
-            let disc = c.read(discount, vec![c.var(i)]);
-            let qty = c.read(quantity, vec![c.var(i)]);
-            let prc = c.read(price, vec![c.var(i)]);
-            let pred = c.and(
-                c.and(
-                    c.lt(c.f32(DATE_LO), date.clone()),
-                    c.lt(date, c.f32(DATE_HI)),
-                ),
-                c.and(
-                    c.and(
-                        c.lt(c.f32(DISC_LO), disc.clone()),
-                        c.lt(disc.clone(), c.f32(DISC_HI)),
-                    ),
-                    c.lt(qty, c.f32(QTY_MAX)),
-                ),
-            );
-            let contrib = c.select(pred, c.mul(prc, disc), c.f32(0.0));
-            c.add(c.var(acc), contrib)
-        },
-        |c, a, b2| c.add(c.var(a), c.var(b2)),
-    );
-    b.finish(vec![out])
+    TPCHQ6.program()
 }
+
+static TPCHQ6_FILTER: Ppl = ppl!("tpchq6_filter");
 
 /// A standalone filter returning the matching discounts (FlatMap form),
 /// used to exercise the parallel-FIFO hardware path.
 pub fn tpchq6_filter_program() -> Program {
-    let mut b = ProgramBuilder::new("tpchq6_filter");
-    let n = b.size("n");
-    let discount = b.input("discount", DType::F32, vec![n.clone()]);
-    let out = b.filter("matching", n, |c, i| {
-        let disc = c.read(discount, vec![c.var(i)]);
-        (
-            c.and(
-                c.lt(c.f32(DISC_LO), disc.clone()),
-                c.lt(disc.clone(), c.f32(DISC_HI)),
-            ),
-            disc,
-        )
-    });
-    b.finish(vec![out])
+    TPCHQ6_FILTER.program()
 }
 
 /// Default workload sizes.

@@ -100,31 +100,13 @@ fn table1() {
     );
 
     // GroupByFold
-    let prog = histogram_program();
+    let prog = pphw_apps::simple::histogram_program();
     let cfg = TileConfig::new(&[("n", 64)], &[("n", 1024)]);
     println!("\n--- T[ GroupByFold(d)(z)(h)(c) ] => GroupByFold(d/b){{ merge GroupByFold(b) }}(c)");
     println!(
         "after:\n{}",
         print_program(&strip_mine_program(&prog, &cfg).unwrap())
     );
-}
-
-fn histogram_program() -> pphw_ir::Program {
-    use pphw_ir::builder::ProgramBuilder;
-    use pphw_ir::pattern::Init;
-    use pphw_ir::types::{DType, ScalarType};
-    let mut b = ProgramBuilder::new("histogram");
-    let n = b.size("n");
-    let x = b.input("x", DType::I32, vec![n.clone()]);
-    let out = b.group_by_fold(
-        "hist",
-        n,
-        ScalarType::Prim(DType::I32),
-        Init::zero_i32(),
-        |c, i| (c.div(c.read(x, vec![c.var(i)]), c.int(10)), c.int(1)),
-        |a, b| a.add(b),
-    );
-    b.finish(vec![out])
 }
 
 /// Table 2: the four worked strip-mining examples.
@@ -134,7 +116,7 @@ fn table2() {
     let cases: Vec<(&str, pphw_ir::Program, Vec<(&str, i64)>, Vec<(&str, i64)>)> = vec![
         (
             "element-wise map",
-            doubling_program(),
+            pphw_apps::simple::doubling_program(),
             vec![("d", 64)],
             vec![("d", 1024)],
         ),
@@ -152,7 +134,7 @@ fn table2() {
         ),
         (
             "histogram calculation",
-            histogram_program(),
+            pphw_apps::simple::histogram_program(),
             vec![("n", 64)],
             vec![("n", 1024)],
         ),
@@ -162,18 +144,6 @@ fn table2() {
         let tiled = tile_program_no_interchange(&prog, &cfg).unwrap();
         println!("\n--- {name}\n{}", print_program(&tiled));
     }
-}
-
-fn doubling_program() -> pphw_ir::Program {
-    use pphw_ir::builder::ProgramBuilder;
-    use pphw_ir::types::DType;
-    let mut b = ProgramBuilder::new("double");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.map(vec![d], |c, i| {
-        c.mul(c.f32(2.0), c.read(x, vec![c.var(i[0])]))
-    });
-    b.finish(vec![out])
 }
 
 /// Table 3: interchange on matrix multiplication.

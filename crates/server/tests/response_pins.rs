@@ -23,7 +23,7 @@ fn result_bodies_are_pinned() {
     let steps = [
         (
             "{\"id\":1,\"method\":\"compile\",\"bench\":\"sumrows\"}".to_string(),
-            r#"{"id":1,"ok":true,"result":{"program":"sumrows","opt":"meta","tiles":{"m":64,"n":512},"inner_par":64,"on_chip_bytes":262404,"buffers":3,"area":{"logic":68170,"ff":102204,"mem":129},"hgl_fnv1a64":"8a5edd60b3166a2d","hgl_lines":20}}"#,
+            r#"{"id":1,"ok":true,"result":{"program":"sumrows","opt":"meta","tiles":{"m":64,"n":512},"inner_par":64,"on_chip_bytes":262404,"buffers":3,"area":{"logic":68170,"ff":102204,"mem":129},"hgl_fnv1a64":"25dccafdf143a981","hgl_lines":20}}"#,
         ),
         (
             "{\"id\":2,\"method\":\"simulate\",\"bench\":\"sumrows\"}".to_string(),

@@ -1,36 +1,40 @@
-//! Quickstart: write a parallel-pattern program, tile it, generate
-//! hardware, simulate it, and check the result — the complete pipeline in
-//! one file.
+//! Quickstart: parse a parallel-pattern program from its PPL text, tile
+//! it, generate hardware, simulate it, and check the result — the
+//! complete pipeline in one file.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use pphw::{compile, CompileOptions, OptLevel};
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::interp::Value;
-use pphw_ir::pattern::Init;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_sim::SimConfig;
 
+/// A dot product, `sum(x .* y)`: a scalar fold over element-wise products.
+const DOT: &str = "\
+program dot(n) {
+  input x: Float[n]
+  input y: Float[n]
+  let dot = multiFold(n) {
+    acc dot: Float = splat(0.0)
+    (i) =>
+    update dot @ () [] (acc) {
+      let upd = (acc + (x(i) * y(i)))
+      yield upd
+    }
+    combine dot (a, b) {
+      let comb = (a + b)
+      yield comb
+    }
+  }
+  return (dot)
+}
+";
+
 fn main() {
-    // 1. Write a program with parallel patterns: a dot product,
-    //    `sum(x .* y)`, as a scalar fold over element-wise products.
-    let mut b = ProgramBuilder::new("dot");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![n.clone()]);
-    let y = b.input("y", DType::F32, vec![n.clone()]);
-    let out = b.fold(
-        "dot",
-        vec![n],
-        vec![],
-        ScalarType::Prim(DType::F32),
-        Init::zeros(),
-        |c, i, acc| {
-            let prod = c.mul(c.read(x, vec![c.var(i[0])]), c.read(y, vec![c.var(i[0])]));
-            c.add(c.var(acc), prod)
-        },
-        |c, a, b2| c.add(c.var(a), c.var(b2)),
-    );
-    let prog = b.finish(vec![out]);
+    // 1. Parse a program written with parallel patterns.
+    let prog = match pphw_frontend::parse_program(DOT, "dot.ppl") {
+        Ok(out) => out.program,
+        Err(errs) => panic!("{}", errs[0].render(DOT, "dot.ppl")),
+    };
     println!(
         "=== PPL program ===\n{}",
         pphw_ir::pretty::print_program(&prog)

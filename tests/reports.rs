@@ -114,3 +114,28 @@ fn evaluation_table_renders_for_every_benchmark() {
         assert!(table.contains("+tiling+metapipelining"), "{table}");
     }
 }
+
+/// Every unit of the 18 Figure 7 designs has its own name, so each stage
+/// of a `SimReport` (stage statistics are keyed by unit name) is exactly
+/// one unit and a bottleneck is never two units added together.
+#[test]
+fn no_two_units_of_a_design_share_a_stage_name() {
+    let mut shared = Vec::new();
+    for spec in all_benchmarks() {
+        for level in OptLevel::all() {
+            let compiled =
+                compile(&(spec.program)(), &spec.options().opt(level)).expect("compiles");
+            let mut seen = std::collections::BTreeSet::new();
+            compiled.design.root.visit_units(&mut |u| {
+                if !seen.insert(u.name.as_str()) {
+                    shared.push(format!("{} [{level}]: `{}`", spec.name, u.name));
+                }
+            });
+        }
+    }
+    assert!(
+        shared.is_empty(),
+        "units sharing a name:\n{}",
+        shared.join("\n")
+    );
+}
