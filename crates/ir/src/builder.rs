@@ -7,11 +7,10 @@
 //! nesting plus scalar expression helpers.
 //!
 //! Irregular patterns (multi-accumulator `MultiFold`s like fused k-means)
-//! can always be constructed directly from the [`crate::pattern`] structs
-//! and installed with [`Ctx::push_pattern`].
+//! are written as `.ppl` text and parsed instead.
 
-use crate::block::{Block, CopyOp, GuardedItem, Op, SliceDim, SliceOp, Stmt};
-use crate::expr::{BinOp, Expr, Lit, UnOp};
+use crate::block::{Block, GuardedItem, Op, SliceDim};
+use crate::expr::{BinOp, Expr};
 use crate::infer::infer_scalar_type;
 use crate::pattern::{
     AccDef, AccUpdate, FlatMapPat, GbfBody, GroupByFoldPat, Init, Lambda, MapPat, MultiFoldPat,
@@ -19,7 +18,7 @@ use crate::pattern::{
 };
 use crate::program::Program;
 use crate::size::Size;
-use crate::types::{DType, ScalarType, Sym, SymTable, Type};
+use crate::types::{ScalarType, Sym, SymTable, Type};
 
 /// The value returned from a body closure: either an expression (bound
 /// automatically into the block) or a symbol already bound in the block.
@@ -83,11 +82,6 @@ impl<'a> Ctx<'a> {
         Expr::int(v)
     }
 
-    /// A symbolic size as an integer value.
-    pub fn size_of(&self, s: Size) -> Expr {
-        Expr::SizeOf(s)
-    }
-
     /// Addition.
     pub fn add(&self, a: Expr, b: Expr) -> Expr {
         a.add(b)
@@ -108,16 +102,6 @@ impl<'a> Ctx<'a> {
         a.div(b)
     }
 
-    /// Minimum of two values.
-    pub fn min2(&self, a: Expr, b: Expr) -> Expr {
-        Expr::Bin(BinOp::Min, Box::new(a), Box::new(b))
-    }
-
-    /// Maximum of two values.
-    pub fn max2(&self, a: Expr, b: Expr) -> Expr {
-        Expr::Bin(BinOp::Max, Box::new(a), Box::new(b))
-    }
-
     /// Less-than comparison.
     pub fn lt(&self, a: Expr, b: Expr) -> Expr {
         a.lt(b)
@@ -136,21 +120,6 @@ impl<'a> Ctx<'a> {
     /// Squared difference `(a-b)^2`.
     pub fn sq_diff(&self, a: Expr, b: Expr) -> Expr {
         a.sq_diff(b)
-    }
-
-    /// Square root.
-    pub fn sqrt(&self, a: Expr) -> Expr {
-        Expr::Un(UnOp::Sqrt, Box::new(a))
-    }
-
-    /// Natural logarithm.
-    pub fn ln(&self, a: Expr) -> Expr {
-        Expr::Un(UnOp::Ln, Box::new(a))
-    }
-
-    /// Integer-to-float conversion.
-    pub fn to_f32(&self, a: Expr) -> Expr {
-        Expr::Un(UnOp::ToF32, Box::new(a))
     }
 
     /// Tuple construction.
@@ -183,69 +152,11 @@ impl<'a> Ctx<'a> {
         sym
     }
 
-    /// Binds a slice (view) of `tensor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimension specs don't match the tensor rank.
-    pub fn slice(&mut self, name: &str, tensor: Sym, dims: Vec<SliceDim>) -> Sym {
-        let ty = slice_result_type(self.syms.ty(tensor), &dims);
-        let sym = self.syms.fresh(name, ty);
-        self.block.push(sym, Op::Slice(SliceOp { tensor, dims }));
-        sym
-    }
-
-    /// Binds an explicit tile copy of part of `tensor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimension specs don't match the tensor rank.
-    pub fn copy(&mut self, name: &str, tensor: Sym, dims: Vec<SliceDim>) -> Sym {
-        let ty = slice_result_type(self.syms.ty(tensor), &dims);
-        let sym = self.syms.fresh(name, ty);
-        self.block.push(
-            sym,
-            Op::Copy(CopyOp {
-                tensor,
-                dims,
-                reuse: 1,
-            }),
-        );
-        sym
-    }
-
-    /// Installs a hand-built pattern, binding one symbol per output.
-    pub fn push_pattern(&mut self, outputs: Vec<(String, Type)>, pattern: Pattern) -> Vec<Sym> {
-        assert_eq!(
-            outputs.len(),
-            pattern.output_count(),
-            "pattern produces {} outputs",
-            pattern.output_count()
-        );
-        let syms: Vec<Sym> = outputs
-            .into_iter()
-            .map(|(n, t)| self.syms.fresh(n, t))
-            .collect();
-        self.block.stmts.push(Stmt {
-            syms: syms.clone(),
-            op: Op::Pattern(pattern),
-        });
-        syms
-    }
-
     fn seal(&mut self, name: &str, ret: Ret) -> Sym {
         match ret {
             Ret::Sym(s) => s,
             Ret::Expr(e) => self.scalar(name, e),
         }
-    }
-
-    /// Builds a detached block sharing this context's symbol table — the
-    /// escape hatch for hand-constructing irregular patterns (e.g. the
-    /// fused multi-accumulator k-means `MultiFold`) to install with
-    /// [`Ctx::push_pattern`]. The closure's return value is passed through.
-    pub fn block<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> (Block, R) {
-        self.sub_block(f)
     }
 
     fn sub_block<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> (Block, R) {
@@ -432,30 +343,18 @@ impl<'a> Ctx<'a> {
         domain: Size,
         f: impl FnOnce(&mut Ctx<'_>, Sym) -> (Expr, Expr),
     ) -> Sym {
-        self.flat_map_items(name, domain, |c, i| {
-            let (guard, value) = f(c, i);
-            vec![GuardedItem {
-                guard: Some(guard),
-                value,
-            }]
-        })
-    }
-
-    /// `flatMap(domain){ i => [items…] }` with guarded items.
-    pub fn flat_map_items(
-        &mut self,
-        name: &str,
-        domain: Size,
-        f: impl FnOnce(&mut Ctx<'_>, Sym) -> Vec<GuardedItem>,
-    ) -> Sym {
         let i = self.syms.fresh("i", Type::i32());
-        let (mut body, items) = self.sub_block(|c| f(c, i));
-        let elem = infer_scalar_type(&items[0].value, self.syms)
+        let (mut body, (guard, value)) = self.sub_block(|c| f(c, i));
+        let elem = infer_scalar_type(&value, self.syms)
             .unwrap_or_else(|e| panic!("ill-typed flatMap item: {e}"));
         let vv = self
             .syms
             .fresh("items", Type::DynVec { elem: elem.clone() });
-        body.push(vv, Op::VarVec(items));
+        let item = GuardedItem {
+            guard: Some(guard),
+            value,
+        };
+        body.push(vv, Op::VarVec(vec![item]));
         body.result = vec![vv];
         let out = self.syms.fresh(name, Type::DynVec { elem });
         self.block.push(
@@ -613,13 +512,6 @@ impl ProgramBuilder {
         sym
     }
 
-    /// Declares a scalar input.
-    pub fn scalar_input(&mut self, name: &str, dtype: DType) -> Sym {
-        let sym = self.syms.fresh(name, Type::Scalar(ScalarType::Prim(dtype)));
-        self.inputs.push(sym);
-        sym
-    }
-
     /// Runs `f` with a context over the program's top-level block.
     pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
         let mut ctx = Ctx {
@@ -700,16 +592,12 @@ impl ProgramBuilder {
     }
 }
 
-/// Literal helper: `lit(1.5f32)`, `lit(3i64)`.
-pub fn lit_f32(v: f32) -> Lit {
-    Lit::F32(v)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::types::DType;
 
     #[test]
     fn build_simple_map() {
