@@ -127,12 +127,26 @@ impl ToJson for LocatedError {
 
 /// Result of a successful parse: the IR program and the pattern-path →
 /// byte-span side table.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ParseOutput {
     /// The lowered program.
     pub program: Program,
     /// Byte spans keyed by verifier pattern paths (root = program name).
     pub source_map: SourceMap,
+}
+
+impl ParseOutput {
+    /// Renames the program and moves every source-map path onto the new
+    /// root with it, so findings about the renamed program still locate.
+    pub fn rename(&mut self, name: String) {
+        let mut map = SourceMap::new(self.source_map.file.clone());
+        for (path, span) in self.source_map.iter() {
+            let below_root = path.find('/').map_or("", |cut| &path[cut..]);
+            map.record(format!("{name}{below_root}"), span);
+        }
+        self.source_map = map;
+        self.program.name = name;
+    }
 }
 
 /// Parses, lowers, and validates `.ppl` source text.

@@ -30,6 +30,7 @@
 //! (appended to the program name), so two clients whose programs share a
 //! name can never poison each other's artifacts.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -39,9 +40,8 @@ use pphw_dse::cache::{config_key, fnv1a64, DesignCache, EvalCache};
 use pphw_dse::pool::panic_message;
 use pphw_dse::space::Candidate;
 use pphw_dse::{DseConfig, EvalOutcome, Evaluate, SearchSpace};
+use pphw_frontend::ParseOutput;
 use pphw_ir::json::{self, Obj};
-use pphw_ir::program::Program;
-use pphw_ir::span::SourceMap;
 use pphw_sim::{SimConfig, SimError};
 use pphw_verify::VerifyConfig;
 
@@ -375,16 +375,20 @@ impl Service {
 
     // ---- request resolution -------------------------------------------
 
-    fn resolve(&self, w: &WorkRequest) -> Result<Resolved, ErrorBody> {
-        let (prog, display_name, mut opts, source) = match &w.program {
+    /// The request's program with its source map and text, and its
+    /// options. A bench is its cached parse under the paper's options; a
+    /// source is parsed, under defaults, and renamed to `name@hash`.
+    fn resolve<'w>(&self, w: &'w WorkRequest) -> Result<Resolved<'w>, ErrorBody> {
+        let (parsed, text, display_name, mut opts) = match &w.program {
             ProgramRef::Bench(name) => {
                 let spec =
                     pphw_apps::benchmark(name).map_err(|e| ErrorBody::new(codes::BENCH, e))?;
+                let parsed = Cow::Borrowed(spec.source.parsed());
                 (
-                    (spec.program)(),
+                    parsed,
+                    spec.source.text,
                     spec.name.to_string(),
                     spec.options(),
-                    None,
                 )
             }
             ProgramRef::Source { text, file } => {
@@ -394,7 +398,7 @@ impl Service {
                 // Key source programs by content, not by their (client
                 // chosen) name: the shared design/eval caches must never
                 // serve one client's artifact for another's program.
-                out.program.name = format!("{display}@{:016x}", fnv1a64(text.as_bytes()));
+                out.rename(format!("{display}@{:016x}", fnv1a64(text.as_bytes())));
                 let sizes: Vec<(&str, i64)> = out
                     .program
                     .size_vars
@@ -402,12 +406,7 @@ impl Service {
                     .map(|sv| (sv.as_str(), 8))
                     .collect();
                 let opts = CompileOptions::new(&sizes).inner_par(4);
-                (
-                    out.program,
-                    display,
-                    opts,
-                    Some((text.clone(), out.source_map)),
-                )
+                (Cow::Owned(out), text.as_str(), display, opts)
             }
         };
         for (k, v) in &w.sizes {
@@ -429,11 +428,11 @@ impl Service {
             .unwrap_or(self.limits.default_cycle_budget)
             .min(self.limits.max_cycle_budget);
         Ok(Resolved {
-            prog,
+            parsed,
+            text,
             display_name,
             opts,
             sim,
-            source,
         })
     }
 
@@ -441,7 +440,7 @@ impl Service {
     /// measurement through — the one a `dse` sweep over the same base
     /// options builds, over the process-wide design cache.
     fn evaluator<'r>(&self, r: &'r Resolved) -> CompileEvaluator<'r> {
-        CompileEvaluator::with_design_cache(&r.prog, &r.opts, Arc::clone(&self.designs))
+        CompileEvaluator::with_design_cache(&r.parsed.program, &r.opts, Arc::clone(&self.designs))
     }
 
     // ---- methods ------------------------------------------------------
@@ -470,16 +469,14 @@ impl Service {
             inner_par: r.opts.inner_par,
             ..VerifyConfig::default()
         };
-        let mut report = pphw_verify::verify_program(&r.prog, &cfg);
+        let mut report = pphw_verify::verify_program(&r.parsed.program, &cfg);
         // Design-level families (hazards, dataflow balance) need the
         // compiled design; a request whose design cannot compile still
         // gets its program-level diagnostics.
         if let Ok(compiled) = &*self.evaluator(&r).artifact(&r.candidate()) {
             report.merge(pphw_verify::verify_design(&compiled.design, &cfg));
         }
-        if let Some((text, map)) = &r.source {
-            report.attach_spans(map, text);
-        }
+        report.attach_spans(&r.parsed.source_map, r.text);
         Ok(json::object(|o| {
             o.field("program", &r.display_name)
                 .field("inner_par", r.opts.inner_par)
@@ -491,7 +488,12 @@ impl Service {
     fn simulate_method(&self, w: &WorkRequest) -> Result<String, ErrorBody> {
         let r = self.resolve(w)?;
         let (evaluator, cand) = (self.evaluator(&r), r.candidate());
-        let ckey = config_key(&r.prog.name, &r.opts.sizes, &evaluator.cache_salt(), &cand);
+        let ckey = config_key(
+            &r.parsed.program.name,
+            &r.opts.sizes,
+            &evaluator.cache_salt(),
+            &cand,
+        );
         let outcome = if let Some(hit) = self.evals.get(ckey) {
             hit
         } else {
@@ -584,7 +586,7 @@ impl Service {
             ..DseConfig::default()
         };
         let report = explore_with_caches(
-            &r.prog,
+            &r.parsed.program,
             &r.opts,
             &space,
             &cfg,
@@ -612,19 +614,19 @@ impl Service {
     }
 }
 
-/// A fully-resolved work request: program, effective configuration, and
-/// (for source programs) the text + span map for diagnostics.
-struct Resolved {
-    prog: Program,
+/// A fully-resolved work request: the program with the source map and
+/// text its findings locate in, and the effective configuration.
+struct Resolved<'w> {
+    parsed: Cow<'w, ParseOutput>,
+    text: &'w str,
     display_name: String,
     /// Sizes, tiles, parallelism and opt level after the request's
     /// overrides; the base options of a `dse` sweep.
     opts: CompileOptions,
     sim: SimConfig,
-    source: Option<(String, SourceMap)>,
 }
 
-impl Resolved {
+impl Resolved<'_> {
     /// The request's one design point, as a sweep would enumerate it.
     fn candidate(&self) -> Candidate {
         Candidate {

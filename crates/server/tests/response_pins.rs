@@ -31,14 +31,14 @@ fn result_bodies_are_pinned() {
         ),
         (
             "{\"id\":3,\"method\":\"verify\",\"bench\":\"gemm\"}".to_string(),
-            r#"{"id":3,"ok":true,"result":{"program":"gemm","inner_par":64,"error_count":0,"report":{"error_count":0,"diagnostics":[]}}}"#,
+            r#"{"id":3,"ok":true,"result":{"program":"gemm","inner_par":64,"error_count":0,"report":{"error_count":0,"file":"examples/gemm.ppl","diagnostics":[]}}}"#,
         ),
         (
             format!(
                 "{{\"id\":4,\"method\":\"verify\",\"source\":{source},\"file\":\"sub.ppl\",\
                  \"sizes\":{{\"d\":64}},\"inner_par\":4}}"
             ),
-            r#"{"id":4,"ok":true,"result":{"program":"sub","inner_par":4,"error_count":1,"report":{"error_count":1,"file":"sub.ppl","diagnostics":[{"code":"PPHW010","severity":"error","path":"sub@5bc6525d93296071/s[0]/combine[0]","message":"combine is not provably associative-commutative (body is not a commutative operator over both operands: a non-commutative binary operation); parallelizing it with inner_par=4 races — allowlist the path if it is correct by construction"}]}}}"#,
+            r#"{"id":4,"ok":true,"result":{"program":"sub","inner_par":4,"error_count":1,"report":{"error_count":1,"file":"sub.ppl","diagnostics":[{"code":"PPHW010","severity":"error","path":"sub@5bc6525d93296071/s[0]/combine[0]","message":"combine is not provably associative-commutative (body is not a commutative operator over both operands: a non-commutative binary operation); parallelizing it with inner_par=4 races — allowlist the path if it is correct by construction","span":{"start":309,"end":353,"line":11,"col":5}}]}}}"#,
         ),
         (
             "{\"id\":5,\"method\":\"dse\",\"bench\":\"sumrows\",\
