@@ -1,5 +1,5 @@
 //! Parses a textual PPL program, verifies it, and optionally simulates it
-//! end-to-end — the `.ppl` twin of the builder pipeline.
+//! end-to-end.
 //!
 //! Usage:
 //!   cargo run -p pphw-bench --bin parse -- <file.ppl> [--json] [--simulate]
@@ -10,8 +10,8 @@
 //! then cite `<stdin>`), so the tool composes in pipelines:
 //! `parse --emit gemm | parse - --json`.
 //!
-//! `--emit` prints the canonical text of a named builder benchmark (the
-//! exact form `examples/*.ppl` is generated from). Otherwise the file is
+//! `--emit` prints a named benchmark's program: the bytes of its
+//! `examples/*.ppl` file. Otherwise the file is
 //! parsed; parse diagnostics render as `file:line:col` caret snippets (or
 //! a JSON array with `span` objects under `--json`) and exit 1. A program
 //! that parses is linted with the static verifier — spans attached from
@@ -23,7 +23,6 @@
 use pphw_frontend::parse_program;
 use pphw_ir::interp::{Interpreter, ScalarVal, Value};
 use pphw_ir::json;
-use pphw_ir::pretty::emit_program;
 use pphw_ir::types::{DType, ScalarType, Type};
 use pphw_verify::{verify_program, VerifyConfig};
 
@@ -151,13 +150,13 @@ fn value_summary(v: &Value) -> String {
 fn main() {
     let args = parse_args();
 
-    // --emit <bench>: print the canonical text of a builder benchmark.
+    // --emit <bench>: print the benchmark's `.ppl` file.
     if let Some(name) = &args.emit {
         let spec = pphw_apps::benchmark(name).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         });
-        print!("{}", emit_program(&(spec.program)()));
+        print!("{}", spec.source.text);
         return;
     }
 

