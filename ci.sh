@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full offline CI gate. Every line is a cargo command that fails by exit
+# Full offline CI gate. Every step is a cargo command that fails by exit
 # code; every assertion lives in a Rust test or in a bin that checks itself.
 # The workspace has no registry dependencies, so --offline must always work.
 # Nothing here times anything: performance claims are held against
@@ -23,6 +23,11 @@ PPHW_VERIFY=1 cargo test -q --release --offline --test differential --test verif
   gemm_differential deep_verifier_runs_after_every_tiling_pass
 
 echo "== benchmark/ self-checks (every workload at 1/100 scale, exact metrics repeat)"
+# Cargo rewrites benchmark/Cargo.lock when a workspace crate has gained a
+# dependency edge the lock does not record yet; the lock belongs to
+# benchmark/, so it is put back however the run ends.
+cp benchmark/Cargo.lock target/benchmark-Cargo.lock
+trap 'cp target/benchmark-Cargo.lock benchmark/Cargo.lock' EXIT
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== self-checking bins, release profile"

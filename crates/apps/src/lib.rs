@@ -41,7 +41,7 @@ pub mod tpchq6;
 /// at most once per process.
 pub struct Ppl {
     /// The file's path from the repository root; diagnostics cite it.
-    pub file: &'static str,
+    file: &'static str,
     /// The file's text.
     pub text: &'static str,
     parsed: OnceLock<ParseOutput>,
@@ -75,7 +75,7 @@ impl Ppl {
     }
 
     /// A clone of the parsed program.
-    pub fn program(&self) -> Program {
+    pub(crate) fn program(&self) -> Program {
         self.parsed().program.clone()
     }
 }

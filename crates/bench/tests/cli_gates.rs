@@ -12,7 +12,7 @@ use std::process::Command;
 use pphw_dse::EvalCache;
 use pphw_server::json::{escape, parse_json, Json};
 use pphw_server::{Limits, Service};
-use pphw_testkit::TempDir;
+use pphw_testkit::{example_ppl_files, TempDir};
 
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
 
@@ -257,13 +257,7 @@ fn parse_emit_prints_the_benchmark_file() {
 
 #[test]
 fn every_example_ppl_parses_and_verifies_clean() {
-    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
-    let mut files: Vec<_> = std::fs::read_dir(&examples)
-        .unwrap_or_else(|e| panic!("{examples:?}: {e}"))
-        .map(|entry| entry.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ppl"))
-        .collect();
-    files.sort();
+    let files = example_ppl_files();
     assert!(
         files.len() >= 6,
         "expected >= 6 .ppl files, found {files:?}"

@@ -16,7 +16,9 @@
 //!   disconnects) for hardening the serving stack against hostile
 //!   networks;
 //! * [`tempdir`] — a scratch directory removed on drop, for the tests
-//!   that drive real binaries.
+//!   that drive real binaries;
+//! * [`example_ppl_files`] — the `examples/*.ppl` programs the tests
+//!   parse, run and fuzz.
 
 pub mod chaos;
 pub mod differential;
@@ -29,3 +31,20 @@ pub use differential::{run_case, run_differential, DiffCase, DiffError, DiffOpti
 pub use prop::Check;
 pub use rng::Rng;
 pub use tempdir::TempDir;
+
+/// Every `.ppl` file under the repository's `examples/`, in name order.
+/// They are listed from the directory, so a new file cannot be skipped.
+///
+/// # Panics
+///
+/// If the directory cannot be read.
+pub fn example_ppl_files() -> Vec<std::path::PathBuf> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
+        .map(|entry| entry.expect("a readable directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ppl"))
+        .collect();
+    files.sort();
+    files
+}

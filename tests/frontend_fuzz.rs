@@ -11,6 +11,7 @@
 use std::path::PathBuf;
 
 use pphw_frontend::parse_program;
+use pphw_testkit::example_ppl_files;
 use pphw_testkit::prop::Check;
 use pphw_testkit::rng::Rng;
 
@@ -89,17 +90,10 @@ const VOCAB: &[&str] = &[
     "_1",
 ];
 
-/// The valid corpus: every checked-in `examples/*.ppl`, in name order.
+/// The valid corpus: every checked-in `examples/*.ppl`.
 fn corpus() -> Vec<String> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
-        .map(|entry| entry.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ppl"))
-        .collect();
-    files.sort();
-    let read = |p: &PathBuf| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-    files.iter().map(read).collect()
+    let read = |p: PathBuf| std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+    example_ppl_files().into_iter().map(read).collect()
 }
 
 /// The program must not panic on `src`; both outcomes are acceptable.

@@ -7,7 +7,6 @@
 //! otherwise turn a drifted spelling into a silently coarser span.
 
 use std::collections::BTreeSet;
-use std::path::Path;
 
 use pphw_frontend::{arbitrary::random_program, parse_program, ParseOutput};
 use pphw_ir::block::{Block, Op};
@@ -16,6 +15,7 @@ use pphw_ir::path::IrPath;
 use pphw_ir::pretty::emit_program;
 use pphw_ir::program::Program;
 use pphw_ir::types::SymTable;
+use pphw_testkit::example_ppl_files;
 use pphw_testkit::prop::Check;
 
 /// Every path below `at`: each statement, each pattern sub-scope.
@@ -75,17 +75,10 @@ fn check_round_trip(p: &Program, label: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Every `.ppl` file under `examples/`, listed from the directory so a
-/// new file cannot be skipped, prints back as itself.
+/// Every `.ppl` file under `examples/` prints back as itself.
 #[test]
 fn benchmarks_round_trip() {
-    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
-    let mut files: Vec<_> = std::fs::read_dir(&examples)
-        .unwrap_or_else(|e| panic!("{examples:?}: {e}"))
-        .map(|entry| entry.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ppl"))
-        .collect();
-    files.sort();
+    let files = example_ppl_files();
     assert!(files.len() >= 10, "{files:?}");
     for file in &files {
         let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
