@@ -23,9 +23,9 @@
 //! - `--area-frac F`  fraction of the device the design may use (default 1.0)
 //! - `--json PATH` / `--csv PATH`  export reports (`-` = stdout; with
 //!   multiple benchmarks the name is inserted before the extension)
-//! - `--cache PATH`   persistent evaluation cache: load it (cold if the
-//!   file is missing or damaged) before the sweep, save it after, and
-//!   report hit rates. Reports are bit-identical with or without it.
+//! - `--cache PATH`   persistent evaluation cache, one file: read before
+//!   the sweep, appended to as measured, checkpointed at exit; hit rates
+//!   are reported. Reports are bit-identical with or without it.
 //! - `--strategy guided` fit the analytic cost model to a seeded
 //!   calibration sample and simulate only the model's top slice plus an
 //!   exploration band (`--sample`, `--top-k`, `--explore`, `--seed`

@@ -210,8 +210,8 @@ fn dse_reports_run_failures_without_panicking() {
 
 #[test]
 fn a_cache_file_replays_the_cold_run() {
-    // The cache, its journal and the reports land in the scratch
-    // directory the runs share as their working directory.
+    // The cache file and the reports land in the scratch directory the
+    // runs share as their working directory.
     let dir = TempDir::new("cli-cache-replay");
     let dse = |args: &str| run(cli(DSE, args).current_dir(dir.path()));
     // Cold: opens the cache journaled, measures everything, checkpoints.
@@ -242,6 +242,16 @@ fn a_cache_file_replays_the_cold_run() {
             spec.name
         );
     }
+    // The cache is one file: no `*.jnl` sibling, no temp file left over.
+    let names: BTreeSet<String> = std::fs::read_dir(dir.path())
+        .expect("scratch dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(names.contains("c.pphwc"), "{names:?}");
+    assert!(
+        names.iter().all(|n| n == "c.pphwc" || n.ends_with(".json")),
+        "{names:?}"
+    );
 }
 
 /// `parse --emit <bench>` prints the benchmark's program: its file.

@@ -14,29 +14,27 @@
 //!   differing only in their `SimConfig` share one compiled design, built
 //!   exactly once even under concurrent evaluation.
 //! * [`EvalCache`] — the full-key measurement memo, optionally persisted
-//!   to disk ([`EvalCache::save`] / [`EvalCache::load`]) in a versioned,
-//!   checksummed binary format. A truncated, corrupt, or
-//!   version-mismatched file degrades to a cold cache — a typed
-//!   [`CacheFileError`] or a silent miss, never a panic.
-//!   [`EvalCache::insert`] refuses [`EvalOutcome::Failed`], so a failure
-//!   is never held, journaled or saved — a later sweep retries it.
+//!   to one file in the versioned, checksummed format of
+//!   [`crate::journal`]. A truncated, corrupt, or version-mismatched file
+//!   degrades to a cold cache — a typed [`CacheFileError`] or a silent
+//!   miss, never a panic. [`EvalCache::insert`] refuses
+//!   [`EvalOutcome::Failed`], so a failure is never held or written — a
+//!   later sweep retries it.
 //!
 //! For crash safety beyond cooperative shutdown, a cache can be opened
 //! *journaled* ([`EvalCache::open_journaled`]): every insert is also
-//! appended to a sibling write-ahead journal (see [`crate::journal`]), so
-//! a process killed at any instant loses at most the last unflushed fsync
-//! batch instead of everything since the previous `save`.
+//! appended to the same file, so a process killed at any instant loses
+//! nothing it wrote, and a power loss at most the last unsynced batch.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pphw_hw::Area;
-
-use crate::journal::{encode_record, parse_record, Journal, JournalConfig, JournalStats};
+use crate::journal::{encode_record, publish, read, Journal, JournalStats, Policy};
+pub use crate::journal::{CacheFileError, CACHE_MAGIC, CACHE_VERSION};
 use crate::space::Candidate;
-use crate::{EvalOutcome, Measurement};
+use crate::EvalOutcome;
 
 /// FNV-1a 64-bit over a byte string — stable across runs, platforms, and
 /// thread counts (unlike `std`'s randomized hasher).
@@ -169,17 +167,16 @@ impl<T> DesignCache<T> {
 }
 
 /// A thread-safe memoization table from configuration hash to evaluation
-/// outcome, with lifetime hit/miss counters and an optional write-ahead
-/// journal for crash safety ([`EvalCache::open_journaled`]).
+/// outcome, with lifetime hit/miss counters and an optional append handle
+/// on its file for crash safety ([`EvalCache::open_journaled`]).
 #[derive(Debug, Default)]
 pub struct EvalCache {
     map: Mutex<HashMap<u64, EvalOutcome>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// `Some` iff the cache was opened journaled. Locked strictly *after*
-    /// (never while holding a wait on) `map`: `insert` releases the table
-    /// lock before appending, and compaction — which takes the table lock
-    /// inside the journal lock via `save` — is therefore cycle-free.
+    /// `Some` iff the cache was opened journaled. Never locked while
+    /// holding `map`: `insert` releases the table before appending, and
+    /// `checkpoint` takes the table (through `save`) inside this lock.
     journal: Mutex<Option<Journal>>,
 }
 
@@ -188,6 +185,15 @@ impl EvalCache {
     #[must_use]
     pub fn new() -> EvalCache {
         EvalCache::default()
+    }
+
+    /// A cache holding `records`; later records win over earlier ones.
+    fn with_records(records: Vec<(u64, EvalOutcome)>, journal: Option<Journal>) -> EvalCache {
+        EvalCache {
+            map: Mutex::new(records.into_iter().collect()),
+            journal: Mutex::new(journal),
+            ..EvalCache::default()
+        }
     }
 
     /// Locks the table, recovering from poisoning: entries are only ever
@@ -212,64 +218,33 @@ impl EvalCache {
 
     /// Stores a measurement — unless it is an [`EvalOutcome::Failed`],
     /// which says nothing about the design point and is dropped here, the
-    /// one place that rule lives: the table, the journal and snapshots
-    /// therefore never see one, and a later sweep retries the point
-    /// instead of replaying the failure. On a journaled cache the
-    /// entry is also appended to the write-ahead journal, and the journal
-    /// is compacted into a fresh snapshot once it outgrows its size
-    /// threshold. The in-memory insert always happens first, so a
-    /// snapshot written by compaction is always a superset of what the
-    /// journal recorded.
+    /// one place that rule lives: the table and the file therefore never
+    /// see one, and a later sweep retries the point instead of replaying
+    /// the failure. On a journaled cache the entry is also appended to the
+    /// file, after the in-memory insert, so a concurrent `checkpoint`
+    /// either saves it or is followed by its append. An append error
+    /// degrades persistence, never serving: it is counted in
+    /// [`JournalStats::io_errors`] and the in-memory entry stands.
     pub fn insert(&self, key: u64, outcome: EvalOutcome) {
         if matches!(outcome, EvalOutcome::Failed(_)) {
             return;
         }
         self.table().insert(key, outcome.clone());
-        self.journal_append(key, &outcome);
+        if let Some(j) = self.journal_slot().as_mut() {
+            if let Err(e) = j.append(key, &outcome) {
+                j.stats.io_errors += 1;
+                eprintln!("warning: eval-cache append failed: {e}");
+            }
+        }
     }
 
-    /// Locks the journal slot, recovering from poisoning (the journal's
-    /// own byte-level invariants are maintained by `Journal`, not by the
+    /// Locks the journal slot, recovering from poisoning (the file's
+    /// byte-level invariants are maintained by `Journal`, not by the
     /// critical section).
     fn journal_slot(&self) -> std::sync::MutexGuard<'_, Option<Journal>> {
         self.journal
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Appends one already-inserted entry to the journal (no-op on an
-    /// unjournaled cache) and compacts if the journal has outgrown its
-    /// threshold. Journal I/O errors degrade persistence, never serving:
-    /// they are counted in [`JournalStats::io_errors`] and the in-memory
-    /// entry stands.
-    fn journal_append(&self, key: u64, outcome: &EvalOutcome) {
-        let mut slot = self.journal_slot();
-        let Some(j) = slot.as_mut() else { return };
-        if let Err(e) = j.append(key, outcome) {
-            j.stats.io_errors += 1;
-            eprintln!("warning: eval-cache journal append failed: {e}");
-            return;
-        }
-        if j.wants_compaction() {
-            let snapshot = j.snapshot_path.clone();
-            // Publish the snapshot first, then reset the journal: a crash
-            // between the two replays entries that are already in the
-            // snapshot, which is harmless.
-            match self.save(&snapshot) {
-                Ok(()) => {
-                    if let Err(e) = j.reset() {
-                        j.stats.io_errors += 1;
-                        eprintln!("warning: eval-cache journal reset failed: {e}");
-                    } else {
-                        j.stats.compactions += 1;
-                    }
-                }
-                Err(e) => {
-                    j.stats.io_errors += 1;
-                    eprintln!("warning: eval-cache compaction save failed: {e}");
-                }
-            }
-        }
     }
 
     /// Number of cached configurations.
@@ -296,80 +271,41 @@ impl EvalCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Serializes every entry to `path`, atomically (written to a
-    /// uniquely-named sibling temp file, then renamed — safe under
-    /// concurrent savers: readers always see a complete image, and the
-    /// last completed save wins). The format is the versioned,
-    /// checksummed layout documented on [`CacheFileError`]; its entries
-    /// are the journal's records ([`encode_record`]).
+    /// Writes every entry to `path` as sealed records in key order,
+    /// atomically and durably (see [`crate::journal`]): readers always see
+    /// a complete image, and of concurrent savers the last one wins.
     ///
     /// # Errors
     ///
     /// [`CacheFileError::Io`] if the file cannot be written.
     pub fn save(&self, path: &Path) -> Result<(), CacheFileError> {
-        let table = self.table();
-        let mut records: Vec<(u64, Vec<u8>)> = table
+        let mut records: Vec<(u64, Vec<u8>)> = self
+            .table()
             .iter()
             .map(|(&key, out)| (key, encode_record(key, out)))
             .collect();
-        drop(table);
         records.sort_by_key(|(key, _)| *key);
-        let mut bytes = Vec::with_capacity(20 + records.len() * 80);
-        bytes.extend_from_slice(&CACHE_MAGIC);
-        bytes.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        let mut body = Vec::with_capacity(records.len() * 80);
         for (_, record) in &records {
-            bytes.extend_from_slice(record);
+            body.extend_from_slice(record);
         }
-        // The temp name must be unique per save: concurrent savers (e.g.
-        // two daemons pointed at the same cache file, or a sweep racing a
-        // server shutdown) sharing one `.tmp` path would truncate each
-        // other mid-write and one rename would publish a torn file. With
-        // unique names each rename atomically publishes a complete image;
-        // last writer wins.
-        static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
-        std::fs::write(&tmp, &bytes).map_err(CacheFileError::Io)?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            // Never leave an orphaned temp file behind a failed publish.
-            let _ = std::fs::remove_file(&tmp);
-            CacheFileError::Io(e)
-        })
+        publish(path, records.len() as u64, &body).map_err(CacheFileError::Io)
     }
 
-    /// Deserializes a cache previously written by [`EvalCache::save`].
+    /// Reads a cache file under the strict policy: its sealed records and
+    /// any whole records appended after them.
     ///
     /// # Errors
     ///
     /// A typed [`CacheFileError`] on any irregularity — missing file, bad
-    /// magic, unsupported version, truncation, or a per-entry checksum or
-    /// encoding mismatch. The whole file is rejected (cold cache): a
-    /// partially trusted cache is worse than no cache.
+    /// magic, unsupported version, truncation, a per-entry checksum or
+    /// encoding mismatch, or a torn appended record. The whole file is
+    /// rejected (cold cache): a partially trusted cache is worse than no
+    /// cache.
     pub fn load(path: &Path) -> Result<EvalCache, CacheFileError> {
         let bytes = std::fs::read(path).map_err(CacheFileError::Io)?;
-        let mut r = Reader::new(&bytes);
-        if r.take(8)? != CACHE_MAGIC {
-            return Err(CacheFileError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != CACHE_VERSION {
-            return Err(CacheFileError::UnsupportedVersion(version));
-        }
-        let count = r.u64()?;
-        let cache = EvalCache::new();
-        {
-            let mut table = cache.table();
-            for entry in 0..count {
-                let (key, outcome, next) = parse_record(&bytes, r.pos, entry)?;
-                table.insert(key, outcome);
-                r.pos = next;
-            }
-            if !r.at_end() {
-                return Err(CacheFileError::TrailingBytes);
-            }
-        }
-        Ok(cache)
+        let contents = read(&bytes, Policy::Strict)?;
+        Ok(EvalCache::with_records(contents.records, None))
     }
 
     /// Loads `path` if it holds a valid cache, otherwise returns an empty
@@ -380,270 +316,53 @@ impl EvalCache {
         EvalCache::load(path).unwrap_or_default()
     }
 
-    /// Opens a crash-safe journaled cache at `path` with default tuning:
-    /// [`EvalCache::open_journaled_with`] with [`JournalConfig::default`].
+    /// Opens a crash-safe journaled cache on the one file at `path`: keeps
+    /// its intact prefix of records and truncates a torn tail (a foreign
+    /// or missing file is a cold cache over a fresh file), then appends
+    /// every subsequent [`EvalCache::insert`] to it, fsynced in batches.
     ///
     /// # Errors
     ///
-    /// An [`std::io::Error`] if the journal file cannot be opened or
-    /// repaired (a corrupt *snapshot* still degrades to cold, as with
-    /// [`EvalCache::load_or_cold`]).
+    /// An [`std::io::Error`] if the file cannot be read, repaired, or
+    /// created.
     pub fn open_journaled(path: &Path) -> std::io::Result<EvalCache> {
-        EvalCache::open_journaled_with(path, JournalConfig::default())
+        let (journal, records) = Journal::open(path)?;
+        Ok(EvalCache::with_records(records, Some(journal)))
     }
 
-    /// Opens a crash-safe journaled cache: loads the snapshot at `path`
-    /// (cold on any irregularity), replays the intact prefix of the
-    /// sibling `<path>.jnl` journal on top of it (journal entries win —
-    /// they are newer), truncates any torn journal tail, and arms the
-    /// cache so every subsequent [`EvalCache::insert`] is appended to the
-    /// journal (fsynced every [`JournalConfig::sync_every`] records) and
-    /// compacted into a fresh snapshot once the journal exceeds
-    /// [`JournalConfig::compact_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// An [`std::io::Error`] if the journal file cannot be opened,
-    /// repaired, or created.
-    pub fn open_journaled_with(path: &Path, cfg: JournalConfig) -> std::io::Result<EvalCache> {
-        let cache = EvalCache::load_or_cold(path);
-        let recovered_snapshot = cache.len() as u64;
-        let (mut journal, replayed) = Journal::open(path, cfg)?;
-        journal.stats.recovered_snapshot = recovered_snapshot;
-        {
-            let mut table = cache.table();
-            for (key, outcome) in replayed {
-                table.insert(key, outcome);
-            }
-        }
-        *cache.journal_slot() = Some(journal);
-        Ok(cache)
-    }
-
-    /// Whether this cache was opened with a write-ahead journal.
+    /// Whether this cache was opened journaled.
     #[must_use]
     pub fn is_journaled(&self) -> bool {
         self.journal_slot().is_some()
     }
 
-    /// A snapshot of the journal's recovery/append/compaction counters,
-    /// or `None` on an unjournaled cache.
+    /// A snapshot of the journal's recovery/append/checkpoint counters, or
+    /// `None` on an unjournaled cache.
     #[must_use]
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal_slot().as_ref().map(|j| j.stats)
     }
 
-    /// Forces any unsynced journal batch to disk. No-op (and `Ok`) on an
-    /// unjournaled cache.
+    /// Compacts the file: [`EvalCache::save`]s the full table over it, so
+    /// every entry is sealed once, and appends resume after that. Call at
+    /// cooperative shutdown. No-op on an unjournaled cache — use `save`
+    /// there.
     ///
     /// # Errors
     ///
-    /// The underlying `fsync` error, if any.
-    pub fn flush_journal(&self) -> std::io::Result<()> {
-        match self.journal_slot().as_mut() {
-            Some(j) => j.sync(),
-            None => Ok(()),
-        }
-    }
-
-    /// Rewrites the snapshot from the full in-memory table (atomic
-    /// temp-file + rename) and resets the journal to empty. Call at
-    /// cooperative shutdown so the next open replays nothing. No-op on an
-    /// unjournaled cache — use [`EvalCache::save`] there.
-    ///
-    /// # Errors
-    ///
-    /// A [`CacheFileError`] if the snapshot cannot be written or the
-    /// journal cannot be reset.
+    /// A [`CacheFileError`] if the file cannot be written or reopened.
     pub fn checkpoint(&self) -> Result<(), CacheFileError> {
         let mut slot = self.journal_slot();
         let Some(j) = slot.as_mut() else {
             return Ok(());
         };
-        let snapshot = j.snapshot_path.clone();
-        self.save(&snapshot)?;
-        j.reset().map_err(CacheFileError::Io)?;
+        let saved = self.save(&j.path);
+        // Even a failed save may have renamed a new file over the old one
+        // (its directory sync comes after), so the handle always follows.
+        j.reopen().map_err(CacheFileError::Io)?;
+        saved?;
         j.stats.compactions += 1;
         Ok(())
-    }
-}
-
-/// File magic for the persistent evaluation cache.
-pub const CACHE_MAGIC: [u8; 8] = *b"PPHWEVC\0";
-
-/// Current format version. Bump on any layout or encoding change; readers
-/// reject every other version (cold cache).
-pub const CACHE_VERSION: u32 = 1;
-
-/// Why a persistent cache file was rejected.
-///
-/// The on-disk layout, all integers little-endian and floats stored by
-/// bit pattern:
-///
-/// ```text
-/// magic    [u8; 8]  = b"PPHWEVC\0"
-/// version  u32      = 1
-/// count    u64
-/// entry*count:
-///   key       u64      canonical configuration hash
-///   len       u32      payload length in bytes
-///   payload   [u8;len] tag 0 (Feasible): cycles u64, dram_words u64,
-///                        on_chip_bytes u64, area logic/ff/mem f64-bits
-///                      tag 1 (Infeasible): reason length u32 + UTF-8
-///   checksum  u64      fnv1a64(key-bytes ++ payload)
-/// ```
-#[derive(Debug)]
-pub enum CacheFileError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// The file does not start with [`CACHE_MAGIC`].
-    BadMagic,
-    /// The file's format version is not [`CACHE_VERSION`].
-    UnsupportedVersion(u32),
-    /// The file ended before the declared content did.
-    Truncated,
-    /// Bytes remain after the declared entries.
-    TrailingBytes,
-    /// An entry failed its checksum or could not be decoded.
-    Corrupt {
-        /// Zero-based index of the offending entry.
-        entry: u64,
-    },
-}
-
-impl std::fmt::Display for CacheFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheFileError::Io(e) => write!(f, "cache file I/O: {e}"),
-            CacheFileError::BadMagic => write!(f, "not a pphw evaluation cache (bad magic)"),
-            CacheFileError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported cache version {v} (expected {CACHE_VERSION})"
-                )
-            }
-            CacheFileError::Truncated => write!(f, "cache file truncated"),
-            CacheFileError::TrailingBytes => write!(f, "cache file has trailing bytes"),
-            CacheFileError::Corrupt { entry } => {
-                write!(
-                    f,
-                    "cache entry {entry} corrupt (checksum or encoding mismatch)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CacheFileError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CacheFileError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-pub(crate) fn entry_checksum(key: u64, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&key.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv1a64(&buf)
-}
-
-pub(crate) fn encode_outcome(out: &EvalOutcome) -> Vec<u8> {
-    match out {
-        EvalOutcome::Feasible(m) => {
-            let mut b = Vec::with_capacity(1 + 6 * 8);
-            b.push(0u8);
-            b.extend_from_slice(&m.cycles.to_le_bytes());
-            b.extend_from_slice(&m.dram_words.to_le_bytes());
-            b.extend_from_slice(&m.on_chip_bytes.to_le_bytes());
-            b.extend_from_slice(&m.area.logic.to_bits().to_le_bytes());
-            b.extend_from_slice(&m.area.ff.to_bits().to_le_bytes());
-            b.extend_from_slice(&m.area.mem.to_bits().to_le_bytes());
-            b
-        }
-        EvalOutcome::Infeasible(reason) => {
-            let mut b = Vec::with_capacity(1 + 4 + reason.len());
-            b.push(1u8);
-            b.extend_from_slice(&(reason.len() as u32).to_le_bytes());
-            b.extend_from_slice(reason.as_bytes());
-            b
-        }
-        // Never reached: `EvalCache::insert` refuses Failed, so no table
-        // or journal holds one. Encoded as an empty Infeasible so the
-        // match stays exhaustive without a panic path.
-        EvalOutcome::Failed(_) => vec![1, 0, 0, 0, 0],
-    }
-}
-
-pub(crate) fn decode_outcome(payload: &[u8]) -> Option<EvalOutcome> {
-    let mut r = Reader::new(payload);
-    let out = match r.take(1).ok()?[0] {
-        0 => {
-            let cycles = r.u64().ok()?;
-            let dram_words = r.u64().ok()?;
-            let on_chip_bytes = r.u64().ok()?;
-            let logic = f64::from_bits(r.u64().ok()?);
-            let ff = f64::from_bits(r.u64().ok()?);
-            let mem = f64::from_bits(r.u64().ok()?);
-            EvalOutcome::Feasible(Measurement {
-                cycles,
-                dram_words,
-                on_chip_bytes,
-                area: Area { logic, ff, mem },
-            })
-        }
-        1 => {
-            let len = r.u32().ok()? as usize;
-            let reason = String::from_utf8(r.take(len).ok()?.to_vec()).ok()?;
-            EvalOutcome::Infeasible(reason)
-        }
-        _ => return None,
-    };
-    if !r.at_end() {
-        return None;
-    }
-    Some(out)
-}
-
-/// A bounds-checked little-endian byte reader: every read that would run
-/// past the end is [`CacheFileError::Truncated`], never a panic.
-pub(crate) struct Reader<'b> {
-    pub(crate) bytes: &'b [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'b> Reader<'b> {
-    fn new(bytes: &'b [u8]) -> Reader<'b> {
-        Reader { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'b [u8], CacheFileError> {
-        let end = self.pos.checked_add(n).ok_or(CacheFileError::Truncated)?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(CacheFileError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CacheFileError> {
-        let bytes = self.take(N)?.try_into();
-        bytes.map_err(|_| CacheFileError::Truncated)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CacheFileError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CacheFileError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
     }
 }
 

@@ -1,74 +1,105 @@
-//! The crash-safe append-only journal behind [`EvalCache::open_journaled`].
+//! The one on-disk format of the evaluation cache, its reader, and the
+//! append handle behind [`EvalCache::open_journaled`].
 //!
-//! A journaled cache makes every evaluation durable *as it lands* instead
-//! of only at cooperative shutdown: each [`EvalCache::insert`] appends one
-//! checksummed record to a sibling `<snapshot>.jnl` file, fsynced in
-//! batches, so a `kill -9` at any instant loses at most the unflushed
-//! batch. Recovery loads the snapshot (if any), then replays the journal
-//! record by record, stopping at the first torn or corrupt record — the
-//! intact prefix is trusted, the tail is truncated away, and appending
-//! resumes from there.
-//!
-//! On-disk layout (all integers little-endian, same entry encoding and
-//! checksum as the snapshot format documented on
-//! [`CacheFileError`](crate::cache::CacheFileError)):
+//! A cache file is a header and records, all integers little-endian and
+//! floats stored by bit pattern:
 //!
 //! ```text
-//! magic    [u8; 8]  = b"PPHWEVJ\0"
+//! magic    [u8; 8]  = b"PPHWEVC\0"
 //! version  u32      = 1
+//! sealed   u64      records written by the last save
 //! record*:
 //!   key       u64      canonical configuration hash
 //!   len       u32      payload length in bytes
-//!   payload   [u8;len] encoded EvalOutcome (never Failed: the cache refuses it)
+//!   payload   [u8;len] tag 0 (Feasible): cycles u64, dram_words u64,
+//!                        on_chip_bytes u64, area logic/ff/mem f64-bits
+//!                      tag 1 (Infeasible): reason length u32 + UTF-8
 //!   checksum  u64      fnv1a64(key-bytes ++ payload)
 //! ```
 //!
-//! The journal is bounded by compaction: when it outgrows
-//! [`JournalConfig::compact_bytes`], the full cache is rewritten as a
-//! snapshot through the existing unique-temp + atomic-rename path and the
-//! journal is reset to an empty header. A crash between those two steps
-//! is safe in both orders — replaying journal records that are already in
-//! the snapshot re-inserts identical values, and a half-written header is
-//! recognized as an empty journal while every entry lives in the
-//! just-published snapshot.
+//! [`EvalCache::save`] writes the sealed records, one per entry in key
+//! order. A journaled cache appends one record per insert after them and
+//! never touches `sealed`; [`EvalCache::checkpoint`] compacts by saving
+//! again. Later records win over earlier ones with the same key. One
+//! reader serves `load` (strict) and `open_journaled` (tolerant).
 //!
-//! [`EvalCache::insert`]: crate::cache::EvalCache::insert
+//! [`EvalCache::save`]: crate::cache::EvalCache::save
+//! [`EvalCache::checkpoint`]: crate::cache::EvalCache::checkpoint
 //! [`EvalCache::open_journaled`]: crate::cache::EvalCache::open_journaled
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::{decode_outcome, encode_outcome, entry_checksum, CacheFileError, Reader};
-use crate::EvalOutcome;
+use pphw_hw::Area;
 
-/// File magic for the evaluation-cache journal.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"PPHWEVJ\0";
+use crate::cache::fnv1a64;
+use crate::{EvalOutcome, Measurement};
 
-/// Journal format version; readers treat any other version as an empty
-/// (untrusted) journal and start fresh — the snapshot is never at risk.
-pub const JOURNAL_VERSION: u32 = 1;
+/// File magic for the persistent evaluation cache.
+pub const CACHE_MAGIC: [u8; 8] = *b"PPHWEVC\0";
 
-/// Bytes of the journal header (magic + version).
-const HEADER_LEN: u64 = 12;
+/// Current format version. Bump on any layout or encoding change; readers
+/// reject every other version (cold cache).
+pub const CACHE_VERSION: u32 = 1;
 
-/// Tuning for a journaled cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalConfig {
-    /// `fsync` the journal after this many appended records. `1` makes
-    /// every insert durable before it returns; larger values batch the
-    /// syncs (a crash loses at most the unflushed batch).
-    pub sync_every: usize,
-    /// Rewrite the snapshot and reset the journal once the journal file
-    /// exceeds this many bytes.
-    pub compact_bytes: u64,
+/// Bytes of the header: magic, version, sealed count.
+const HEADER_LEN: usize = 20;
+
+/// Appends are fsynced in batches of this many records. A power loss
+/// costs at most the unsynced batch; a killed process loses nothing it
+/// wrote.
+const SYNC_EVERY: usize = 8;
+
+/// Why a persistent cache file was rejected by the strict policy.
+#[derive(Debug)]
+pub enum CacheFileError {
+    /// The file could not be read or written.
+    Io(std::io::Error),
+    /// The file does not start with [`CACHE_MAGIC`].
+    BadMagic,
+    /// The file's format version is not [`CACHE_VERSION`].
+    UnsupportedVersion(u32),
+    /// The file ended before the declared content did.
+    Truncated,
+    /// Bytes after the sealed records are not whole records.
+    TrailingBytes,
+    /// An entry failed its checksum or could not be decoded.
+    Corrupt {
+        /// Zero-based index of the offending entry.
+        entry: u64,
+    },
 }
 
-impl Default for JournalConfig {
-    fn default() -> JournalConfig {
-        JournalConfig {
-            sync_every: 8,
-            compact_bytes: 4 << 20,
+impl std::fmt::Display for CacheFileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CacheFileError::Io(e) => write!(f, "cache file I/O: {e}"),
+            CacheFileError::BadMagic => write!(f, "not a pphw evaluation cache (bad magic)"),
+            CacheFileError::UnsupportedVersion(v) => {
+                write!(
+                    f,
+                    "unsupported cache version {v} (expected {CACHE_VERSION})"
+                )
+            }
+            CacheFileError::Truncated => write!(f, "cache file truncated"),
+            CacheFileError::TrailingBytes => write!(f, "cache file has trailing bytes"),
+            CacheFileError::Corrupt { entry } => {
+                write!(
+                    f,
+                    "cache entry {entry} corrupt (checksum or encoding mismatch)"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for CacheFileError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CacheFileError::Io(e) => Some(e),
+            _ => None,
         }
     }
 }
@@ -76,65 +107,103 @@ impl Default for JournalConfig {
 /// Lifetime counters for a journaled cache, including what recovery saw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
-    /// Entries recovered from the snapshot file at open.
+    /// Sealed records recovered at open.
     pub recovered_snapshot: u64,
-    /// Entries replayed from the journal at open.
+    /// Appended records recovered at open.
     pub recovered_journal: u64,
-    /// Bytes discarded from the journal's torn tail at open.
+    /// Bytes discarded from the file's torn tail at open.
     pub torn_tail_bytes: u64,
     /// Records appended since open.
     pub appended: u64,
     /// `fsync` calls issued for appended batches.
     pub syncs: u64,
-    /// Snapshot rewrites triggered by journal growth or [`checkpoint`].
+    /// [`checkpoint`]s since open.
     ///
     /// [`checkpoint`]: crate::cache::EvalCache::checkpoint
     pub compactions: u64,
-    /// Journal write errors (the entry stays in memory; persistence
-    /// degrades but serving continues).
+    /// Append errors (the entry stays in memory; persistence degrades but
+    /// serving continues).
     pub io_errors: u64,
 }
 
-/// The sibling journal path for a snapshot path: `<snapshot>.jnl`.
-#[must_use]
-pub fn journal_path(snapshot: &Path) -> PathBuf {
-    let mut os = snapshot.as_os_str().to_os_string();
-    os.push(".jnl");
-    PathBuf::from(os)
+/// How [`read`] treats bytes that are not what was written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Policy {
+    /// Any damage rejects the whole file with a typed error: a partially
+    /// trusted cache is worse than no cache.
+    Strict,
+    /// The intact prefix of records is kept and the rest is torn tail. A
+    /// damaged header is still an error.
+    Tolerant,
 }
 
-/// Parses journal bytes into the entries of every intact record plus the
-/// byte offset where the intact prefix ends. A missing/short/foreign
-/// header yields `(vec![], 0)`: the whole file is untrusted. Any torn or
-/// corrupt record ends the replay; everything before it is kept.
-#[must_use]
-pub fn replay(bytes: &[u8]) -> (Vec<(u64, EvalOutcome)>, u64) {
-    if bytes.len() < HEADER_LEN as usize
-        || bytes[..8] != JOURNAL_MAGIC
-        || bytes[8..12] != JOURNAL_VERSION.to_le_bytes()
-    {
-        return (Vec::new(), 0);
+/// The records a cache file holds, in file order.
+#[derive(Debug, Default)]
+pub(crate) struct Contents {
+    pub(crate) records: Vec<(u64, EvalOutcome)>,
+    /// The header's count of sealed records.
+    sealed: u64,
+    /// Bytes of the intact prefix: the header and `records`.
+    intact: usize,
+}
+
+/// The one reader of a cache file.
+///
+/// # Errors
+///
+/// A damaged header under either policy; under [`Policy::Strict`], fewer
+/// than `sealed` intact records ([`CacheFileError::Truncated`] or
+/// [`CacheFileError::Corrupt`]) or a torn record after them
+/// ([`CacheFileError::TrailingBytes`]).
+pub(crate) fn read(bytes: &[u8], policy: Policy) -> Result<Contents, CacheFileError> {
+    let mut r = Reader { bytes, pos: 0 };
+    if r.take(8)? != CACHE_MAGIC {
+        return Err(CacheFileError::BadMagic);
     }
-    let mut entries = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    while let Ok((key, outcome, next)) = parse_record(bytes, pos, entries.len() as u64) {
-        entries.push((key, outcome));
-        pos = next;
+    let version = r.u32()?;
+    if version != CACHE_VERSION {
+        return Err(CacheFileError::UnsupportedVersion(version));
     }
-    (entries, pos as u64)
+    let sealed = r.u64()?;
+    // Every record is at least 20 bytes, so a damaged count cannot
+    // reserve more than the file could hold.
+    let mut records = Vec::with_capacity(sealed.min(bytes.len() as u64 / 20) as usize);
+    while !r.at_end() {
+        let entry = records.len() as u64;
+        match parse_record(bytes, r.pos, entry) {
+            Ok((key, outcome, next)) => {
+                records.push((key, outcome));
+                r.pos = next;
+            }
+            Err(e) if policy == Policy::Strict => {
+                return Err(if entry < sealed {
+                    e
+                } else {
+                    CacheFileError::TrailingBytes
+                });
+            }
+            Err(_) => break,
+        }
+    }
+    if policy == Policy::Strict && (records.len() as u64) < sealed {
+        return Err(CacheFileError::Truncated);
+    }
+    Ok(Contents {
+        records,
+        sealed,
+        intact: r.pos,
+    })
 }
 
 /// Parses the record at `pos` (the `entry`-th of its file), returning
-/// `(key, outcome, next_pos)` — the one reader of the `key | len | payload
-/// | checksum` framing, for the journal and the snapshot alike.
+/// `(key, outcome, next_pos)`.
 ///
 /// # Errors
 ///
 /// [`CacheFileError::Truncated`] when the bytes end before the record
 /// does; [`CacheFileError::Corrupt`] when it is all there but fails its
-/// checksum or does not decode. The journal treats both as the end of its
-/// intact prefix; the snapshot loader reports them as they are.
-pub(crate) fn parse_record(
+/// checksum or does not decode.
+fn parse_record(
     bytes: &[u8],
     pos: usize,
     entry: u64,
@@ -149,8 +218,7 @@ pub(crate) fn parse_record(
     Ok((key, outcome, r.pos))
 }
 
-/// One record, encoded: `key | len | payload | checksum` — the one writer
-/// of that framing, for the journal and the snapshot alike.
+/// One record, encoded: `key | len | payload | checksum`.
 #[must_use]
 pub(crate) fn encode_record(key: u64, outcome: &EvalOutcome) -> Vec<u8> {
     let payload = encode_outcome(outcome);
@@ -162,100 +230,115 @@ pub(crate) fn encode_record(key: u64, outcome: &EvalOutcome) -> Vec<u8> {
     rec
 }
 
+/// Publishes a file of `sealed` records (`records`, already encoded) at
+/// `path`, atomically and durably: the bytes go to a uniquely named
+/// sibling temp file, are fsynced, and the rename over `path` is fsynced
+/// through the directory. A rename replaces the only copy, so the flush is
+/// what makes a crash leave the old file or the new one, never an empty
+/// one. Concurrent publishers each rename a complete image; the last one
+/// wins.
+pub(crate) fn publish(path: &Path, sealed: u64, records: &[u8]) -> io::Result<()> {
+    // Savers sharing one temp name (two daemons on one cache file, a sweep
+    // racing a shutdown) would truncate each other mid-write.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+    let published = write_synced(&tmp, sealed, records).and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = published {
+        // Never leave an orphaned temp file behind a failed publish.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    sync_parent(path)
+}
+
+fn write_synced(path: &Path, sealed: u64, records: &[u8]) -> io::Result<()> {
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&CACHE_MAGIC);
+    header[8..12].copy_from_slice(&CACHE_VERSION.to_le_bytes());
+    header[12..].copy_from_slice(&sealed.to_le_bytes());
+    let mut file = File::create(path)?;
+    file.write_all(&header)?;
+    file.write_all(records)?;
+    file.sync_all()
+}
+
+#[cfg(unix)]
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_parent(_: &Path) -> io::Result<()> {
+    Ok(())
+}
+
 /// The live append handle plus its counters. Owned by the cache behind a
 /// mutex; all methods assume the caller holds that lock.
 #[derive(Debug)]
 pub(crate) struct Journal {
-    pub(crate) snapshot_path: PathBuf,
+    pub(crate) path: PathBuf,
     file: File,
-    /// Current journal file length in bytes.
-    bytes: u64,
     /// Records appended since the last fsync.
     pending: usize,
-    pub(crate) cfg: JournalConfig,
     pub(crate) stats: JournalStats,
 }
 
 impl Journal {
-    /// Opens (creating if absent) the journal next to `snapshot`,
-    /// replaying its intact prefix and truncating any torn tail so that
-    /// appends resume cleanly. Returns the handle plus the replayed
-    /// entries (the caller folds them into the in-memory table).
-    pub(crate) fn open(
-        snapshot: &Path,
-        cfg: JournalConfig,
-    ) -> io::Result<(Journal, Vec<(u64, EvalOutcome)>)> {
-        let path = journal_path(snapshot);
-        let existing = match std::fs::read(&path) {
+    /// Opens the cache file at `path` (creating it if absent) under the
+    /// tolerant policy and repairs it to hold exactly what was recovered,
+    /// so appends resume on a record boundary. Returns the handle and the
+    /// recovered records, in file order.
+    pub(crate) fn open(path: &Path) -> io::Result<(Journal, Vec<(u64, EvalOutcome)>)> {
+        let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let (entries, valid) = replay(&existing);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(&path)?;
-        let bytes = if valid < HEADER_LEN {
-            // Missing, short, or foreign header: start a fresh journal.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&JOURNAL_MAGIC)?;
-            file.write_all(&JOURNAL_VERSION.to_le_bytes())?;
+        // A foreign or short header reads as nothing: a cold cache over a
+        // fresh file. A prefix that ends inside the sealed records is
+        // republished as all sealed, so the header never over-counts.
+        let found = read(&bytes, Policy::Tolerant).unwrap_or_default();
+        let n = found.records.len() as u64;
+        let republish = found.intact < HEADER_LEN || n < found.sealed;
+        if republish {
+            let records = bytes.get(HEADER_LEN..found.intact).unwrap_or_default();
+            publish(path, n, records)?;
+        }
+        let file = OpenOptions::new().append(true).open(path)?;
+        if !republish && found.intact < bytes.len() {
+            file.set_len(found.intact as u64)?;
             file.sync_data()?;
-            HEADER_LEN
-        } else {
-            // Drop the torn tail so the next append starts on a record
-            // boundary, then continue from the intact prefix.
-            if existing.len() as u64 > valid {
-                file.set_len(valid)?;
-                file.sync_data()?;
-            }
-            file.seek(SeekFrom::End(0))?;
-            valid
-        };
+        }
         let stats = JournalStats {
-            recovered_journal: entries.len() as u64,
-            torn_tail_bytes: existing.len() as u64 - torn_base(existing.len() as u64, valid),
+            recovered_snapshot: n.min(found.sealed),
+            recovered_journal: n.saturating_sub(found.sealed),
+            torn_tail_bytes: (bytes.len() - found.intact) as u64,
             ..JournalStats::default()
         };
-        Ok((
-            Journal {
-                snapshot_path: snapshot.to_path_buf(),
-                file,
-                bytes,
-                pending: 0,
-                cfg,
-                stats,
-            },
-            entries,
-        ))
+        let journal = Journal {
+            path: path.to_path_buf(),
+            file,
+            pending: 0,
+            stats,
+        };
+        Ok((journal, found.records))
     }
 
     /// Appends one record, syncing when the pending batch is full.
     pub(crate) fn append(&mut self, key: u64, outcome: &EvalOutcome) -> io::Result<()> {
-        let rec = encode_record(key, outcome);
-        self.file.write_all(&rec)?;
-        self.bytes += rec.len() as u64;
+        self.file.write_all(&encode_record(key, outcome))?;
         self.stats.appended += 1;
         self.pending += 1;
-        if self.pending >= self.cfg.sync_every.max(1) {
-            self.file.sync_data()?;
-            self.pending = 0;
-            self.stats.syncs += 1;
+        if self.pending >= SYNC_EVERY {
+            self.sync()?;
         }
         Ok(())
     }
 
-    /// Whether the journal has outgrown its compaction threshold.
-    pub(crate) fn wants_compaction(&self) -> bool {
-        self.bytes >= self.cfg.compact_bytes
-    }
-
     /// Forces any pending batch to disk.
-    pub(crate) fn sync(&mut self) -> io::Result<()> {
+    fn sync(&mut self) -> io::Result<()> {
         if self.pending > 0 {
             self.file.sync_data()?;
             self.pending = 0;
@@ -264,15 +347,11 @@ impl Journal {
         Ok(())
     }
 
-    /// Resets the journal to an empty header (called after the snapshot
-    /// has been atomically republished, so no entry is ever only-here).
-    pub(crate) fn reset(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&JOURNAL_MAGIC)?;
-        self.file.write_all(&JOURNAL_VERSION.to_le_bytes())?;
-        self.file.sync_data()?;
-        self.bytes = HEADER_LEN;
+    /// Points the handle at the file a save has just published over
+    /// `path`: the old handle's file was replaced, and the save holds
+    /// every record it was still to sync.
+    pub(crate) fn reopen(&mut self) -> io::Result<()> {
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.pending = 0;
         Ok(())
     }
@@ -280,18 +359,110 @@ impl Journal {
 
 impl Drop for Journal {
     fn drop(&mut self) {
-        // Best effort: flush the last batch on clean teardown. A crash
-        // skips this, which is exactly the case the journal exists for.
+        // Best effort: flush the last batch on clean teardown.
         let _ = self.sync();
     }
 }
 
-/// How many of `total` bytes survive recovery: the intact prefix, or
-/// nothing when the header itself was unusable.
-fn torn_base(total: u64, valid: u64) -> u64 {
-    if valid < HEADER_LEN {
-        0
-    } else {
-        valid.min(total)
+fn entry_checksum(key: u64, payload: &[u8]) -> u64 {
+    let mut buf = Vec::with_capacity(8 + payload.len());
+    buf.extend_from_slice(&key.to_le_bytes());
+    buf.extend_from_slice(payload);
+    fnv1a64(&buf)
+}
+
+fn encode_outcome(out: &EvalOutcome) -> Vec<u8> {
+    match out {
+        EvalOutcome::Feasible(m) => {
+            let mut b = Vec::with_capacity(1 + 6 * 8);
+            b.push(0u8);
+            b.extend_from_slice(&m.cycles.to_le_bytes());
+            b.extend_from_slice(&m.dram_words.to_le_bytes());
+            b.extend_from_slice(&m.on_chip_bytes.to_le_bytes());
+            b.extend_from_slice(&m.area.logic.to_bits().to_le_bytes());
+            b.extend_from_slice(&m.area.ff.to_bits().to_le_bytes());
+            b.extend_from_slice(&m.area.mem.to_bits().to_le_bytes());
+            b
+        }
+        EvalOutcome::Infeasible(reason) => {
+            let mut b = Vec::with_capacity(1 + 4 + reason.len());
+            b.push(1u8);
+            b.extend_from_slice(&(reason.len() as u32).to_le_bytes());
+            b.extend_from_slice(reason.as_bytes());
+            b
+        }
+        // Never reached: `EvalCache::insert` refuses Failed, so no table
+        // holds one. Encoded as an empty Infeasible so the match stays
+        // exhaustive without a panic path.
+        EvalOutcome::Failed(_) => vec![1, 0, 0, 0, 0],
+    }
+}
+
+fn decode_outcome(payload: &[u8]) -> Option<EvalOutcome> {
+    let mut r = Reader {
+        bytes: payload,
+        pos: 0,
+    };
+    let out = match r.take(1).ok()?[0] {
+        0 => {
+            let cycles = r.u64().ok()?;
+            let dram_words = r.u64().ok()?;
+            let on_chip_bytes = r.u64().ok()?;
+            let logic = f64::from_bits(r.u64().ok()?);
+            let ff = f64::from_bits(r.u64().ok()?);
+            let mem = f64::from_bits(r.u64().ok()?);
+            EvalOutcome::Feasible(Measurement {
+                cycles,
+                dram_words,
+                on_chip_bytes,
+                area: Area { logic, ff, mem },
+            })
+        }
+        1 => {
+            let len = r.u32().ok()? as usize;
+            let reason = String::from_utf8(r.take(len).ok()?.to_vec()).ok()?;
+            EvalOutcome::Infeasible(reason)
+        }
+        _ => return None,
+    };
+    if !r.at_end() {
+        return None;
+    }
+    Some(out)
+}
+
+/// A bounds-checked little-endian byte reader: every read that would run
+/// past the end is [`CacheFileError::Truncated`], never a panic.
+struct Reader<'b> {
+    bytes: &'b [u8],
+    pos: usize,
+}
+
+impl<'b> Reader<'b> {
+    fn take(&mut self, n: usize) -> Result<&'b [u8], CacheFileError> {
+        let end = self.pos.checked_add(n).ok_or(CacheFileError::Truncated)?;
+        let slice = self
+            .bytes
+            .get(self.pos..end)
+            .ok_or(CacheFileError::Truncated)?;
+        self.pos = end;
+        Ok(slice)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CacheFileError> {
+        let bytes = self.take(N)?.try_into();
+        bytes.map_err(|_| CacheFileError::Truncated)
+    }
+
+    fn u32(&mut self) -> Result<u32, CacheFileError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, CacheFileError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn at_end(&self) -> bool {
+        self.pos == self.bytes.len()
     }
 }

@@ -48,7 +48,7 @@ pub mod space;
 
 pub use cache::EvalCache;
 pub use engine::{explore, CapacityMode, DseConfig, GuidedConfig, Objective, Strategy};
-pub use journal::{journal_path, JournalConfig, JournalStats};
+pub use journal::JournalStats;
 pub use model::CostModel;
 pub use pareto::pareto_frontier;
 pub use report::{DseReport, DseStats, EvaluatedPoint, FailedPoint};

@@ -2,10 +2,9 @@
 //!
 //! Usage:
 //! `cargo run --release -p pphw-server --bin serve [--addr HOST:PORT]
-//!  [--threads N] [--dse-threads N] [--cache PATH] [--cache-sync-every N]
-//!  [--cache-compact-bytes N] [--max-space N] [--max-connections N]
-//!  [--max-inflight N] [--default-cycle-budget N] [--max-cycle-budget N]
-//!  [--debug-methods] [--print-addr]`
+//!  [--threads N] [--dse-threads N] [--cache PATH] [--max-space N]
+//!  [--max-connections N] [--max-inflight N] [--default-cycle-budget N]
+//!  [--max-cycle-budget N] [--debug-methods] [--print-addr]`
 //!
 //! - `--addr HOST:PORT`  listen address (default `127.0.0.1:7340`; port
 //!   `0` picks an ephemeral port — combine with `--print-addr`)
@@ -13,15 +12,11 @@
 //! - `--dse-threads N`   worker threads inside one `dse` request
 //!   (default 2 — a serving daemon balances many requests rather than
 //!   racing one sweep)
-//! - `--cache PATH`      persistent measurement cache, opened
-//!   **journaled**: the snapshot (and any journal tail) is recovered at
-//!   startup, every evaluation is appended to `PATH.jnl` as it lands, and
-//!   a clean shutdown checkpoints the journal into the snapshot. `kill
-//!   -9` loses at most the last unsynced append batch.
-//! - `--cache-sync-every N`  fsync the journal every N appends
-//!   (default 8; `1` = maximum durability, every evaluation)
-//! - `--cache-compact-bytes N`  compact the journal into the snapshot
-//!   once it exceeds N bytes (default 4 MiB)
+//! - `--cache PATH`      persistent measurement cache, one file opened
+//!   **journaled**: its intact records are recovered at startup, every
+//!   evaluation is appended to `PATH` as it lands, and a clean shutdown
+//!   checkpoints (rewrites) it compacted. `kill -9` loses nothing the
+//!   daemon wrote; a power loss at most the last unsynced batch of eight.
 //! - `--max-space N`     per-request DSE candidate ceiling
 //! - `--max-connections N` / `--max-inflight N`  overload protection:
 //!   connections beyond the cap get one typed retryable `EOVERLOAD` line;
@@ -44,7 +39,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use pphw_dse::cache::EvalCache;
-use pphw_dse::JournalConfig;
 use pphw_server::{Limits, Server, Service};
 
 struct Args {
@@ -52,7 +46,6 @@ struct Args {
     threads: usize,
     dse_threads: usize,
     cache: Option<String>,
-    journal_cfg: JournalConfig,
     limits: Limits,
     print_addr: bool,
 }
@@ -69,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 4,
         dse_threads: 2,
         cache: None,
-        journal_cfg: JournalConfig::default(),
         limits: Limits::default(),
         print_addr: false,
     };
@@ -81,8 +73,6 @@ fn parse_args() -> Result<Args, String> {
             "--threads" => args.threads = num(&flag, val()?)?,
             "--dse-threads" => args.dse_threads = num(&flag, val()?)?,
             "--cache" => args.cache = Some(val()?),
-            "--cache-sync-every" => args.journal_cfg.sync_every = num(&flag, val()?)?,
-            "--cache-compact-bytes" => args.journal_cfg.compact_bytes = num(&flag, val()?)?,
             "--max-space" => args.limits.max_space = num(&flag, val()?)?,
             "--max-connections" => args.limits.max_connections = num(&flag, val()?)?,
             "--max-inflight" => args.limits.max_inflight = num(&flag, val()?)?,
@@ -105,12 +95,12 @@ fn main() -> ExitCode {
         }
     };
     let evals = match &args.cache {
-        Some(p) => match EvalCache::open_journaled_with(Path::new(p), args.journal_cfg) {
+        Some(p) => match EvalCache::open_journaled(Path::new(p)) {
             Ok(cache) => {
                 let js = cache.journal_stats().unwrap_or_default();
                 eprintln!(
                     "eval cache: {} entries recovered from {p} \
-                     ({} snapshot + {} journal, {} torn byte(s) discarded)",
+                     ({} sealed + {} appended, {} torn byte(s) discarded)",
                     cache.len(),
                     js.recovered_snapshot,
                     js.recovered_journal,
@@ -119,7 +109,7 @@ fn main() -> ExitCode {
                 cache
             }
             Err(e) => {
-                // Degraded: serve from the snapshot alone, without
+                // Degraded: serve what a strict load reads, without
                 // crash-safety, rather than refuse to start.
                 eprintln!("eval cache: journal open failed ({e}); running unjournaled");
                 let cache = EvalCache::load_or_cold(Path::new(p));
@@ -155,8 +145,7 @@ fn main() -> ExitCode {
     if let Some(p) = &args.cache {
         let cache = service.eval_cache();
         let result = if cache.is_journaled() {
-            // Fold the journal into the snapshot so the next start
-            // recovers from the snapshot alone.
+            // Compact the file: every entry sealed once.
             cache.checkpoint().map_err(|e| e.to_string())
         } else {
             cache.save(Path::new(p)).map_err(|e| e.to_string())
@@ -170,7 +159,7 @@ fn main() -> ExitCode {
         }
         if let Some(js) = cache.journal_stats() {
             eprintln!(
-                "eval journal: {} appended, {} sync(s), {} compaction(s), {} io error(s)",
+                "eval cache: {} appended, {} sync(s), {} checkpoint(s), {} io error(s)",
                 js.appended, js.syncs, js.compactions, js.io_errors
             );
         }

@@ -138,7 +138,13 @@ fn counter(stats: &Json, name: &str) -> u64 {
 /// the daemon binds or prints anything.
 #[test]
 fn bad_flags_are_refused_before_binding() {
-    for flags in [&["--bogus"][..], &["--threads", "many"], &["--max-space"]] {
+    for flags in [
+        &["--bogus"][..],
+        &["--threads", "many"],
+        &["--max-space"],
+        &["--cache-sync-every", "1"],
+        &["--cache-compact-bytes", "4096"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(["--addr", "127.0.0.1:0", "--print-addr"])
             .args(flags)
@@ -232,10 +238,11 @@ fn sigkilled_daemon_restarts_warm_from_its_journal() {
     let cache = dir.path().join("evals.pphwc");
     let cache_arg = cache.to_str().expect("UTF-8 temp path");
 
-    // First life: every evaluation is fsync'd to the journal as it lands.
-    // The population arrives through the fault-injecting proxy; each
-    // logical request must still end in exactly one typed response.
-    let first = Daemon::spawn(&["--cache", cache_arg, "--cache-sync-every", "1"]);
+    // First life: every evaluation is appended to the cache file as it
+    // lands; SIGKILL does not lose written pages. The population arrives
+    // through the fault-injecting proxy; each logical request must still
+    // end in exactly one typed response.
+    let first = Daemon::spawn(&["--cache", cache_arg]);
     let proxy = ChaosProxy::spawn(
         first.addr,
         ChaosConfig {
@@ -283,13 +290,12 @@ fn sigkilled_daemon_restarts_warm_from_its_journal() {
     // journaled whichever chaos requests ended in typed errors.
     drop(replay(&first.addr));
     first.kill();
-    let journal = pphw_dse::journal_path(&cache);
     assert!(
-        std::fs::metadata(&journal).is_ok_and(|m| m.len() > 0),
-        "no journal at {journal:?} after SIGKILL"
+        std::fs::metadata(&cache).is_ok_and(|m| m.len() > 20),
+        "nothing appended to {cache:?} before SIGKILL"
     );
 
-    // Second life on the same `--cache`: the journal alone makes every
+    // Second life on the same `--cache`: the appended records make every
     // evaluation a hit. Only verify's design-level analysis may compile,
     // once per distinct verified benchmark (the design cache is in-memory).
     let second = Daemon::spawn(&["--cache", cache_arg]);
