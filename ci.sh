@@ -41,6 +41,8 @@ PPHW_PROP_SEED=0xC1C1C1C1 PPHW_PROP_CASES=64 \
   cargo test -q --offline --test robustness fuzzed_pipeline_returns_errors_never_panics
 PPHW_PROP_SEED=0xF0F0F0F0 PPHW_PROP_CASES=64 \
   cargo test -q --offline --test frontend_fuzz
+PPHW_PROP_SEED=0xA5A5A5A5 PPHW_PROP_CASES=64 \
+  cargo test -q --offline --test frontend_roundtrip random_programs_round_trip
 
 echo "== fmt, clippy"
 cargo fmt --all -- --check

@@ -120,10 +120,14 @@ fn main() {
             on_chip_budget_bytes: Some(base.on_chip_budget_bytes),
             ..VerifyConfig::default()
         };
+        // Source findings locate in the benchmark's `.ppl` file; compiled
+        // programs have no source map, so their findings keep paths only.
+        let mut report = verify_program(&(spec.program)(), &cfg);
+        report.attach_spans(&spec.source.parsed().source_map, spec.source.text);
         rows.push(Row {
             bench: spec.name,
             stage: "source".into(),
-            report: verify_program(&(spec.program)(), &cfg),
+            report,
             flow: None,
         });
         for level in OptLevel::all() {

@@ -74,12 +74,20 @@ fn verify_flow_json_reports_six_clean_benchmarks() {
     assert_eq!(benches.len(), 6, "{benches:?}");
 
     let mut flows = 0;
+    let mut files = BTreeSet::new();
     for run in runs {
-        assert_eq!(count(field(run, "report"), "error_count"), 0, "{run:?}");
-        // Source stages carry no design, hence no flow view.
+        let report = field(run, "report");
+        assert_eq!(count(report, "error_count"), 0, "{run:?}");
+        // Source stages locate findings in their `.ppl` file and carry no
+        // design, hence no flow view; compiled stages have no source map.
         let Some(flow) = run.get("flow") else {
+            let bench = field(run, "bench").as_str().expect("bench name");
+            let file = field(report, "file").as_str().expect("a file name");
+            assert_eq!(file, format!("examples/{bench}.ppl"), "{run:?}");
+            files.insert(file);
             continue;
         };
+        assert_eq!(report.get("file"), None, "{run:?}");
         flows += 1;
         assert!(
             items(flow, "inferred").is_empty(),
@@ -95,6 +103,7 @@ fn verify_flow_json_reports_six_clean_benchmarks() {
         }
     }
     assert_eq!(flows, 6 * 3, "one flow view per benchmark and level");
+    assert_eq!(files.len(), 6, "one source file per benchmark: {files:?}");
 }
 
 #[test]

@@ -1,21 +1,20 @@
 //! # pphw — parallel patterns to configurable hardware
 //!
 //! The compiler driver for this reproduction of *Generating Configurable
-//! Hardware from Parallel Patterns*: one call takes a PPL program (built
-//! with [`pphw_ir::builder::ProgramBuilder`]) through tiling (strip mining
-//! plus interchange and tile copies), hardware generation (template
-//! selection, memory allocation, metapipelining), and simulation.
+//! Hardware from Parallel Patterns*: one call takes a PPL program (parsed
+//! from its text by `pphw-frontend`) through tiling (strip mining plus
+//! interchange and tile copies), hardware generation (template selection,
+//! memory allocation, metapipelining), and simulation.
 //!
 //! ```
 //! use pphw::{compile, CompileOptions, OptLevel};
-//! use pphw_ir::builder::ProgramBuilder;
-//! use pphw_ir::types::DType;
 //!
-//! let mut b = ProgramBuilder::new("double");
-//! let d = b.size("d");
-//! let x = b.input("x", DType::F32, vec![d.clone()]);
-//! let out = b.map(vec![d], |c, i| c.mul(c.f32(2.0), c.read(x, vec![c.var(i[0])])));
-//! let prog = b.finish(vec![out]);
+//! let src = "program double(d) {
+//!   input x: Float[d]
+//!   let y = map(d) { (i) => yield 2.0 * x(i) }
+//!   return (y)
+//! }";
+//! let prog = pphw_frontend::parse_program(src, "double.ppl").unwrap().program;
 //!
 //! let opts = CompileOptions::new(&[("d", 4096)])
 //!     .tiles(&[("d", 512)])

@@ -5,32 +5,30 @@
 
 use pphw::{compile, evaluate, CompileOptions, OptLevel, PphwError};
 use pphw_hw::design::{CtrlKind, DesignStyle};
-use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::pattern::Init;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_sim::SimConfig;
 
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
+
 fn sumrows_program() -> Program {
-    let mut b = ProgramBuilder::new("sumrows");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m], |c, i| {
-            let i = i[0];
-            c.fold(
-                "rowsum",
-                vec![n.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, j, acc| c.add(c.var(acc), c.read(x, vec![c.var(i), c.var(j[0])])),
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    parse(
+        "program sumrows(m, n) {
+           input x: Float[m, n]
+           let sums = map(m) { (i) =>
+             let rowsum = fold(n) {
+               acc rowsum: Float = splat(0.0)
+               (j) (acc) => yield acc + x(i, j)
+               combine (a, b) { yield a + b }
+             }
+             yield rowsum
+           }
+           return (sums)
+         }",
+    )
 }
 
 #[test]
@@ -107,33 +105,21 @@ fn metapipelined_level_has_memory_overlap_tiled_does_not() {
 #[test]
 fn interchange_toggle_changes_the_ir() {
     // Figure 5a (no interchange) vs 5b for a gemm-shaped nest.
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program gemm(m, n, p) {
+           input x: Float[m, p]
+           input y: Float[p, n]
+           let prod = map(m, n) { (i, j) =>
+             let dot = fold(p) {
+               acc dot: Float = splat(0.0)
+               (k) (acc) => yield acc + x(i, k) * y(k, j)
+               combine (a, b) { yield a + b }
+             }
+             yield dot
+           }
+           return (prod)
+         }",
+    );
     let base = CompileOptions::new(&[("m", 32), ("n", 32), ("p", 32)]).tiles(&[
         ("m", 8),
         ("n", 8),

@@ -512,20 +512,18 @@ mod tests {
     use super::*;
     use crate::Measurement;
     use pphw_hw::Area;
-    use pphw_ir::builder::ProgramBuilder;
-    use pphw_ir::types::DType;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// map(m,n){ x * 2 } — trivially tileable in both dims.
     fn program() -> Program {
-        let mut b = ProgramBuilder::new("scale2d");
-        let m = b.size("m");
-        let n = b.size("n");
-        let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-        let out = b.map(vec![m, n], |c, i| {
-            c.mul(c.f32(2.0), c.read(x, vec![c.var(i[0]), c.var(i[1])]))
-        });
-        b.finish(vec![out])
+        let src = "program scale2d(m, n) {
+          input x: Float[m, n]
+          let y = map(m, n) { (i, j) => yield 2.0 * x(i, j) }
+          return (y)
+        }";
+        pphw_frontend::parse_program(src, "scale2d.ppl")
+            .expect("parses")
+            .program
     }
 
     /// A synthetic evaluator: cycles fall with tile volume (locality) and

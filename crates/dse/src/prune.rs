@@ -183,9 +183,13 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use pphw_ir::builder::ProgramBuilder;
-    use pphw_ir::types::DType;
     use pphw_sim::SimConfig;
+
+    fn parse(src: &str) -> Program {
+        pphw_frontend::parse_program(src, "test.ppl")
+            .expect("parses")
+            .program
+    }
 
     /// gemm: map(m,n){ fold(p){ acc + x(i,k)*y(k,j) } }. After tiling plus
     /// interchange the scalar accumulator becomes a mandatory (b_m, b_n)
@@ -193,33 +197,21 @@ mod tests {
     /// cannot elide it, so the analytic budget prune has something real to
     /// reject.
     fn gemm() -> Program {
-        let mut b = ProgramBuilder::new("gemm");
-        let m = b.size("m");
-        let n = b.size("n");
-        let p = b.size("p");
-        let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-        let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-        let out = b.with_ctx(|c| {
-            c.map(vec![m, n], |c, idx| {
-                let (i, j) = (idx[0], idx[1]);
-                c.fold(
-                    "dot",
-                    vec![p.clone()],
-                    vec![],
-                    pphw_ir::types::ScalarType::Prim(DType::F32),
-                    pphw_ir::pattern::Init::zeros(),
-                    |c, kk, acc| {
-                        let prod = c.mul(
-                            c.read(x, vec![c.var(i), c.var(kk[0])]),
-                            c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                        );
-                        c.add(c.var(acc), prod)
-                    },
-                    |c, a, b2| c.add(c.var(a), c.var(b2)),
-                )
-            })
-        });
-        b.finish(vec![out])
+        parse(
+            "program gemm(m, n, p) {
+               input x: Float[m, p]
+               input y: Float[p, n]
+               let prod = map(m, n) { (i, j) =>
+                 let dot = fold(p) {
+                   acc dot: Float = splat(0.0)
+                   (k) (acc) => yield acc + x(i, k) * y(k, j)
+                   combine (a, b) { yield a + b }
+                 }
+                 yield dot
+               }
+               return (prod)
+             }",
+        )
     }
 
     fn cand(tiles: &[(&str, i64)], par: u32) -> Candidate {
@@ -296,24 +288,17 @@ mod tests {
         // fold over subtraction: combine (a, b) -> a - b is not
         // associative-commutative, so any parallel candidate is illegal
         // while the serial one stays explorable.
-        let mut b = ProgramBuilder::new("subfold");
-        let m = b.size("m");
-        let x = b.input("x", DType::F32, vec![m.clone()]);
-        let out = b.with_ctx(|c| {
-            c.fold(
-                "acc",
-                vec![m],
-                vec![],
-                pphw_ir::types::ScalarType::Prim(DType::F32),
-                pphw_ir::pattern::Init::zeros(),
-                |c, i, acc| {
-                    let v = c.read(x, vec![c.var(i[0])]);
-                    c.add(c.var(acc), v)
-                },
-                |c, a, b2| c.sub(c.var(a), c.var(b2)),
-            )
-        });
-        let prog = b.finish(vec![out]);
+        let prog = parse(
+            "program subfold(m) {
+               input x: Float[m]
+               let total = fold(m) {
+                 acc total: Float = splat(0.0)
+                 (i) (acc) => yield acc + x(i)
+                 combine (a, b) { yield a - b }
+               }
+               return (total)
+             }",
+        );
         let s = sizes(&[("m", 64)]);
         let cands = vec![cand(&[("m", 16)], 8), cand(&[("m", 16)], 1)];
         let out = prefilter(

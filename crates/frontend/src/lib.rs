@@ -17,7 +17,6 @@
 //! The single entry point is [`parse_program`]; everything it reports goes
 //! through [`ParseError`], whose `PPLP0xx` codes are listed in [`codes`].
 
-pub mod arbitrary;
 pub mod ast;
 pub mod lexer;
 pub mod lower;
@@ -169,9 +168,9 @@ pub fn parse_program(src: &str, file: &str) -> Result<ParseOutput, Vec<ParseErro
         )]);
     };
     let out = lower::lower(&ast, file)?;
-    // Safety net: the lowered IR must satisfy the same invariants builder
-    // programs do. A failure here is a frontend bug, not a user error,
-    // but it must surface as a diagnostic rather than a panic downstream.
+    // Safety net: the lowered IR must satisfy the invariants every pass
+    // assumes. A failure here is a frontend bug, not a user error, but it
+    // must surface as a diagnostic rather than a panic downstream.
     if let Err(e) = out.program.validate() {
         return Err(vec![ParseError::new(
             codes::PROGRAM_STRUCTURE,

@@ -13,7 +13,6 @@
 use std::collections::{BTreeSet, HashMap};
 
 use pphw_ir::block::{Block, CopyOp, GuardedItem, Op, SliceDim, SliceOp, Stmt};
-use pphw_ir::builder::{region_type, slice_result_type};
 use pphw_ir::expr::{Expr, Lit};
 use pphw_ir::infer::infer_scalar_type;
 use pphw_ir::pattern::{
@@ -23,7 +22,7 @@ use pphw_ir::pattern::{
 use pphw_ir::program::Program;
 use pphw_ir::size::Size;
 use pphw_ir::span::{SourceMap, Span};
-use pphw_ir::types::{DType, ScalarType, Sym, SymTable, Type};
+use pphw_ir::types::{region_type, slice_result_type, DType, ScalarType, Sym, SymTable, Type};
 
 use crate::ast::{
     Name, PAccDecl, PBody, PCombine, PDim, PExpr, PExprKind, PLit, PProgram, PRhs, PScalar, PSize,
@@ -793,8 +792,8 @@ impl Lowerer {
         ))
     }
 
-    /// `fold` sugar: one accumulator updated in full every iteration, the
-    /// same desugaring the builder API applies.
+    /// `fold` sugar: one accumulator updated in full every iteration, i.e.
+    /// a `multiFold` with an empty `pre`, a zero location and one combine.
     #[allow(clippy::too_many_arguments)]
     fn fold(
         &mut self,

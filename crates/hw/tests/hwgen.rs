@@ -6,41 +6,32 @@
 
 use pphw_hw::design::{BufferKind, CtrlKind, DesignStyle, Node, UnitKind};
 use pphw_hw::{design_area, generate, HwConfig};
-use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::pattern::Init;
 use pphw_ir::size::Size;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_transform::{tile_program, TileConfig};
 
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
+
 fn gemm_program() -> Program {
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    parse(
+        "program gemm(m, n, p) {
+           input x: Float[m, p]
+           input y: Float[p, n]
+           let prod = map(m, n) { (i, j) =>
+             let dot = fold(p) {
+               acc dot: Float = splat(0.0)
+               (k) (acc) => yield acc + x(i, k) * y(k, j)
+               combine (a, b) { yield a + b }
+             }
+             yield dot
+           }
+           return (prod)
+         }",
+    )
 }
 
 fn sizes() -> Vec<(&'static str, i64)> {
@@ -265,71 +256,33 @@ fn area_grows_from_baseline_to_metapipelined_mem() {
 fn kmeans_style_design_preloads_centroids() {
     // k-means with k,d untiled and small: centroids are preloaded whole
     // (Figure 6, Pipe 0).
-    let mut b = ProgramBuilder::new("kmeans_assign");
-    let n = b.size("n");
-    let k = b.size("k");
-    let d = b.size("d");
-    let points = b.input("points", DType::F32, vec![n.clone(), d.clone()]);
-    let centroids = b.input("centroids", DType::F32, vec![k.clone(), d.clone()]);
-    let out = b.with_ctx(|c| {
-        let (k2, d2) = (k.clone(), d.clone());
-        c.multi_fold(
-            "counts",
-            vec![n.clone()],
-            vec![k.clone()],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            move |c, idx| {
-                let i = idx[0];
-                let best = c.fold(
-                    "best",
-                    vec![k2.clone()],
-                    vec![],
-                    ScalarType::Tuple(vec![DType::F32, DType::I32]),
-                    Init::argmin(),
-                    |c, j, acc| {
-                        let j = j[0];
-                        let dist = c.fold(
-                            "dist",
-                            vec![d2.clone()],
-                            vec![],
-                            ScalarType::Prim(DType::F32),
-                            Init::zeros(),
-                            |c, p, acc2| {
-                                let diff = c.sq_diff(
-                                    c.read(points, vec![c.var(i), c.var(p[0])]),
-                                    c.read(centroids, vec![c.var(j), c.var(p[0])]),
-                                );
-                                c.add(c.var(acc2), diff)
-                            },
-                            |c, a, b2| c.add(c.var(a), c.var(b2)),
-                        );
-                        let cand = c.tuple(vec![c.var(dist), c.var(j)]);
-                        c.select(c.lt(c.field(c.var(acc), 0), c.var(dist)), c.var(acc), cand)
-                    },
-                    |c, a, b2| {
-                        c.select(
-                            c.lt(c.field(c.var(a), 0), c.field(c.var(b2), 0)),
-                            c.var(a),
-                            c.var(b2),
-                        )
-                    },
-                );
-                let min_idx = c.scalar("minIdx", c.field(c.var(best), 1));
-                (
-                    vec![pphw_ir::expr::Expr::var(min_idx)],
-                    vec![],
-                    Box::new(move |c2: &mut pphw_ir::builder::Ctx<'_>, acc| {
-                        c2.add(c2.var(acc), c2.f32(1.0))
-                    }),
-                )
-            },
-            Some(Box::new(|c2: &mut pphw_ir::builder::Ctx<'_>, a, b2| {
-                c2.add(c2.var(a), c2.var(b2))
-            })),
-        )
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program kmeans_assign(n, k, d) {
+           input points: Float[n, d]
+           input centroids: Float[k, d]
+           let counts = multiFold(n) {
+             acc counts: Float[k] = splat(0.0)
+             (i) =>
+             pre {
+               let best = fold(k) {
+                 acc best: (Float, Int) = splat(3.4028235e38, -1)
+                 (j) (acc) =>
+                   let dist = fold(d) {
+                     acc dist: Float = splat(0.0)
+                     (p) (acc2) => yield acc2 + square(points(i, p) - centroids(j, p))
+                     combine (a, b) { yield a + b }
+                   }
+                   yield if (acc._1 < dist) acc else (dist, j)
+                 combine (a, b) { yield if (a._1 < b._1) a else b }
+               }
+               let minIdx = best._2
+             }
+             update counts @ (minIdx) [] (acc) { yield acc + 1.0 }
+             combine counts (a, b) { yield a + b }
+           }
+           return (counts)
+         }",
+    );
     let sz = [("n", 256), ("k", 8), ("d", 16)];
     // Tile only n: k and d stay on chip.
     let cfg = TileConfig::new(&[("n", 32)], &sz);
@@ -372,21 +325,24 @@ fn maxj_emission_contains_templates() {
     assert!(maxj.contains("control.metapipeline"), "{maxj}");
 }
 
+/// `table(idx(i))` over `n` indices into an `m`-entry table.
+fn gather_program(name: &str) -> Program {
+    parse(&format!(
+        "program {name}(n, m) {{
+           input idx: Int[n]
+           input table: Float[m]
+           let y = map(n) {{ (i) => yield table(idx(i)) }}
+           return (y)
+         }}"
+    ))
+}
+
 /// Data-dependent gathers get caches (Table 4's cache row): a permutation
 /// read `table(idx(i))` cannot be tiled and must be served by a tagged
 /// cache in front of DRAM.
 #[test]
 fn non_affine_access_infers_cache() {
-    let mut b = ProgramBuilder::new("gather");
-    let n = b.size("n");
-    let m = b.size("m");
-    let idx = b.input("idx", DType::I32, vec![n.clone()]);
-    let table = b.input("table", DType::F32, vec![m.clone()]);
-    let out = b.map(vec![n], |c, i| {
-        let j = c.read(idx, vec![c.var(i[0])]);
-        c.read(table, vec![j])
-    });
-    let prog = b.finish(vec![out]);
+    let prog = gather_program("gather");
     let env = Size::env(&[("n", 1024), ("m", 4096)]);
     let design = generate(&prog, &env, &HwConfig::baseline(), DesignStyle::Baseline).unwrap();
     assert!(
@@ -403,16 +359,7 @@ fn non_affine_access_infers_cache() {
 /// normally in the optimized design).
 #[test]
 fn affine_stream_is_not_cached() {
-    let mut b = ProgramBuilder::new("gather2");
-    let n = b.size("n");
-    let m = b.size("m");
-    let idx = b.input("idx", DType::I32, vec![n.clone()]);
-    let table = b.input("table", DType::F32, vec![m.clone()]);
-    let out = b.map(vec![n], |c, i| {
-        let j = c.read(idx, vec![c.var(i[0])]);
-        c.read(table, vec![j])
-    });
-    let prog = b.finish(vec![out]);
+    let prog = gather_program("gather2");
     let env = Size::env(&[("n", 1024), ("m", 4096)]);
     let design = generate(&prog, &env, &HwConfig::baseline(), DesignStyle::Baseline).unwrap();
     assert!(
@@ -428,18 +375,19 @@ fn affine_stream_is_not_cached() {
 /// GroupByFold designs contain a CAM (Table 4's CAM row).
 #[test]
 fn group_by_fold_infers_cam() {
-    let mut b = ProgramBuilder::new("hist");
-    let n = b.size("n");
-    let x = b.input("x", DType::I32, vec![n.clone()]);
-    let out = b.group_by_fold(
-        "hist",
-        n,
-        ScalarType::Prim(DType::I32),
-        Init::zero_i32(),
-        |c, i| (c.div(c.read(x, vec![c.var(i)]), c.int(10)), c.int(1)),
-        |a, b2| a.add(b2),
+    let prog = parse(
+        "program hist(n) {
+           input x: Int[n]
+           let hist = groupByFold(n) {
+             acc hist: Int = splat(0)
+             (i) =>
+             key = x(i) / 10
+             update @ () [] (acc) { yield acc + 1 }
+             combine (a, b) { yield a + b }
+           }
+           return (hist)
+         }",
     );
-    let prog = b.finish(vec![out]);
     let env = Size::env(&[("n", 1024)]);
     let cfg = TileConfig::new(&[("n", 128)], &[("n", 1024)]);
     let tiled = tile_program(&prog, &cfg).unwrap();

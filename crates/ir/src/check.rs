@@ -476,80 +476,3 @@ impl<'a> Checker<'a> {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::expr::Lit;
-    use crate::pattern::Init;
-    use crate::types::{DType, ScalarType};
-
-    fn sum_program() -> Program {
-        let mut b = ProgramBuilder::new("sum");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        b.finish(vec![out])
-    }
-
-    fn kinds(prog: &Program) -> Vec<ValidateError> {
-        check_deep(prog).iter().map(|f| f.kind).collect()
-    }
-
-    #[test]
-    fn well_formed_program_is_clean_in_both_modes() {
-        let p = sum_program();
-        assert_eq!(check_deep(&p), vec![]);
-        assert_eq!(p.validate(), Ok(()));
-    }
-
-    #[test]
-    fn deep_collects_every_finding_structural_returns_the_first() {
-        let mut p = sum_program();
-        // Break the result AND rebind an input in one program.
-        let extra = p.body.result[0];
-        p.body.result = vec![Sym(9999)];
-        p.body
-            .stmts
-            .push(Stmt::new(p.inputs[0], Op::Expr(Expr::var(extra))));
-        let found = check_deep(&p);
-        assert_eq!(kinds(&p), [Rule::Rebound, Rule::UnboundSym]);
-        assert_eq!(found[0].path.to_string(), "sum/x[1]");
-        assert_eq!(
-            found[1].path.to_string(),
-            "sum",
-            "a block's result is checked at the block"
-        );
-        assert_eq!(p.validate(), Err(found[0].clone()));
-    }
-
-    #[test]
-    fn rank_and_width_rules_are_deep_only() {
-        let mut b = ProgramBuilder::new("bad");
-        let m = b.size("m");
-        let n = b.size("n");
-        let x = b.input("x", DType::F32, vec![m.clone(), n]);
-        // Reads the rank-2 tensor with a single index.
-        let out = b.map(vec![m], |c, idx| c.read(x, vec![c.var(idx[0])]));
-        let p = b.finish(vec![out]);
-        assert_eq!(kinds(&p), [Rule::ReadRank]);
-        assert_eq!(p.validate(), Ok(()));
-
-        let mut p = sum_program();
-        let Op::Pattern(Pattern::MultiFold(mf)) = &mut p.body.stmts[0].op else {
-            panic!("sum is one multiFold");
-        };
-        mf.accs[0].init.splat.push(Lit::I32(0));
-        assert_eq!(kinds(&p), [Rule::UpdateShape]);
-        assert_eq!(p.validate(), Ok(()));
-    }
-}

@@ -482,113 +482,3 @@ impl Matcher<'_> {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::pattern::Init;
-    use crate::types::{DType, ScalarType};
-
-    fn sum_program(name: &str, lit: f32) -> Program {
-        let mut b = ProgramBuilder::new(name);
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, i, acc| {
-                let scaled = c.mul(c.f32(lit), c.read(x, vec![c.var(i[0])]));
-                c.add(c.var(acc), scaled)
-            },
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        b.finish(vec![out])
-    }
-
-    #[test]
-    fn identical_programs_are_equal() {
-        let a = sum_program("sum", 2.0);
-        let b = sum_program("sum", 2.0);
-        assert_eq!(structural_diff(&a, &b), None);
-        assert!(structural_eq(&a, &b));
-    }
-
-    #[test]
-    fn sym_ids_do_not_matter() {
-        // Mint a few throwaway symbols first so every id shifts.
-        let a = sum_program("sum", 2.0);
-        let mut b = ProgramBuilder::new("sum");
-        let _ = b.size("d");
-        b.with_ctx(|c| {
-            let _ = c.syms().fresh("pad0", Type::f32());
-            let _ = c.syms().fresh("pad1", Type::i32());
-        });
-        let d = Size::var("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, i, acc| {
-                let scaled = c.mul(c.f32(2.0), c.read(x, vec![c.var(i[0])]));
-                c.add(c.var(acc), scaled)
-            },
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        let b = b.finish(vec![out]);
-        assert!(structural_eq(&a, &b));
-    }
-
-    #[test]
-    fn literal_difference_is_reported() {
-        let a = sum_program("sum", 2.0);
-        let b = sum_program("sum", 3.0);
-        let diff = structural_diff(&a, &b).unwrap_or_default();
-        assert!(diff.contains("literal"), "got: {diff}");
-    }
-
-    #[test]
-    fn name_difference_is_reported() {
-        let a = sum_program("sum", 2.0);
-        let b = sum_program("sum2", 2.0);
-        assert!(!structural_eq(&a, &b));
-    }
-
-    #[test]
-    fn float_bits_distinguish_negative_zero() {
-        let mk = |v: f32| {
-            let mut b = ProgramBuilder::new("z");
-            let d = b.size("d");
-            let x = b.input("x", DType::F32, vec![d.clone()]);
-            let out = b.map(vec![d], |c, idx| {
-                c.add(c.f32(v), c.read(x, vec![c.var(idx[0])]))
-            });
-            b.finish(vec![out])
-        };
-        assert!(structural_eq(&mk(0.0), &mk(0.0)));
-        assert!(!structural_eq(&mk(0.0), &mk(-0.0)));
-    }
-
-    #[test]
-    fn sizes_compare_simplified() {
-        let mk = |d: Size| {
-            let mut b = ProgramBuilder::new("m");
-            let _ = b.size("d");
-            let x = b.input("x", DType::F32, vec![d.clone()]);
-            let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-            b.finish(vec![out])
-        };
-        let plain = mk(Size::var("d"));
-        let padded = mk(Size::Add(
-            Box::new(Size::var("d")),
-            Box::new(Size::Const(0)),
-        ));
-        assert!(structural_eq(&plain, &padded));
-    }
-}

@@ -194,11 +194,6 @@ impl Expr {
         Expr::Bin(BinOp::Lt, Box::new(self), Box::new(rhs))
     }
 
-    /// `(a - b)^2` — the squared-difference kernel used by distance sums.
-    pub fn sq_diff(self, rhs: Expr) -> Expr {
-        Expr::Un(UnOp::Square, Box::new(self.sub(rhs)))
-    }
-
     /// Tuple projection.
     pub fn field(self, i: usize) -> Expr {
         Expr::Field(Box::new(self), i)
@@ -374,7 +369,7 @@ mod tests {
 
     #[test]
     fn flop_count_counts_arith() {
-        let e = Expr::var(s(0)).sq_diff(Expr::var(s(1)));
+        let e = Expr::Un(UnOp::Square, Box::new(Expr::var(s(0)).sub(Expr::var(s(1)))));
         // Sub + Square
         assert_eq!(e.flop_count(), 2);
     }

@@ -699,8 +699,8 @@ impl<'a> Interpreter<'a> {
                         });
                     }
                 }
-                // Squeezed view of the region, matching the builder's
-                // region typing: leading unit dims are dropped.
+                // Squeezed view of the region, matching
+                // `types::region_type`: leading unit dims are dropped.
                 let squeezed: Vec<usize> = {
                     let mut s: &[usize] = &region;
                     while let Some((&1, rest)) = s.split_first() {
@@ -977,124 +977,7 @@ fn eval_binop(op: BinOp, a: ScalarVal, b: ScalarVal) -> Result<ScalarVal, EvalEr
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
     use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::pattern::Init;
-    use crate::types::{DType, ScalarType};
-
-    #[test]
-    fn map_doubles() {
-        let mut b = ProgramBuilder::new("double");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| {
-            c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-        });
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 4)])
-            .run(vec![Value::tensor_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])])
-            .unwrap();
-        assert_eq!(r[0].as_f32_slice(), vec![2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn fold_sums() {
-        let mut b = ProgramBuilder::new("sum");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 4)])
-            .run(vec![Value::tensor_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])])
-            .unwrap();
-        assert_eq!(r[0], Value::scalar_f32(10.0));
-    }
-
-    #[test]
-    fn filter_keeps_positive() {
-        let mut b = ProgramBuilder::new("pos");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.filter("pos", d, |c, i| {
-            let v = c.read(x, vec![c.var(i)]);
-            (c.lt(c.f32(0.0), v.clone()), v)
-        });
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 5)])
-            .run(vec![Value::tensor_f32(
-                &[5],
-                vec![1.0, -2.0, 3.0, -4.0, 5.0],
-            )])
-            .unwrap();
-        assert_eq!(r[0].as_f32_slice(), vec![1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn histogram_groups() {
-        let mut b = ProgramBuilder::new("hist");
-        let d = b.size("d");
-        let x = b.input("x", DType::I32, vec![d.clone()]);
-        let out = b.group_by_fold(
-            "hist",
-            d,
-            ScalarType::Prim(DType::I32),
-            Init::zero_i32(),
-            |c, i| (c.div(c.read(x, vec![c.var(i)]), c.int(10)), c.int(1)),
-            |a, b| a.add(b),
-        );
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 6)])
-            .run(vec![Value::tensor_i32(&[6], vec![1, 5, 12, 17, 23, 9])])
-            .unwrap();
-        match &r[0] {
-            Value::Dict(d) => {
-                let get = |k: i64| {
-                    d.iter()
-                        .find(|(k2, _)| *k2 == ScalarVal::I(k))
-                        .map(|(_, v)| v.clone())
-                };
-                assert_eq!(get(0), Some(Value::Scalar(ScalarVal::I(3))));
-                assert_eq!(get(1), Some(Value::Scalar(ScalarVal::I(2))));
-                assert_eq!(get(2), Some(Value::Scalar(ScalarVal::I(1))));
-            }
-            other => panic!("expected dict, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn out_of_bounds_read_errors() {
-        let mut b = ProgramBuilder::new("oob");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| {
-            c.read(x, vec![c.add(c.var(idx[0]), c.int(1))])
-        });
-        let prog = b.finish(vec![out]);
-        let r =
-            Interpreter::new(&prog, &[("d", 2)]).run(vec![Value::tensor_f32(&[2], vec![1.0, 2.0])]);
-        assert!(matches!(r, Err(EvalError::OutOfBounds { .. })));
-    }
-
-    #[test]
-    fn input_arity_checked() {
-        let mut b = ProgramBuilder::new("arity");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 2)]).run(vec![]);
-        assert!(matches!(r, Err(EvalError::InputArity { .. })));
-    }
 
     #[test]
     fn approx_eq_tolerates_representation() {
@@ -1105,98 +988,8 @@ mod tests {
     }
 
     #[test]
-    fn integer_division_by_zero_is_an_error() {
-        let mut b = ProgramBuilder::new("divzero");
-        let d = b.size("d");
-        let x = b.input("x", DType::I32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| {
-            c.div(c.read(x, vec![c.var(idx[0])]), c.int(0))
-        });
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 2)]).run(vec![Value::tensor_i32(&[2], vec![1, 2])]);
-        assert!(matches!(r, Err(EvalError::Type(_))), "{r:?}");
-    }
-
-    #[test]
-    fn integer_overflow_wraps_instead_of_aborting() {
-        let mut b = ProgramBuilder::new("wrap");
-        let d = b.size("d");
-        let x = b.input("x", DType::I32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| {
-            let v = c.read(x, vec![c.var(idx[0])]);
-            c.mul(v.clone(), v)
-        });
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 1)])
-            .run(vec![Value::tensor_i32(&[1], vec![i64::MAX])])
-            .unwrap();
-        assert_eq!(
-            r[0],
-            Value::tensor_i32(&[1], vec![i64::MAX.wrapping_mul(i64::MAX)])
-        );
-    }
-
-    #[test]
-    fn negative_size_is_an_error() {
-        let mut b = ProgramBuilder::new("negsize");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", -4)]).run(vec![Value::tensor_f32(&[0], vec![])]);
-        assert!(r.is_err(), "{r:?}");
-    }
-
-    #[test]
-    fn absurd_size_is_an_error_not_an_allocation() {
-        let mut b = ProgramBuilder::new("huge");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", i64::MAX / 2)])
-            .run(vec![Value::tensor_f32(&[0], vec![])]);
-        assert!(matches!(r, Err(EvalError::Type(_))), "{r:?}");
-    }
-
-    #[test]
     fn unflatten_row_major() {
         assert_eq!(unflatten(5, &[2, 3]), vec![1, 2]);
         assert_eq!(unflatten(0, &[2, 3]), vec![0, 0]);
-    }
-
-    #[test]
-    fn tuple_select_argmin_style() {
-        // fold(d)((max,-1)){ i => acc => if (acc._1 < x(i)) acc else (x(i), i) }
-        let mut b = ProgramBuilder::new("argmin");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "argmin",
-            vec![d],
-            vec![],
-            ScalarType::Tuple(vec![DType::F32, DType::I32]),
-            Init::argmin(),
-            |c, i, acc| {
-                let v = c.read(x, vec![c.var(i[0])]);
-                let cand = c.tuple(vec![v.clone(), c.var(i[0])]);
-                c.select(c.lt(c.field(c.var(acc), 0), v), c.var(acc), cand)
-            },
-            |c, a, b2| {
-                c.select(
-                    c.lt(c.field(c.var(a), 0), c.field(c.var(b2), 0)),
-                    c.var(a),
-                    c.var(b2),
-                )
-            },
-        );
-        let prog = b.finish(vec![out]);
-        let r = Interpreter::new(&prog, &[("d", 4)])
-            .run(vec![Value::tensor_f32(&[4], vec![3.0, 1.0, 2.0, 5.0])])
-            .unwrap();
-        assert_eq!(
-            r[0],
-            Value::Scalar(ScalarVal::Tuple(vec![ScalarVal::F(1.0), ScalarVal::I(1)]))
-        );
     }
 }

@@ -7,21 +7,20 @@
 //! plus a reference interpreter and the analyses (access patterns, shapes,
 //! uses) that the tiling and hardware-generation passes build on.
 //!
+//! Programs are written as PPL text and parsed by `pphw-frontend`; the
+//! transforms are the only other code that constructs one.
+//!
 //! ## Quick tour
 //!
 //! ```
-//! use pphw_ir::builder::ProgramBuilder;
-//! use pphw_ir::types::DType;
 //! use pphw_ir::interp::{Interpreter, Value};
 //!
-//! // map(d){ i => 2 * x(i) }
-//! let mut b = ProgramBuilder::new("double");
-//! let d = b.size("d");
-//! let x = b.input("x", DType::F32, vec![d.clone()]);
-//! let out = b.map(vec![d], |c, idx| {
-//!     c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-//! });
-//! let prog = b.finish(vec![out]);
+//! let src = "program double(d) {
+//!   input x: Float[d]
+//!   let y = map(d) { (i) => yield 2.0 * x(i) }
+//!   return (y)
+//! }";
+//! let prog = pphw_frontend::parse_program(src, "double.ppl").unwrap().program;
 //!
 //! let input = Value::tensor_f32(&[3], vec![1.0, 2.0, 3.0]);
 //! let out = Interpreter::new(&prog, &[("d", 3)]).run(vec![input]).unwrap();
@@ -30,7 +29,6 @@
 
 pub mod access;
 pub mod block;
-pub mod builder;
 pub mod check;
 pub mod equiv;
 pub mod expr;

@@ -41,27 +41,6 @@ pub struct Init {
 }
 
 impl Init {
-    /// All-zeros float initializer.
-    pub fn zeros() -> Init {
-        Init {
-            splat: vec![Lit::F32(0.0)],
-        }
-    }
-
-    /// Zero integer initializer.
-    pub fn zero_i32() -> Init {
-        Init {
-            splat: vec![Lit::I32(0)],
-        }
-    }
-
-    /// The `(max, -1)` initializer used by argmin reductions.
-    pub fn argmin() -> Init {
-        Init {
-            splat: vec![Lit::F32(f32::MAX), Lit::I32(-1)],
-        }
-    }
-
     /// A custom splat initializer.
     pub fn splat(lits: Vec<Lit>) -> Init {
         Init { splat: lits }
@@ -506,7 +485,7 @@ mod tests {
                 name: "acc".into(),
                 shape: vec![],
                 elem: ScalarType::Prim(crate::types::DType::F32),
-                init: Init::zeros(),
+                init: Init::splat(vec![Lit::F32(0.0)]),
             }],
             idx: vec![i],
             pre: Block::new(),
@@ -578,7 +557,11 @@ mod tests {
 
     #[test]
     fn init_helpers() {
-        assert_eq!(Init::zeros().splat, vec![Lit::F32(0.0)]);
-        assert_eq!(Init::argmin().splat.len(), 2);
+        use crate::types::DType;
+        let zero = |d| Init::zero_of(&ScalarType::Prim(d)).splat;
+        assert_eq!(zero(DType::F32), vec![Lit::F32(0.0)]);
+        assert_eq!(zero(DType::Bool), vec![Lit::Bool(false)]);
+        let pair = ScalarType::Tuple(vec![DType::F32, DType::I32]);
+        assert_eq!(Init::zero_of(&pair).splat, vec![Lit::F32(0.0), Lit::I32(0)]);
     }
 }

@@ -356,7 +356,7 @@ impl<'a> Printer<'a> {
 /// `update`, `combine`, `merge`, `key`, `splat`, `reuse`, `slice`, `copy`,
 /// and the type names) are *contextual*: the parser matches them by text
 /// where the grammar expects them, and they remain usable as ordinary
-/// identifiers — builder programs routinely name symbols `acc` or `key`.
+/// identifiers — programs routinely name symbols `acc` or `key`.
 pub const KEYWORDS: &[&str] = &[
     "program",
     "input",
@@ -843,150 +843,6 @@ impl Emitter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::types::DType;
-
-    #[test]
-    fn prints_map_program() {
-        let mut b = ProgramBuilder::new("double");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| {
-            c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-        });
-        let prog = b.finish(vec![out]);
-        let text = print_program(&prog);
-        assert!(text.contains("map(d)"), "got:\n{text}");
-        assert!(text.contains("x_0("), "got:\n{text}");
-    }
-
-    #[test]
-    fn prints_fold_with_combine() {
-        let mut b = ProgramBuilder::new("sum");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            crate::types::ScalarType::Prim(DType::F32),
-            crate::pattern::Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        let prog = b.finish(vec![out]);
-        let text = print_program(&prog);
-        assert!(text.contains("multiFold(d)"), "got:\n{text}");
-        assert!(text.contains("combine"), "got:\n{text}");
-    }
-
-    #[test]
-    fn path_annotated_print_marks_patterns() {
-        let mut b = ProgramBuilder::new("sum");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            crate::types::ScalarType::Prim(DType::F32),
-            crate::pattern::Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        let prog = b.finish(vec![out]);
-        let plain = print_program(&prog);
-        assert!(
-            !plain.contains("// at "),
-            "default output unchanged:\n{plain}"
-        );
-        let annotated = print_program_with_paths(&prog);
-        assert!(annotated.contains("// at sum/sum[0]"), "got:\n{annotated}");
-    }
-
-    #[test]
-    fn emit_is_canonical_surface_syntax() {
-        let mut b = ProgramBuilder::new("sum");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            crate::types::ScalarType::Prim(DType::F32),
-            crate::pattern::Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        let prog = b.finish(vec![out]);
-        let text = emit_program(&prog);
-        assert!(text.starts_with("program sum(d) {\n"), "got:\n{text}");
-        assert!(text.contains("input x: Float[d]"), "got:\n{text}");
-        assert!(text.contains("multiFold(d) {"), "got:\n{text}");
-        assert!(text.contains("acc sum: Float = splat(0.0)"), "got:\n{text}");
-        assert!(text.contains("update sum @ () [] (acc) {"), "got:\n{text}");
-        assert!(text.contains("combine sum (a, b) {"), "got:\n{text}");
-        assert!(text.contains("yield"), "got:\n{text}");
-        assert!(text.trim_end().ends_with('}'), "got:\n{text}");
-        // No symbol ids leak into the canonical text.
-        assert!(!text.contains("x_0"), "got:\n{text}");
-    }
-
-    #[test]
-    fn emit_uniquifies_repeated_base_names() {
-        // Two nested folds both mint `acc`, `a`, `b`, `upd`, `comb` bases.
-        let mut b = ProgramBuilder::new("two");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let mk = |b: &mut ProgramBuilder, d: &crate::size::Size, x: Sym, name: &str| {
-            b.fold(
-                name,
-                vec![d.clone()],
-                vec![],
-                crate::types::ScalarType::Prim(DType::F32),
-                crate::pattern::Init::zeros(),
-                |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        };
-        let s1 = mk(&mut b, &d, x, "s1");
-        let s2 = mk(&mut b, &d, x, "s2");
-        let prog = b.finish(vec![s1, s2]);
-        let text = emit_program(&prog);
-        assert!(
-            text.contains("(acc_2)"),
-            "second acc param renamed:\n{text}"
-        );
-        assert!(
-            text.contains("(a_2, b_2)"),
-            "combine params renamed:\n{text}"
-        );
-    }
-
-    #[test]
-    fn emit_handles_special_floats_and_keyword_names() {
-        let mut b = ProgramBuilder::new("arg");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        // `map` is both a keyword and the builder's output base name.
-        let out = b.map(vec![d], |c, idx| {
-            c.select(
-                c.lt(c.read(x, vec![c.var(idx[0])]), c.f32(f32::MAX)),
-                c.f32(f32::INFINITY),
-                c.f32(f32::NEG_INFINITY),
-            )
-        });
-        let prog = b.finish(vec![out]);
-        let text = emit_program(&prog);
-        assert!(
-            text.contains("3.4028235e38"),
-            "f32::MAX round-trips:\n{text}"
-        );
-        assert!(text.contains("inf"), "got:\n{text}");
-        assert!(text.contains("-inf"), "got:\n{text}");
-        assert!(!text.contains("let map ="), "keyword renamed:\n{text}");
-        assert!(text.contains("let map_ ="), "got:\n{text}");
-    }
 
     #[test]
     fn keyword_table_is_consistent() {

@@ -1,12 +1,12 @@
 //! Byte-span source locations and the path→span side table.
 //!
-//! Programs constructed through the builder API have no source text, so
-//! diagnostics locate nodes by [`IrPath`](crate::path::IrPath) alone.
-//! Text-originated programs (parsed from `.ppl` files) additionally carry
-//! a [`SourceMap`] mapping rendered path strings to byte [`Span`]s of the
-//! source, which lets every downstream diagnostic render `file:line:col`
-//! with a caret snippet. The map lives here — rather than in the frontend
-//! crate — so the verifier can consume it without depending on the parser.
+//! Diagnostics locate nodes by [`IrPath`](crate::path::IrPath). A program
+//! parsed from `.ppl` text also carries a [`SourceMap`] mapping rendered
+//! path strings to byte [`Span`]s of the source, which lets every
+//! downstream diagnostic render `file:line:col` with a caret snippet;
+//! transformed programs have no source text and keep paths alone. The map
+//! lives here — rather than in the frontend crate — so the verifier can
+//! consume it without depending on the parser.
 
 use std::collections::BTreeMap;
 
@@ -56,8 +56,8 @@ impl Span {
 /// A span located in its source: the byte range plus the 1-based line and
 /// column of its start, so a report can render `file:line:col` without
 /// re-scanning the source. Verifier findings and frontend errors on
-/// programs parsed from `.ppl` text carry one; builder-constructed
-/// programs locate findings by path alone.
+/// programs parsed from `.ppl` text carry one; transformed programs
+/// locate findings by path alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiagSpan {
     /// Byte offset of the first character in the source.

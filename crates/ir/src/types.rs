@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::block::SliceDim;
 use crate::size::Size;
 
 /// Primitive element data types.
@@ -192,6 +193,53 @@ impl Type {
     }
 }
 
+/// The type a region of the given shape binds as: leading unit dimensions
+/// are squeezed so a `(1, d)` region binds as a `d`-vector and an all-unit
+/// (or empty) region binds as a scalar, matching the paper's informal
+/// update notation. The textual frontend uses this rule when typing
+/// accumulator parameters and `multiFold` outputs.
+pub fn region_type(shape: &[Size], elem: &ScalarType) -> Type {
+    let squeezed: Vec<Size> = shape
+        .iter()
+        .skip_while(|s| s.as_const() == Some(1))
+        .cloned()
+        .collect();
+    if squeezed.is_empty() {
+        Type::Scalar(elem.clone())
+    } else {
+        Type::Tensor {
+            elem: elem.clone(),
+            shape: squeezed,
+        }
+    }
+}
+
+/// Computes the result type of slicing `ty` with `dims`.
+///
+/// # Panics
+///
+/// Panics if `ty` is not a tensor or the spec arity mismatches.
+pub fn slice_result_type(ty: &Type, dims: &[SliceDim]) -> Type {
+    let (elem, shape) = match ty {
+        Type::Tensor { elem, shape } => (elem.clone(), shape.clone()),
+        other => panic!("slice of non-tensor type {other}"),
+    };
+    assert_eq!(dims.len(), shape.len(), "slice arity mismatch");
+    let mut out = Vec::new();
+    for (d, s) in dims.iter().zip(shape) {
+        match d {
+            SliceDim::Point(_) => {}
+            SliceDim::Window { len, .. } => out.push(len.clone()),
+            SliceDim::Full => out.push(s),
+        }
+    }
+    if out.is_empty() {
+        Type::Scalar(elem)
+    } else {
+        Type::Tensor { elem, shape: out }
+    }
+}
+
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -352,5 +400,38 @@ mod tests {
         let a = tab.fresh("x", Type::f32());
         tab.set_ty(a, Type::i32());
         assert_eq!(tab.ty(a), &Type::i32());
+    }
+
+    #[test]
+    fn region_type_squeezes_only_leading_unit_dims() {
+        let f32 = ScalarType::Prim(DType::F32);
+        let (one, d) = (Size::Const(1), Size::var("d"));
+        assert_eq!(region_type(&[], &f32), Type::f32());
+        assert_eq!(region_type(&[one.clone(), one.clone()], &f32), Type::f32());
+        assert_eq!(
+            region_type(&[one.clone(), d.clone()], &f32),
+            Type::tensor(DType::F32, vec![d.clone()])
+        );
+        assert_eq!(
+            region_type(&[d.clone(), one.clone()], &f32),
+            Type::tensor(DType::F32, vec![d, one])
+        );
+    }
+
+    #[test]
+    fn slice_result_type_drops_points() {
+        let ty = Type::tensor(DType::F32, vec![Size::var("n"), Size::var("d")]);
+        let r = slice_result_type(
+            &ty,
+            &[SliceDim::Point(crate::expr::Expr::int(0)), SliceDim::Full],
+        );
+        assert_eq!(r, Type::tensor(DType::F32, vec![Size::var("d")]));
+    }
+
+    #[test]
+    #[should_panic(expected = "slice arity mismatch")]
+    fn slice_arity_panics() {
+        let ty = Type::tensor(DType::F32, vec![Size::var("n")]);
+        let _ = slice_result_type(&ty, &[SliceDim::Full, SliceDim::Full]);
     }
 }

@@ -10,11 +10,15 @@
 use pphw_testkit::prop::{shrink, Check};
 use pphw_testkit::{prop_assert, prop_assert_eq};
 
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pattern::Init;
 use pphw_ir::size::{Size, SizeEnv};
-use pphw_ir::types::{DType, ScalarType};
+use pphw_ir::Program;
+
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
 
 /// Size arithmetic agrees with integer arithmetic under evaluation.
 #[test]
@@ -71,13 +75,13 @@ fn interp_map_matches_golden() {
         },
         |data| shrink::vec(data, 1),
         |data| {
-            let mut b = ProgramBuilder::new("affine");
-            let d = b.size("d");
-            let x = b.input("x", DType::F32, vec![d.clone()]);
-            let out = b.map(vec![d], |c, i| {
-                c.add(c.mul(c.f32(3.0), c.read(x, vec![c.var(i[0])])), c.f32(1.0))
-            });
-            let prog = b.finish(vec![out]);
+            let prog = parse(
+                "program affine(d) {
+                   input x: Float[d]
+                   let y = map(d) { (i) => yield 3.0 * x(i) + 1.0 }
+                   return (y)
+                 }",
+            );
             let n = data.len();
             let r = Interpreter::new(&prog, &[("d", n as i64)])
                 .run(vec![Value::tensor_f32(&[n], data.clone())])
@@ -99,19 +103,17 @@ fn interp_fold_matches_golden() {
         },
         |data| shrink::vec(data, 1),
         |data| {
-            let mut b = ProgramBuilder::new("sum");
-            let d = b.size("d");
-            let x = b.input("x", DType::F32, vec![d.clone()]);
-            let out = b.fold(
-                "sum",
-                vec![d],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
+            let prog = parse(
+                "program sum(d) {
+                   input x: Float[d]
+                   let sum = fold(d) {
+                     acc sum: Float = splat(0.0)
+                     (i) (acc) => yield acc + x(i)
+                     combine (a, b) { yield a + b }
+                   }
+                   return (sum)
+                 }",
             );
-            let prog = b.finish(vec![out]);
             let n = data.len();
             let r = Interpreter::new(&prog, &[("d", n as i64)])
                 .run(vec![Value::tensor_f32(&[n], data.clone())])
@@ -144,14 +146,16 @@ fn interp_filter_matches_golden() {
         },
         |(data, threshold)| {
             let threshold = *threshold;
-            let mut b = ProgramBuilder::new("filter");
-            let d = b.size("d");
-            let x = b.input("x", DType::F32, vec![d.clone()]);
-            let out = b.filter("keep", d, |c, i| {
-                let v = c.read(x, vec![c.var(i)]);
-                (c.lt(c.f32(threshold), v.clone()), v)
-            });
-            let prog = b.finish(vec![out]);
+            let prog = parse(&format!(
+                "program filter(d) {{
+                   input x: Float[d]
+                   let keep = flatMap(d) {{ (i) =>
+                     let items = [if ({threshold:?} < x(i)) x(i)]
+                     yield items
+                   }}
+                   return (keep)
+                 }}"
+            ));
             let n = data.len();
             let r = Interpreter::new(&prog, &[("d", n as i64)])
                 .run(vec![Value::tensor_f32(&[n], data.clone())])
@@ -174,18 +178,19 @@ fn interp_histogram_matches_golden() {
         },
         |data| shrink::vec(data, 1),
         |data| {
-            let mut b = ProgramBuilder::new("hist");
-            let d = b.size("d");
-            let x = b.input("x", DType::I32, vec![d.clone()]);
-            let out = b.group_by_fold(
-                "hist",
-                d,
-                ScalarType::Prim(DType::I32),
-                Init::zero_i32(),
-                |c, i| (c.div(c.read(x, vec![c.var(i)]), c.int(10)), c.int(1)),
-                |a, b| a.add(b),
+            let prog = parse(
+                "program hist(d) {
+                   input x: Int[d]
+                   let hist = groupByFold(d) {
+                     acc hist: Int = splat(0)
+                     (i) =>
+                     key = x(i) / 10
+                     update @ () [] (acc) { yield acc + 1 }
+                     combine (a, b) { yield a + b }
+                   }
+                   return (hist)
+                 }",
             );
-            let prog = b.finish(vec![out]);
             let n = data.len();
             let r = Interpreter::new(&prog, &[("d", n as i64)])
                 .run(vec![Value::tensor_i32(&[n], data.clone())])

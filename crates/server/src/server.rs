@@ -130,9 +130,6 @@ impl Server {
     }
 }
 
-/// Serves one connection until EOF or shutdown: reads a batch of pipelined
-/// request lines, evaluates the batch on the pool, writes responses in
-/// request order.
 /// Writes the connection-cap refusal line to a shed peer (best effort,
 /// bounded by the write timeout) and lets the stream drop.
 fn shed_connection(stream: &TcpStream, limit: usize) {
@@ -144,6 +141,9 @@ fn shed_connection(stream: &TcpStream, limit: usize) {
     let _ = stream.write_all(b"\n");
 }
 
+/// Serves one connection until EOF or shutdown: reads a batch of pipelined
+/// request lines, evaluates the batch on the pool, writes responses in
+/// request order.
 fn serve_connection(service: &Service, stream: TcpStream, threads: usize) -> io::Result<()> {
     stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;

@@ -604,19 +604,18 @@ pub fn run_differential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pphw_ir::builder::ProgramBuilder;
     use pphw_ir::expr::{BinOp, Expr};
-    use pphw_ir::types::DType;
     use pphw_transform::rewrite::map_exprs;
 
     fn scale_program() -> Program {
-        let mut b = ProgramBuilder::new("scale");
-        let d = b.size("n");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, i| {
-            c.add(c.mul(c.f32(2.0), c.read(x, vec![c.var(i[0])])), c.f32(1.0))
-        });
-        b.finish(vec![out])
+        let src = "program scale(n) {
+          input x: Float[n]
+          let y = map(n) { (i) => yield 2.0 * x(i) + 1.0 }
+          return (y)
+        }";
+        pphw_frontend::parse_program(src, "scale.ppl")
+            .expect("parses")
+            .program
     }
 
     fn inputs(env: &SizeEnv, seed: u64) -> Vec<Value> {

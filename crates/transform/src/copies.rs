@@ -390,7 +390,7 @@ fn copy_stmt(plan: &TensorPlan, st: &mut St<'_>) -> Option<(Stmt, Sym)> {
             },
         })
         .collect();
-    let ty = pphw_ir::builder::slice_result_type(st.syms.ty(plan.tensor), &dims);
+    let ty = pphw_ir::types::slice_result_type(st.syms.ty(plan.tensor), &dims);
     let name = format!("{}Tile", st.syms.info(plan.tensor).name.clone());
     let tile = st.syms.fresh(name, ty);
     Some((

@@ -129,30 +129,31 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use pphw_ir::builder::ProgramBuilder;
     use pphw_ir::interp::{Interpreter, Value};
-    use pphw_ir::pattern::Init;
-    use pphw_ir::types::{DType, ScalarType};
+
+    /// `sum(x.map{2*e})`, returning `outs` of `doubled` and `sum`.
+    fn scaled_sum(name: &str, outs: &str) -> Program {
+        let src = format!(
+            "program {name}(d) {{
+               input x: Float[d]
+               let doubled = map(d) {{ (i) => yield 2.0 * x(i) }}
+               let sum = fold(d) {{
+                 acc sum: Float = splat(0.0)
+                 (i) (acc) => yield acc + doubled(i)
+                 combine (a, b) {{ yield a + b }}
+               }}
+               return ({outs})
+             }}"
+        );
+        pphw_frontend::parse_program(&src, "test.ppl")
+            .expect("parses")
+            .program
+    }
 
     #[test]
     fn fuses_map_into_fold() {
         // sum(x.map{2*e}) becomes a single fold reading x directly.
-        let mut b = ProgramBuilder::new("fused");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let doubled = b.map(vec![d.clone()], |c, idx| {
-            c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-        });
-        let total = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(doubled, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        let prog = b.finish(vec![total]);
+        let prog = scaled_sum("fused", "sum");
         let fused = fuse_program(&prog);
         fused.validate().unwrap();
         // Producer map is gone.
@@ -165,22 +166,7 @@ mod tests {
 
     #[test]
     fn producer_kept_when_also_an_output() {
-        let mut b = ProgramBuilder::new("keep");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let doubled = b.map(vec![d.clone()], |c, idx| {
-            c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-        });
-        let total = b.fold(
-            "sum",
-            vec![d],
-            vec![],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, i, acc| c.add(c.var(acc), c.read(doubled, vec![c.var(i[0])])),
-            |c, a, b2| c.add(c.var(a), c.var(b2)),
-        );
-        let prog = b.finish(vec![doubled, total]);
+        let prog = scaled_sum("keep", "doubled, sum");
         let fused = fuse_program(&prog);
         fused.validate().unwrap();
         // Both outputs still computed correctly.

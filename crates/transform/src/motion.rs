@@ -85,21 +85,27 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use pphw_ir::builder::ProgramBuilder;
     use pphw_ir::interp::{Interpreter, Value};
-    use pphw_ir::types::DType;
+
+    fn parse(src: &str) -> Program {
+        pphw_frontend::parse_program(src, "test.ppl")
+            .expect("parses")
+            .program
+    }
 
     #[test]
     fn hoists_invariant_scalar_out_of_map() {
-        let mut b = ProgramBuilder::new("hoist");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| {
-            // `two` is invariant: it does not mention the index.
-            let two = c.scalar("two", c.add(c.f32(1.0), c.f32(1.0)));
-            c.mul(c.var(two), c.read(x, vec![c.var(idx[0])]))
-        });
-        let prog = b.finish(vec![out]);
+        // `two` is invariant: it does not mention the index.
+        let prog = parse(
+            "program hoist(d) {
+               input x: Float[d]
+               let y = map(d) { (i) =>
+                 let two = 1.0 + 1.0
+                 yield two * x(i)
+               }
+               return (y)
+             }",
+        );
         let hoisted = hoist_program(&prog);
         hoisted.validate().unwrap();
         // The invariant statement moved to the top level.
@@ -112,14 +118,16 @@ mod tests {
 
     #[test]
     fn keeps_dependent_stmts() {
-        let mut b = ProgramBuilder::new("keep");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| {
-            let v = c.scalar("v", c.read(x, vec![c.var(idx[0])]));
-            c.mul(c.var(v), c.var(v))
-        });
-        let prog = b.finish(vec![out]);
+        let prog = parse(
+            "program keep(d) {
+               input x: Float[d]
+               let y = map(d) { (i) =>
+                 let v = x(i)
+                 yield v * v
+               }
+               return (y)
+             }",
+        );
         let hoisted = hoist_program(&prog);
         assert_eq!(hoisted.body.stmts.len(), prog.body.stmts.len());
     }

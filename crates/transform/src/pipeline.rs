@@ -76,15 +76,16 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use pphw_ir::builder::ProgramBuilder;
-    use pphw_ir::types::DType;
 
     fn tiny() -> Program {
-        let mut b = ProgramBuilder::new("t");
-        let d = b.size("d");
-        let x = b.input("x", DType::F32, vec![d.clone()]);
-        let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-        b.finish(vec![out])
+        let src = "program t(d) {
+          input x: Float[d]
+          let y = map(d) { (i) => yield x(i) }
+          return (y)
+        }";
+        pphw_frontend::parse_program(src, "t.ppl")
+            .expect("parses")
+            .program
     }
 
     #[test]

@@ -3,11 +3,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pattern::Init;
 use pphw_ir::pretty::print_program;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::{Block, Op, Program};
 use pphw_transform::copies::insert_copies;
 use pphw_transform::cse::cse_program;
@@ -35,44 +32,38 @@ fn count_copies(prog: &Program) -> usize {
     n
 }
 
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
+
 fn gemm_program() -> Program {
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    parse(
+        "program gemm(m, n, p) {
+           input x: Float[m, p]
+           input y: Float[p, n]
+           let prod = map(m, n) { (i, j) =>
+             let dot = fold(p) {
+               acc dot: Float = splat(0.0)
+               (k) (acc) => yield acc + x(i, k) * y(k, j)
+               combine (a, b) { yield a + b }
+             }
+             yield dot
+           }
+           return (prod)
+         }",
+    )
 }
 
 fn doubling_program() -> Program {
-    let mut b = ProgramBuilder::new("double");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.map(vec![d], |c, i| {
-        c.mul(c.f32(2.0), c.read(x, vec![c.var(i[0])]))
-    });
-    b.finish(vec![out])
+    parse(
+        "program double(d) {
+           input x: Float[d]
+           let y = map(d) { (i) => yield 2.0 * x(i) }
+           return (y)
+         }",
+    )
 }
 
 #[test]
@@ -141,20 +132,14 @@ fn copies_respect_budget() {
 fn small_resident_tensor_is_preloaded_at_top_level() {
     // A lookup table indexed only by local/static indices is preloaded
     // whole (the Figure 6 Pipe-0 pattern).
-    let mut b = ProgramBuilder::new("scalelut");
-    let n = b.size("n");
-    let k = b.size("k");
-    let lut = b.input("lut", DType::F32, vec![k.clone()]);
-    let x = b.input("x", DType::F32, vec![n.clone(), k.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![n, k], |c, ij| {
-            c.mul(
-                c.read(x, vec![c.var(ij[0]), c.var(ij[1])]),
-                c.read(lut, vec![c.var(ij[1])]),
-            )
-        })
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program scalelut(n, k) {
+           input lut: Float[k]
+           input x: Float[n, k]
+           let y = map(n, k) { (i, j) => yield x(i, j) * lut(j) }
+           return (y)
+         }",
+    );
     let cfg = TileConfig::new(&[("n", 8)], &[("n", 32), ("k", 16)]);
     let tiled = tile_program(&prog, &cfg).unwrap();
     let text = print_program(&tiled);
@@ -174,16 +159,14 @@ fn small_resident_tensor_is_preloaded_at_top_level() {
 #[test]
 fn data_dependent_tensor_is_not_copied() {
     // A gather through a data-dependent index must not get a tile copy.
-    let mut b = ProgramBuilder::new("gather");
-    let n = b.size("n");
-    let m = b.size("m");
-    let idx = b.input("idx", DType::I32, vec![n.clone()]);
-    let table = b.input("table", DType::F32, vec![m.clone()]);
-    let out = b.map(vec![n], |c, i| {
-        let j = c.read(idx, vec![c.var(i[0])]);
-        c.read(table, vec![j])
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program gather(n, m) {
+           input idx: Int[n]
+           input table: Float[m]
+           let y = map(n) { (i) => yield table(idx(i)) }
+           return (y)
+         }",
+    );
     let cfg = TileConfig::new(&[("n", 8)], &[("n", 64), ("m", 256)]);
     let tiled = tile_program(&prog, &cfg).unwrap();
     let text = print_program(&tiled);
@@ -212,22 +195,18 @@ fn cleanup_passes_are_idempotent() {
 fn fusion_then_tiling_composes() {
     // An unfused two-stage program: scale then sum. Fusion inlines the
     // producer; tiling the result still matches the original semantics.
-    let mut b = ProgramBuilder::new("scalesum");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let scaled = b.map(vec![d.clone()], |c, i| {
-        c.mul(c.f32(0.5), c.read(x, vec![c.var(i[0])]))
-    });
-    let total = b.fold(
-        "sum",
-        vec![d],
-        vec![],
-        ScalarType::Prim(DType::F32),
-        Init::zeros(),
-        |c, i, acc| c.add(c.var(acc), c.read(scaled, vec![c.var(i[0])])),
-        |c, a, b2| c.add(c.var(a), c.var(b2)),
+    let prog = parse(
+        "program scalesum(d) {
+           input x: Float[d]
+           let scaled = map(d) { (i) => yield 0.5 * x(i) }
+           let sum = fold(d) {
+             acc sum: Float = splat(0.0)
+             (i) (acc) => yield acc + scaled(i)
+             combine (a, b) { yield a + b }
+           }
+           return (sum)
+         }",
     );
-    let prog = b.finish(vec![total]);
 
     let fused = fuse_program(&prog);
     assert_eq!(fused.body.stmts.len(), 1, "producer map should be gone");

@@ -3,14 +3,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pattern::Init;
 use pphw_ir::pretty::print_program;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_transform::interchange::{interchange_program, split_multifolds};
 use pphw_transform::{strip_mine_program, TileConfig};
+
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
 
 fn mat_f32(r: usize, c: usize, f: impl Fn(usize, usize) -> f32) -> Value {
     let mut data = Vec::with_capacity(r * c);
@@ -25,33 +28,21 @@ fn mat_f32(r: usize, c: usize, f: impl Fn(usize, usize) -> f32) -> Value {
 /// gemm in PPL: x.map{row => y-col map { dot-product fold } } expressed as
 /// map(m,n){ fold(p) }.
 fn gemm_program() -> Program {
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    parse(
+        "program gemm(m, n, p) {
+           input x: Float[m, p]
+           input y: Float[p, n]
+           let prod = map(m, n) { (i, j) =>
+             let dot = fold(p) {
+               acc dot: Float = splat(0.0)
+               (k) (acc) => yield acc + x(i, k) * y(k, j)
+               combine (a, b) { yield a + b }
+             }
+             yield dot
+           }
+           return (prod)
+         }",
+    )
 }
 
 fn run_gemm(prog: &Program, sizes: &[(&str, i64)]) -> Vec<f32> {
@@ -122,72 +113,34 @@ fn interchange_noop_on_untiled() {
 /// Exercises split + interchange on an imperfect nest with a
 /// data-dependent accumulator location.
 fn kmeans_assign_program() -> Program {
-    let mut b = ProgramBuilder::new("assign");
-    let n = b.size("n");
-    let k = b.size("k");
-    let d = b.size("d");
-    let points = b.input("points", DType::F32, vec![n.clone(), d.clone()]);
-    let centroids = b.input("centroids", DType::F32, vec![k.clone(), d.clone()]);
-    let out = b.with_ctx(|c| {
-        let (k2, d2) = (k.clone(), d.clone());
-        c.multi_fold(
-            "counts",
-            vec![n.clone()],
-            vec![k.clone()],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            move |c, idx| {
-                let i = idx[0];
-                // argmin over centroids of squared distance
-                let best = c.fold(
-                    "best",
-                    vec![k2.clone()],
-                    vec![],
-                    ScalarType::Tuple(vec![DType::F32, DType::I32]),
-                    Init::argmin(),
-                    |c, j, acc| {
-                        let j = j[0];
-                        let dist = c.fold(
-                            "dist",
-                            vec![d2.clone()],
-                            vec![],
-                            ScalarType::Prim(DType::F32),
-                            Init::zeros(),
-                            |c, p, acc2| {
-                                let diff = c.sq_diff(
-                                    c.read(points, vec![c.var(i), c.var(p[0])]),
-                                    c.read(centroids, vec![c.var(j), c.var(p[0])]),
-                                );
-                                c.add(c.var(acc2), diff)
-                            },
-                            |c, a, b2| c.add(c.var(a), c.var(b2)),
-                        );
-                        let cand = c.tuple(vec![c.var(dist), c.var(j)]);
-                        c.select(c.lt(c.field(c.var(acc), 0), c.var(dist)), c.var(acc), cand)
-                    },
-                    |c, a, b2| {
-                        c.select(
-                            c.lt(c.field(c.var(a), 0), c.field(c.var(b2), 0)),
-                            c.var(a),
-                            c.var(b2),
-                        )
-                    },
-                );
-                let min_idx = c.scalar("minIdx", c.field(c.var(best), 1));
-                (
-                    vec![pphw_ir::expr::Expr::var(min_idx)],
-                    vec![],
-                    Box::new(move |c2: &mut pphw_ir::builder::Ctx<'_>, acc| {
-                        c2.add(c2.var(acc), c2.f32(1.0))
-                    }),
-                )
-            },
-            Some(Box::new(|c2: &mut pphw_ir::builder::Ctx<'_>, a, b2| {
-                c2.add(c2.var(a), c2.var(b2))
-            })),
-        )
-    });
-    b.finish(vec![out])
+    parse(
+        "program assign(n, k, d) {
+           input points: Float[n, d]
+           input centroids: Float[k, d]
+           let counts = multiFold(n) {
+             acc counts: Float[k] = splat(0.0)
+             (i) =>
+             pre {
+               // argmin over centroids of squared distance
+               let best = fold(k) {
+                 acc best: (Float, Int) = splat(3.4028235e38, -1)
+                 (j) (acc) =>
+                   let dist = fold(d) {
+                     acc dist: Float = splat(0.0)
+                     (p) (acc2) => yield acc2 + square(points(i, p) - centroids(j, p))
+                     combine (a, b) { yield a + b }
+                   }
+                   yield if (acc._1 < dist) acc else (dist, j)
+                 combine (a, b) { yield if (a._1 < b._1) a else b }
+               }
+               let minIdx = best._2
+             }
+             update counts @ (minIdx) [] (acc) { yield acc + 1.0 }
+             combine counts (a, b) { yield a + b }
+           }
+           return (counts)
+         }",
+    )
 }
 
 fn run_assign(prog: &Program, sizes: &[(&str, i64)]) -> Vec<f32> {
@@ -285,66 +238,31 @@ fn split_respects_budget() {
 /// the accumulator. Interchange moves the strided tile loop outermost,
 /// turning the nest into a write-once `MultiFold` of scalar folds.
 fn rule2_program() -> Program {
-    use pphw_ir::expr::Expr;
-    use pphw_ir::size::Size;
-    let mut b = ProgramBuilder::new("rowacc");
-    let n = b.size("n");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![n.clone(), d.clone()]);
-    let (d2, tile) = (d.clone(), 4i64);
-    let out = b.fold(
-        "colsums",
-        vec![n],
-        vec![d.clone()],
-        ScalarType::Prim(DType::F32),
-        Init::zeros(),
-        move |c, i, acc| {
-            let i = i[0];
-            // W: strided write-once MultiFold producing the scaled row in
-            // d/4-sized tiles (the outer pattern of a tiled map).
-            let dd = d2.clone();
-            let strided = (d2.clone() / Size::Const(tile)).simplified();
-            let w = c.multi_fold(
-                "w",
-                vec![strided],
-                vec![d2.clone()],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                move |_c2, ii| {
-                    let ii = ii[0];
-                    (
-                        vec![Expr::var(ii).mul(Expr::SizeOf(Size::Const(tile)))],
-                        vec![Size::Const(tile)],
-                        Box::new(move |uc: &mut pphw_ir::builder::Ctx<'_>, _reg| {
-                            uc.map(vec![Size::Const(tile)], |mc, j| {
-                                let col = mc.add(mc.mul(mc.var(ii), mc.int(tile)), mc.var(j[0]));
-                                mc.mul(mc.f32(2.0), mc.read(x, vec![mc.var(i), col]))
-                            })
-                        }),
-                    )
-                },
-                None::<
-                    Box<
-                        dyn FnOnce(
-                            &mut pphw_ir::builder::Ctx<'_>,
-                            pphw_ir::Sym,
-                            pphw_ir::Sym,
-                        ) -> Expr,
-                    >,
-                >,
-            );
-            // Elementwise merge of the accumulator with W's row.
-            let dd2 = dd.clone();
-            c.map(vec![dd2], move |mc, r| {
-                mc.add(
-                    mc.read(acc, vec![mc.var(r[0])]),
-                    mc.read(w, vec![mc.var(r[0])]),
-                )
-            })
-        },
-        |c, a, b2| c.add(c.var(a), c.var(b2)),
-    );
-    b.finish(vec![out])
+    parse(
+        "program rowacc(n, d) {
+           input x: Float[n, d]
+           let colsums = fold(n) {
+             acc colsums: Float[d] = splat(0.0)
+             (i) (acc) =>
+               // W: strided write-once multiFold producing the scaled row
+               // in d/4-sized tiles (the outer pattern of a tiled map).
+               let w = multiFold(d / 4) {
+                 acc w: Float[d] = splat(0.0)
+                 (ii) =>
+                 update w @ (ii * size(4)) [4] (reg) {
+                   let tile = map(4) { (j) => yield 2.0 * x(i, ii * 4 + j) }
+                   yield tile
+                 }
+                 combine w _
+               }
+               // Elementwise merge of the accumulator with W's row.
+               let merged = map(d) { (r) => yield acc(r) + w(r) }
+               yield merged
+             combine (a, b) { yield a + b }
+           }
+           return (colsums)
+         }",
+    )
 }
 
 #[test]

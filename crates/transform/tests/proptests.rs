@@ -8,41 +8,32 @@
 use pphw_testkit::prop::{shrink, Check};
 use pphw_testkit::{prop_assert, Rng};
 
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pattern::Init;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_transform::{tile_program, TileConfig};
 
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
+
 fn gemm_program() -> Program {
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    parse(
+        "program gemm(m, n, p) {
+           input x: Float[m, p]
+           input y: Float[p, n]
+           let prod = map(m, n) { (i, j) =>
+             let dot = fold(p) {
+               acc dot: Float = splat(0.0)
+               (k) (acc) => yield acc + x(i, k) * y(k, j)
+               combine (a, b) { yield a + b }
+             }
+             yield dot
+           }
+           return (prod)
+         }",
+    )
 }
 
 /// A dimension that is a multiple of 8 (up to 24), with a dividing tile
@@ -124,23 +115,17 @@ fn tiled_predicated_fold_equivalent() {
                 }
                 let n = data.len() as i64;
 
-                let mut b = ProgramBuilder::new("predsum");
-                let d = b.size("n");
-                let x = b.input("x", DType::F32, vec![d.clone()]);
-                let out = b.fold(
-                    "s",
-                    vec![d],
-                    vec![],
-                    ScalarType::Prim(DType::F32),
-                    Init::zeros(),
-                    |c, i, acc| {
-                        let v = c.read(x, vec![c.var(i[0])]);
-                        let contrib = c.select(c.lt(c.f32(threshold), v.clone()), v, c.f32(0.0));
-                        c.add(c.var(acc), contrib)
-                    },
-                    |c, a, b2| c.add(c.var(a), c.var(b2)),
-                );
-                let prog = b.finish(vec![out]);
+                let prog = parse(&format!(
+                    "program predsum(n) {{
+                       input x: Float[n]
+                       let s = fold(n) {{
+                         acc s: Float = splat(0.0)
+                         (i) (acc) => yield acc + (if ({threshold:?} < x(i)) x(i) else 0.0)
+                         combine (a, b) {{ yield a + b }}
+                       }}
+                       return (s)
+                     }}"
+                ));
 
                 let sizes = [("n", n)];
                 let cfg = TileConfig::new(&[("n", 8)], &sizes);

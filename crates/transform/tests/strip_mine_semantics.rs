@@ -3,14 +3,45 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::expr::Expr;
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pattern::Init;
 use pphw_ir::size::Size;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_transform::{strip_mine_program, TileConfig};
+
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
+
+/// `map(d) { (i) => yield <body> }` over one `Float[d]` input `x`.
+fn map_1d(name: &str, body: &str) -> Program {
+    parse(&format!(
+        "program {name}(d) {{
+           input x: Float[d]
+           let y = map(d) {{ (i) => yield {body} }}
+           return (y)
+         }}"
+    ))
+}
+
+/// `sumrows` as a map of a row `fold`.
+fn nested_sumrows(name: &str) -> Program {
+    parse(&format!(
+        "program {name}(m, n) {{
+           input x: Float[m, n]
+           let sums = map(m) {{ (i) =>
+             let rowsum = fold(n) {{
+               acc rowsum: Float = splat(0.0)
+               (j) (acc) => yield acc + x(i, j)
+               combine (a, b) {{ yield a + b }}
+             }}
+             yield rowsum
+           }}
+           return (sums)
+         }}"
+    ))
+}
 
 fn check_equiv(prog: &Program, cfg: &TileConfig, sizes: &[(&str, i64)], inputs: Vec<Value>) {
     let tiled = strip_mine_program(prog, cfg).expect("strip mining succeeds");
@@ -48,13 +79,7 @@ fn mat_f32(r: usize, c: usize, f: impl Fn(usize, usize) -> f32) -> Value {
 /// Table 2 row 1: element-wise map.
 #[test]
 fn strip_mine_map_1d() {
-    let mut b = ProgramBuilder::new("double");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.map(vec![d], |c, idx| {
-        c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-    });
-    let prog = b.finish(vec![out]);
+    let prog = map_1d("double", "2.0 * x(i)");
     let cfg = TileConfig::new(&[("d", 16)], &[("d", 64)]);
     check_equiv(&prog, &cfg, &[("d", 64)], vec![vec_f32(64, |i| i as f32)]);
 }
@@ -62,14 +87,13 @@ fn strip_mine_map_1d() {
 /// 2-D map with both dimensions tiled.
 #[test]
 fn strip_mine_map_2d_both_dims() {
-    let mut b = ProgramBuilder::new("scale2d");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.map(vec![m, n], |c, idx| {
-        c.add(c.read(x, vec![c.var(idx[0]), c.var(idx[1])]), c.f32(1.0))
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program scale2d(m, n) {
+           input x: Float[m, n]
+           let y = map(m, n) { (i, j) => yield x(i, j) + 1.0 }
+           return (y)
+         }",
+    );
     let cfg = TileConfig::new(&[("m", 4), ("n", 8)], &[("m", 12), ("n", 24)]);
     check_equiv(
         &prog,
@@ -82,14 +106,13 @@ fn strip_mine_map_2d_both_dims() {
 /// 2-D map with only one dimension tiled (the other stays inner).
 #[test]
 fn strip_mine_map_2d_one_dim() {
-    let mut b = ProgramBuilder::new("scale1of2");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.map(vec![m, n], |c, idx| {
-        c.mul(c.read(x, vec![c.var(idx[0]), c.var(idx[1])]), c.f32(0.5))
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program scale1of2(m, n) {
+           input x: Float[m, n]
+           let y = map(m, n) { (i, j) => yield x(i, j) * 0.5 }
+           return (y)
+         }",
+    );
     let cfg = TileConfig::new(&[("m", 3)], &[("m", 9), ("n", 5)]);
     check_equiv(
         &prog,
@@ -102,19 +125,17 @@ fn strip_mine_map_2d_one_dim() {
 /// Scalar full fold (tpchq6-style reduction).
 #[test]
 fn strip_mine_scalar_fold() {
-    let mut b = ProgramBuilder::new("sum");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.fold(
-        "sum",
-        vec![d],
-        vec![],
-        ScalarType::Prim(DType::F32),
-        Init::zeros(),
-        |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-        |c, a, b2| c.add(c.var(a), c.var(b2)),
+    let prog = parse(
+        "program sum(d) {
+           input x: Float[d]
+           let sum = fold(d) {
+             acc sum: Float = splat(0.0)
+             (i) (acc) => yield acc + x(i)
+             combine (a, b) { yield a + b }
+           }
+           return (sum)
+         }",
     );
-    let prog = b.finish(vec![out]);
     let cfg = TileConfig::new(&[("d", 8)], &[("d", 48)]);
     check_equiv(&prog, &cfg, &[("d", 48)], vec![vec_f32(48, |i| i as f32)]);
 }
@@ -122,29 +143,17 @@ fn strip_mine_scalar_fold() {
 /// Argmin-style tuple fold: combine is a selection, not an addition.
 #[test]
 fn strip_mine_argmin_fold() {
-    let mut b = ProgramBuilder::new("argmin");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.fold(
-        "argmin",
-        vec![d],
-        vec![],
-        ScalarType::Tuple(vec![DType::F32, DType::I32]),
-        Init::argmin(),
-        |c, i, acc| {
-            let v = c.read(x, vec![c.var(i[0])]);
-            let cand = c.tuple(vec![v.clone(), c.var(i[0])]);
-            c.select(c.lt(c.field(c.var(acc), 0), v), c.var(acc), cand)
-        },
-        |c, a, b2| {
-            c.select(
-                c.lt(c.field(c.var(a), 0), c.field(c.var(b2), 0)),
-                c.var(a),
-                c.var(b2),
-            )
-        },
+    let prog = parse(
+        "program argmin(d) {
+           input x: Float[d]
+           let argmin = fold(d) {
+             acc argmin: (Float, Int) = splat(3.4028235e38, -1)
+             (i) (acc) => yield if (acc._1 < x(i)) acc else (x(i), i)
+             combine (a, b) { yield if (a._1 < b._1) a else b }
+           }
+           return (argmin)
+         }",
     );
-    let prog = b.finish(vec![out]);
     let cfg = TileConfig::new(&[("d", 6)], &[("d", 24)]);
     // Distinct values so the argmin is unique and order-insensitive.
     check_equiv(
@@ -158,32 +167,18 @@ fn strip_mine_argmin_fold() {
 /// Table 2 row 2: sumrows as a MultiFold with a tracked (point) update.
 #[test]
 fn strip_mine_sumrows_tracked() {
-    let mut b = ProgramBuilder::new("sumrows");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.multi_fold(
-            "rowsums",
-            vec![m.clone(), n.clone()],
-            vec![m.clone()],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, idx| {
-                let (i, j) = (idx[0], idx[1]);
-                let v = c.read(x, vec![c.var(i), c.var(j)]);
-                (
-                    vec![Expr::var(i)],
-                    vec![],
-                    Box::new(move |c2: &mut pphw_ir::builder::Ctx<'_>, acc| c2.add(c2.var(acc), v)),
-                )
-            },
-            Some(Box::new(|c2: &mut pphw_ir::builder::Ctx<'_>, a, b2| {
-                c2.add(c2.var(a), c2.var(b2))
-            })),
-        )
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program sumrows(m, n) {
+           input x: Float[m, n]
+           let rowsums = multiFold(m, n) {
+             acc rowsums: Float[m] = splat(0.0)
+             (i, j) =>
+             update rowsums @ (i) [] (acc) { yield acc + x(i, j) }
+             combine rowsums (a, b) { yield a + b }
+           }
+           return (rowsums)
+         }",
+    );
     let cfg = TileConfig::new(&[("m", 4), ("n", 8)], &[("m", 16), ("n", 32)]);
     check_equiv(
         &prog,
@@ -196,33 +191,19 @@ fn strip_mine_sumrows_tracked() {
 /// Histogram-style dynamic-location MultiFold (untracked dimension).
 #[test]
 fn strip_mine_dynamic_location_fold() {
-    let mut b = ProgramBuilder::new("bincount");
-    let n = b.size("n");
-    let k = b.size("k");
-    let x = b.input("x", DType::I32, vec![n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.multi_fold(
-            "counts",
-            vec![n.clone()],
-            vec![k.clone()],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            |c, idx| {
-                let bucket = c.scalar("bucket", c.read(x, vec![c.var(idx[0])]));
-                (
-                    vec![Expr::var(bucket)],
-                    vec![],
-                    Box::new(move |c2: &mut pphw_ir::builder::Ctx<'_>, acc| {
-                        c2.add(c2.var(acc), c2.f32(1.0))
-                    }),
-                )
-            },
-            Some(Box::new(|c2: &mut pphw_ir::builder::Ctx<'_>, a, b2| {
-                c2.add(c2.var(a), c2.var(b2))
-            })),
-        )
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program bincount(n, k) {
+           input x: Int[n]
+           let counts = multiFold(n) {
+             acc counts: Float[k] = splat(0.0)
+             (i) =>
+             pre { let bucket = x(i) }
+             update counts @ (bucket) [] (acc) { yield acc + 1.0 }
+             combine counts (a, b) { yield a + b }
+           }
+           return (counts)
+         }",
+    );
     let cfg = TileConfig::new(&[("n", 8)], &[("n", 32), ("k", 4)]);
     let data = Value::tensor_i32(&[32], (0..32).map(|i| (i * 5 + 1) % 4).collect());
     check_equiv(&prog, &cfg, &[("n", 32), ("k", 4)], vec![data]);
@@ -231,14 +212,16 @@ fn strip_mine_dynamic_location_fold() {
 /// Table 2 row 3: filter via FlatMap.
 #[test]
 fn strip_mine_filter() {
-    let mut b = ProgramBuilder::new("pos");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.filter("pos", d, |c, i| {
-        let v = c.read(x, vec![c.var(i)]);
-        (c.lt(c.f32(10.0), v.clone()), v)
-    });
-    let prog = b.finish(vec![out]);
+    let prog = parse(
+        "program pos(d) {
+           input x: Float[d]
+           let pos = flatMap(d) { (i) =>
+             let items = [if (10.0 < x(i)) x(i)]
+             yield items
+           }
+           return (pos)
+         }",
+    );
     let cfg = TileConfig::new(&[("d", 8)], &[("d", 40)]);
     check_equiv(
         &prog,
@@ -251,18 +234,19 @@ fn strip_mine_filter() {
 /// Table 2 row 4: histogram via GroupByFold, tiled into a dict merge.
 #[test]
 fn strip_mine_histogram() {
-    let mut b = ProgramBuilder::new("hist");
-    let d = b.size("d");
-    let x = b.input("x", DType::I32, vec![d.clone()]);
-    let out = b.group_by_fold(
-        "hist",
-        d,
-        ScalarType::Prim(DType::I32),
-        Init::zero_i32(),
-        |c, i| (c.div(c.read(x, vec![c.var(i)]), c.int(10)), c.int(1)),
-        |a, b| a.add(b),
+    let prog = parse(
+        "program hist(d) {
+           input x: Int[d]
+           let hist = groupByFold(d) {
+             acc hist: Int = splat(0)
+             (i) =>
+             key = x(i) / 10
+             update @ () [] (acc) { yield acc + 1 }
+             combine (a, b) { yield a + b }
+           }
+           return (hist)
+         }",
     );
-    let prog = b.finish(vec![out]);
     let cfg = TileConfig::new(&[("d", 16)], &[("d", 64)]);
     let data = Value::tensor_i32(&[64], (0..64).map(|i| (i * 7) % 50).collect());
     check_equiv(&prog, &cfg, &[("d", 64)], vec![data]);
@@ -271,25 +255,7 @@ fn strip_mine_histogram() {
 /// Nested patterns: only the inner fold's dimension tiled.
 #[test]
 fn strip_mine_nested_inner_only() {
-    let mut b = ProgramBuilder::new("sumrows_nested");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m], |c, i| {
-            let i = i[0];
-            c.fold(
-                "rowsum",
-                vec![n.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, j, acc| c.add(c.var(acc), c.read(x, vec![c.var(i), c.var(j[0])])),
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    let prog = b.finish(vec![out]);
+    let prog = nested_sumrows("sumrows_nested");
     let cfg = TileConfig::new(&[("n", 8)], &[("m", 6), ("n", 32)]);
     check_equiv(
         &prog,
@@ -302,25 +268,7 @@ fn strip_mine_nested_inner_only() {
 /// Nested patterns with both levels tiled.
 #[test]
 fn strip_mine_nested_both_levels() {
-    let mut b = ProgramBuilder::new("sumrows_nested2");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m], |c, i| {
-            let i = i[0];
-            c.fold(
-                "rowsum",
-                vec![n.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, j, acc| c.add(c.var(acc), c.read(x, vec![c.var(i), c.var(j[0])])),
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    let prog = b.finish(vec![out]);
+    let prog = nested_sumrows("sumrows_nested2");
     let cfg = TileConfig::new(&[("m", 2), ("n", 8)], &[("m", 6), ("n", 32)]);
     check_equiv(
         &prog,
@@ -333,11 +281,7 @@ fn strip_mine_nested_both_levels() {
 /// Strip mining with no matching tile config is the identity.
 #[test]
 fn strip_mine_noop_without_config() {
-    let mut b = ProgramBuilder::new("id");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-    let prog = b.finish(vec![out]);
+    let prog = map_1d("id", "x(i)");
     let cfg = TileConfig::new(&[], &[("d", 16)]);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
     assert_eq!(
@@ -349,11 +293,7 @@ fn strip_mine_noop_without_config() {
 /// Indivisible tile sizes are rejected.
 #[test]
 fn strip_mine_rejects_indivisible() {
-    let mut b = ProgramBuilder::new("bad");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-    let prog = b.finish(vec![out]);
+    let prog = map_1d("bad", "x(i)");
     let cfg = TileConfig::new(&[("d", 7)], &[("d", 16)]);
     assert!(strip_mine_program(&prog, &cfg).is_err());
 }
@@ -361,13 +301,7 @@ fn strip_mine_rejects_indivisible() {
 /// The tiled program validates and contains a strided (d/b) domain.
 #[test]
 fn strip_mine_introduces_strided_domain() {
-    let mut b = ProgramBuilder::new("double");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.map(vec![d], |c, idx| {
-        c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-    });
-    let prog = b.finish(vec![out]);
+    let prog = map_1d("double", "2.0 * x(i)");
     let cfg = TileConfig::new(&[("d", 16)], &[("d", 64)]);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
     let text = pphw_ir::pretty::print_program(&tiled);
@@ -378,22 +312,18 @@ fn strip_mine_introduces_strided_domain() {
 /// Two independent outputs both get tiled.
 #[test]
 fn strip_mine_multiple_outputs() {
-    let mut b = ProgramBuilder::new("two");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let doubled = b.map(vec![d.clone()], |c, idx| {
-        c.mul(c.f32(2.0), c.read(x, vec![c.var(idx[0])]))
-    });
-    let total = b.fold(
-        "sum",
-        vec![d],
-        vec![],
-        ScalarType::Prim(DType::F32),
-        Init::zeros(),
-        |c, i, acc| c.add(c.var(acc), c.read(x, vec![c.var(i[0])])),
-        |c, a, b2| c.add(c.var(a), c.var(b2)),
+    let prog = parse(
+        "program two(d) {
+           input x: Float[d]
+           let doubled = map(d) { (i) => yield 2.0 * x(i) }
+           let sum = fold(d) {
+             acc sum: Float = splat(0.0)
+             (i) (acc) => yield acc + x(i)
+             combine (a, b) { yield a + b }
+           }
+           return (doubled, sum)
+         }",
     );
-    let prog = b.finish(vec![doubled, total]);
     let cfg = TileConfig::new(&[("d", 4)], &[("d", 16)]);
     check_equiv(&prog, &cfg, &[("d", 16)], vec![vec_f32(16, |i| i as f32)]);
 }
@@ -401,11 +331,7 @@ fn strip_mine_multiple_outputs() {
 /// Tile size equal to the dimension leaves the pattern untouched.
 #[test]
 fn strip_mine_full_tile_is_noop() {
-    let mut b = ProgramBuilder::new("fulltile");
-    let d = b.size("d");
-    let x = b.input("x", DType::F32, vec![d.clone()]);
-    let out = b.map(vec![d], |c, idx| c.read(x, vec![c.var(idx[0])]));
-    let prog = b.finish(vec![out]);
+    let prog = map_1d("fulltile", "x(i)");
     let cfg = TileConfig::new(&[("d", 16)], &[("d", 16)]);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
     let text = pphw_ir::pretty::print_program(&tiled);

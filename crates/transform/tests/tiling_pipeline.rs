@@ -4,17 +4,20 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pattern::Init;
 use pphw_ir::pretty::print_program;
 use pphw_ir::size::Size;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_transform::cost::analyze_cost;
 use pphw_transform::{
     deep_verifier_runs, tile_program, tile_program_no_interchange, verification_enabled, TileConfig,
 };
+
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
 
 fn mat_f32(r: usize, c: usize, f: impl Fn(usize, usize) -> f32) -> Value {
     let mut data = Vec::with_capacity(r * c);
@@ -27,33 +30,21 @@ fn mat_f32(r: usize, c: usize, f: impl Fn(usize, usize) -> f32) -> Value {
 }
 
 fn gemm_program() -> Program {
-    let mut b = ProgramBuilder::new("gemm");
-    let m = b.size("m");
-    let n = b.size("n");
-    let p = b.size("p");
-    let x = b.input("x", DType::F32, vec![m.clone(), p.clone()]);
-    let y = b.input("y", DType::F32, vec![p.clone(), n.clone()]);
-    let out = b.with_ctx(|c| {
-        c.map(vec![m, n], |c, idx| {
-            let (i, j) = (idx[0], idx[1]);
-            c.fold(
-                "dot",
-                vec![p.clone()],
-                vec![],
-                ScalarType::Prim(DType::F32),
-                Init::zeros(),
-                |c, kk, acc| {
-                    let prod = c.mul(
-                        c.read(x, vec![c.var(i), c.var(kk[0])]),
-                        c.read(y, vec![c.var(kk[0]), c.var(j)]),
-                    );
-                    c.add(c.var(acc), prod)
-                },
-                |c, a, b2| c.add(c.var(a), c.var(b2)),
-            )
-        })
-    });
-    b.finish(vec![out])
+    parse(
+        "program gemm(m, n, p) {
+           input x: Float[m, p]
+           input y: Float[p, n]
+           let prod = map(m, n) { (i, j) =>
+             let dot = fold(p) {
+               acc dot: Float = splat(0.0)
+               (k) (acc) => yield acc + x(i, k) * y(k, j)
+               combine (a, b) { yield a + b }
+             }
+             yield dot
+           }
+           return (prod)
+         }",
+    )
 }
 
 #[test]
@@ -115,71 +106,33 @@ fn gemm_pipeline_inserts_tile_copies() {
 }
 
 fn kmeans_assign_program() -> Program {
-    let mut b = ProgramBuilder::new("assign");
-    let n = b.size("n");
-    let k = b.size("k");
-    let d = b.size("d");
-    let points = b.input("points", DType::F32, vec![n.clone(), d.clone()]);
-    let centroids = b.input("centroids", DType::F32, vec![k.clone(), d.clone()]);
-    let out = b.with_ctx(|c| {
-        let (k2, d2) = (k.clone(), d.clone());
-        c.multi_fold(
-            "counts",
-            vec![n.clone()],
-            vec![k.clone()],
-            ScalarType::Prim(DType::F32),
-            Init::zeros(),
-            move |c, idx| {
-                let i = idx[0];
-                let best = c.fold(
-                    "best",
-                    vec![k2.clone()],
-                    vec![],
-                    ScalarType::Tuple(vec![DType::F32, DType::I32]),
-                    Init::argmin(),
-                    |c, j, acc| {
-                        let j = j[0];
-                        let dist = c.fold(
-                            "dist",
-                            vec![d2.clone()],
-                            vec![],
-                            ScalarType::Prim(DType::F32),
-                            Init::zeros(),
-                            |c, p, acc2| {
-                                let diff = c.sq_diff(
-                                    c.read(points, vec![c.var(i), c.var(p[0])]),
-                                    c.read(centroids, vec![c.var(j), c.var(p[0])]),
-                                );
-                                c.add(c.var(acc2), diff)
-                            },
-                            |c, a, b2| c.add(c.var(a), c.var(b2)),
-                        );
-                        let cand = c.tuple(vec![c.var(dist), c.var(j)]);
-                        c.select(c.lt(c.field(c.var(acc), 0), c.var(dist)), c.var(acc), cand)
-                    },
-                    |c, a, b2| {
-                        c.select(
-                            c.lt(c.field(c.var(a), 0), c.field(c.var(b2), 0)),
-                            c.var(a),
-                            c.var(b2),
-                        )
-                    },
-                );
-                let min_idx = c.scalar("minIdx", c.field(c.var(best), 1));
-                (
-                    vec![pphw_ir::expr::Expr::var(min_idx)],
-                    vec![],
-                    Box::new(move |c2: &mut pphw_ir::builder::Ctx<'_>, acc| {
-                        c2.add(c2.var(acc), c2.f32(1.0))
-                    }),
-                )
-            },
-            Some(Box::new(|c2: &mut pphw_ir::builder::Ctx<'_>, a, b2| {
-                c2.add(c2.var(a), c2.var(b2))
-            })),
-        )
-    });
-    b.finish(vec![out])
+    parse(
+        "program assign(n, k, d) {
+           input points: Float[n, d]
+           input centroids: Float[k, d]
+           let counts = multiFold(n) {
+             acc counts: Float[k] = splat(0.0)
+             (i) =>
+             pre {
+               let best = fold(k) {
+                 acc best: (Float, Int) = splat(3.4028235e38, -1)
+                 (j) (acc) =>
+                   let dist = fold(d) {
+                     acc dist: Float = splat(0.0)
+                     (p) (acc2) => yield acc2 + square(points(i, p) - centroids(j, p))
+                     combine (a, b) { yield a + b }
+                   }
+                   yield if (acc._1 < dist) acc else (dist, j)
+                 combine (a, b) { yield if (a._1 < b._1) a else b }
+               }
+               let minIdx = best._2
+             }
+             update counts @ (minIdx) [] (acc) { yield acc + 1.0 }
+             combine counts (a, b) { yield a + b }
+           }
+           return (counts)
+         }",
+    )
 }
 
 #[test]

@@ -269,8 +269,8 @@ pub struct VerifyReport {
     /// All findings, in traversal order.
     pub diagnostics: Vec<Diagnostic>,
     /// Display name of the source file the spans index into (set by
-    /// [`attach_spans`](VerifyReport::attach_spans); `None` for builder
-    /// programs).
+    /// [`attach_spans`](VerifyReport::attach_spans); `None` for programs
+    /// without a source map, such as tiled ones).
     pub file: Option<String>,
 }
 
@@ -329,7 +329,7 @@ impl VerifyReport {
     /// Resolves source locations for every diagnostic whose path (or an
     /// ancestor of it) is recorded in `map`, using `src` to compute
     /// line/column. Call this after verifying a program parsed from text;
-    /// builder programs have no map, so their reports stay span-free.
+    /// transformed programs have no map, so their reports stay span-free.
     pub fn attach_spans(&mut self, map: &pphw_ir::span::SourceMap, src: &str) {
         self.file = Some(map.file.clone());
         for d in &mut self.diagnostics {

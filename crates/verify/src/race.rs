@@ -236,8 +236,8 @@ mod tests {
         super::combine_is_assoc_comm(&l.params, &l.body)
     }
 
-    /// Builds `(a, b) -> body(a, b)` as the builder would: one statement
-    /// binding the combined value, sealed as the block result.
+    /// Builds `(a, b) -> body(a, b)` as the frontend lowers a combine: one
+    /// statement binding the combined value, sealed as the block result.
     fn combine(body: impl Fn(Expr, Expr) -> Expr) -> Lambda {
         let mut syms = SymTable::new();
         let a = syms.fresh("a", Type::f32());

@@ -283,22 +283,18 @@ fn persistent_cache_round_trips_through_a_real_search() {
 /// still produce a best point.
 #[test]
 fn non_associative_combine_candidates_are_statically_pruned() {
-    let mut b = pphw_ir::builder::ProgramBuilder::new("subfold");
-    let m = b.size("m");
-    let x = b.input("x", pphw_ir::types::DType::F32, vec![m.clone()]);
-    let out = b.fold(
-        "acc",
-        vec![m],
-        vec![],
-        pphw_ir::types::ScalarType::Prim(pphw_ir::types::DType::F32),
-        pphw_ir::pattern::Init::zeros(),
-        |c, i, acc| {
-            let v = c.read(x, vec![c.var(i[0])]);
-            c.add(c.var(acc), v)
-        },
-        |c, a, b2| c.sub(c.var(a), c.var(b2)),
-    );
-    let prog = b.finish(vec![out]);
+    let src = "program subfold(m) {
+      input x: Float[m]
+      let total = fold(m) {
+        acc total: Float = splat(0.0)
+        (i) (acc) => yield acc + x(i)
+        combine (a, b) { yield a - b }
+      }
+      return (total)
+    }";
+    let prog = pphw_frontend::parse_program(src, "subfold.ppl")
+        .expect("parses")
+        .program;
 
     let sizes: &[(&str, i64)] = &[("m", 64)];
     let base = CompileOptions::new(sizes);

@@ -19,9 +19,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use pphw::{compile, CompileOptions, OptLevel};
 use pphw_apps::all_benchmarks;
 use pphw_dse::{DseConfig, SearchSpace};
-use pphw_ir::builder::ProgramBuilder;
-use pphw_ir::pattern::Init;
-use pphw_ir::types::{DType, ScalarType};
 use pphw_ir::Program;
 use pphw_sim::{FaultConfig, SimConfig};
 use pphw_testkit::prop::Check;
@@ -54,50 +51,40 @@ struct FuzzCase {
 /// map, map-of-fold, and a two-input elementwise kernel, including an
 /// integer division (the classic hidden-panic site).
 fn build_program(shape: u8) -> Program {
-    match shape % 3 {
+    let src = match shape % 3 {
         0 => {
-            let mut b = ProgramBuilder::new("fuzz_map");
-            let d = b.size("d0");
-            let x = b.input("x", DType::F32, vec![d.clone()]);
-            let out = b.map(vec![d], |c, i| {
-                c.mul(c.f32(2.0), c.read(x, vec![c.var(i[0])]))
-            });
-            b.finish(vec![out])
+            "program fuzz_map(d0) {
+               input x: Float[d0]
+               let y = map(d0) { (i) => yield 2.0 * x(i) }
+               return (y)
+             }"
         }
         1 => {
-            let mut b = ProgramBuilder::new("fuzz_sumrows");
-            let m = b.size("d0");
-            let n = b.size("d1");
-            let x = b.input("x", DType::F32, vec![m.clone(), n.clone()]);
-            let out = b.with_ctx(|c| {
-                c.map(vec![m], |c, i| {
-                    let i = i[0];
-                    c.fold(
-                        "rowsum",
-                        vec![n.clone()],
-                        vec![],
-                        ScalarType::Prim(DType::F32),
-                        Init::zeros(),
-                        |c, j, acc| c.add(c.var(acc), c.read(x, vec![c.var(i), c.var(j[0])])),
-                        |c, a, b2| c.add(c.var(a), c.var(b2)),
-                    )
-                })
-            });
-            b.finish(vec![out])
+            "program fuzz_sumrows(d0, d1) {
+               input x: Float[d0, d1]
+               let sums = map(d0) { (i) =>
+                 let rowsum = fold(d1) {
+                   acc rowsum: Float = splat(0.0)
+                   (j) (acc) => yield acc + x(i, j)
+                   combine (a, b) { yield a + b }
+                 }
+                 yield rowsum
+               }
+               return (sums)
+             }"
         }
         _ => {
-            let mut b = ProgramBuilder::new("fuzz_zip");
-            let d = b.size("d0");
-            let x = b.input("x", DType::F32, vec![d.clone()]);
-            let y = b.input("y", DType::F32, vec![d.clone()]);
-            let out = b.map(vec![d], |c, i| {
-                let xv = c.read(x, vec![c.var(i[0])]);
-                let yv = c.read(y, vec![c.var(i[0])]);
-                c.add(c.mul(xv.clone(), yv.clone()), xv)
-            });
-            b.finish(vec![out])
+            "program fuzz_zip(d0) {
+               input x: Float[d0]
+               input y: Float[d0]
+               let z = map(d0) { (i) => yield x(i) * y(i) + x(i) }
+               return (z)
+             }"
         }
-    }
+    };
+    pphw_frontend::parse_program(src, "fuzz.ppl")
+        .expect("parses")
+        .program
 }
 
 fn gen_case(rng: &mut Rng) -> FuzzCase {

@@ -22,13 +22,12 @@ use pphw_hw::design::{
     BufId, Buffer, BufferKind, Ctrl, CtrlKind, Design, DesignStyle, Node, Unit, UnitKind,
 };
 use pphw_ir::block::{Block, Op};
-use pphw_ir::builder::ProgramBuilder;
 use pphw_ir::check::check_deep;
 use pphw_ir::expr::{Expr, Lit};
 use pphw_ir::json::{parse_json, Json};
-use pphw_ir::pattern::{Init, Pattern};
+use pphw_ir::pattern::Pattern;
 use pphw_ir::size::Size;
-use pphw_ir::types::{DType, ScalarType, Sym};
+use pphw_ir::types::Sym;
 use pphw_ir::Program;
 use pphw_verify::{verify_design, verify_program, DiagCode};
 
@@ -85,24 +84,25 @@ fn deep_verifier_runs_after_every_tiling_pass() {
     assert_eq!(pphw_transform::verification_enabled(), expected);
 }
 
+fn parse(src: &str) -> Program {
+    pphw_frontend::parse_program(src, "test.ppl")
+        .expect("parses")
+        .program
+}
+
 /// A fold whose combine is subtraction — not associative-commutative.
 fn subfold() -> Program {
-    let mut b = ProgramBuilder::new("subfold");
-    let m = b.size("m");
-    let x = b.input("x", DType::F32, vec![m.clone()]);
-    let out = b.fold(
-        "acc",
-        vec![m],
-        vec![],
-        ScalarType::Prim(DType::F32),
-        Init::zeros(),
-        |c, i, acc| {
-            let v = c.read(x, vec![c.var(i[0])]);
-            c.add(c.var(acc), v)
-        },
-        |c, a, b2| c.sub(c.var(a), c.var(b2)),
-    );
-    b.finish(vec![out])
+    parse(
+        "program subfold(m) {
+           input x: Float[m]
+           let total = fold(m) {
+             acc total: Float = splat(0.0)
+             (i) (acc) => yield acc + x(i)
+             combine (a, b) { yield a - b }
+           }
+           return (total)
+         }",
+    )
 }
 
 /// Race-detector family: a parallelized non-associative combine is
@@ -191,12 +191,22 @@ fn shared_buffer_metapipeline_raw_is_pphw020() {
 /// is `PPHW007`, located at a human-readable pattern path.
 #[test]
 fn rank_mismatch_is_pphw007() {
-    let mut b = ProgramBuilder::new("badrank");
-    let m = b.size("m");
-    let n = b.size("n");
-    let x = b.input("x", DType::F32, vec![m.clone(), n]);
-    let out = b.map(vec![m], |c, idx| c.read(x, vec![c.var(idx[0])]));
-    let prog = b.finish(vec![out]);
+    let mut prog = parse(
+        "program badrank(m, n) {
+           input x: Float[m, n]
+           let y = map(m) { (i) => yield x(i, 0) }
+           return (y)
+         }",
+    );
+    // The lowering rejects a rank-2 read through one index, so drop the
+    // column index from a read it accepts.
+    let Op::Pattern(Pattern::Map(map)) = &mut prog.body.stmts[0].op else {
+        panic!("badrank is one map");
+    };
+    let Op::Expr(Expr::Read { index, .. }) = &mut map.body.body.stmts[0].op else {
+        panic!("the map body is one read");
+    };
+    index.pop();
     let report = verify_program(&prog, &VerifyConfig::default());
     assert!(report.has(DiagCode::RankMismatch), "{}", report.to_text());
     assert!(
