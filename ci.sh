@@ -18,6 +18,10 @@ echo "== simulator loop advance vs stepping (release: float rounding and inlinin
 cargo test -q --release --offline -p pphw-sim
 cargo test -q --release --offline --test sim_jump --test golden_equivalence
 
+echo "== the daemon's shared workers, release profile (concurrency as shipped)"
+cargo test -q --release --offline -p pphw-server
+cargo test -q --release --offline --test server_e2e --test chaos
+
 echo "== per-pass verifier switched on by PPHW_VERIFY (release: the only profile where it decides)"
 PPHW_VERIFY=1 cargo test -q --release --offline --test differential --test verify -- \
   gemm_differential deep_verifier_runs_after_every_tiling_pass

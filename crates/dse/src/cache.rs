@@ -138,6 +138,20 @@ impl<T> DesignCache<T> {
         value
     }
 
+    /// Returns the artifact for `key` if it is already built, counting a
+    /// hit as [`DesignCache::get_or_compute`] would. Never blocks: a key
+    /// still building, or never seen, is `None` and counts nothing.
+    pub fn get(&self, key: u64) -> Option<Arc<T>> {
+        let value = self
+            .slots
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(&key)
+            .and_then(|slot| slot.get().map(Arc::clone))?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
     /// Number of distinct keys seen.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -491,12 +505,14 @@ mod tests {
     #[test]
     fn design_cache_builds_each_key_exactly_once() {
         let cache: DesignCache<u64> = DesignCache::new();
+        assert!(cache.get(1).is_none(), "an unseen key is no hit");
         let a = cache.get_or_compute(1, || 10);
         let b = cache.get_or_compute(1, || 99);
         let c = cache.get_or_compute(2, || 20);
         assert_eq!((*a, *b, *c), (10, 10, 20));
+        assert_eq!(cache.get(2).map(|v| *v), Some(20));
         assert_eq!(cache.builds(), 2);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.hits(), 2);
         assert_eq!(cache.len(), 2);
     }
 
@@ -527,6 +543,28 @@ mod tests {
         assert_eq!(built.load(Ordering::SeqCst), 1);
         assert_eq!(cache.builds(), 1);
         assert_eq!(cache.hits(), 7);
+    }
+
+    #[test]
+    fn get_never_waits_on_a_build_in_progress() {
+        let cache: DesignCache<u64> = DesignCache::new();
+        let (started, building) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let shared = &cache;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                shared.get_or_compute(3, || {
+                    started.send(()).unwrap();
+                    released.recv().unwrap();
+                    30
+                })
+            });
+            building.recv().unwrap();
+            assert!(cache.get(3).is_none(), "a build in progress is no hit");
+            release.send(()).unwrap();
+        });
+        assert_eq!(cache.get(3).map(|v| *v), Some(30));
+        assert_eq!((cache.builds(), cache.hits()), (1, 1));
     }
 
     fn sample_cache() -> EvalCache {

@@ -13,13 +13,12 @@
 //!
 //! Jobs run inside [`std::panic::catch_unwind`], so one panicking job
 //! cannot take down the pool, poison a queue, or abort the sweep:
-//! [`run_indexed`] re-raises the original payload after every other job
-//! has finished, while [`run_indexed_isolated`] converts the panic into a
-//! per-job `Err` (with bounded in-place retry) and keeps going.
+//! [`run_indexed_isolated`] retries it in place a bounded number of
+//! times, then records the panic as that job's `Err` and keeps going.
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
 type Panic = Box<dyn Any + Send + 'static>;
@@ -44,22 +43,30 @@ pub fn panic_message(payload: &Panic) -> String {
 }
 
 /// Runs one job, retrying up to `attempts` times on panic; keeps the last
-/// payload when every attempt panics.
-fn attempt<R>(attempts: usize, mut job: impl FnMut() -> R) -> Result<R, Panic> {
-    let mut last: Option<Panic> = None;
+/// panic's message when every attempt panics.
+fn attempt<R>(attempts: usize, mut job: impl FnMut() -> R) -> Result<R, String> {
+    let mut last = "job ran zero attempts".to_string();
     for _ in 0..attempts.max(1) {
         match catch_unwind(AssertUnwindSafe(&mut job)) {
             Ok(r) => return Ok(r),
-            Err(p) => last = Some(p),
+            Err(p) => last = panic_message(&p),
         }
     }
-    Err(match last {
-        Some(p) => p,
-        None => Box::new("job ran zero attempts"),
-    })
+    Err(last)
 }
 
-fn run_caught<T, R, F>(threads: usize, items: &[T], attempts: usize, f: &F) -> Vec<Result<R, Panic>>
+/// Runs `f` over every item, on `threads` workers, returning results in
+/// item order. `threads <= 1` degenerates to a serial loop with no thread
+/// spawns. A panicking job is retried in place up to `attempts` total
+/// attempts and, if it keeps panicking, recorded as an `Err` carrying the
+/// panic message — the sweep always completes and every other job's
+/// result is preserved.
+pub fn run_indexed_isolated<T, R, F>(
+    threads: usize,
+    items: &[T],
+    attempts: usize,
+    f: F,
+) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
@@ -100,7 +107,8 @@ where
         None
     };
 
-    let mut slots: Vec<Option<Result<R, Panic>>> = (0..items.len()).map(|_| None).collect();
+    let f = &f;
+    let mut slots: Vec<Option<Result<R, String>>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
@@ -115,72 +123,17 @@ where
             })
             .collect();
         for h in handles {
-            // The worker closure cannot panic (jobs are caught), so a join
-            // failure is a harness bug — re-raise it rather than swallow.
-            match h.join() {
-                Ok(done) => {
-                    for (i, r) in done {
-                        debug_assert!(slots[i].is_none(), "job {i} executed twice");
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(p) => resume_unwind(p),
+            // The worker closure cannot panic (jobs are caught); if it
+            // did, its jobs surface below as never executed.
+            for (i, r) in h.join().unwrap_or_default() {
+                debug_assert!(slots[i].is_none(), "job {i} executed twice");
+                slots[i] = Some(r);
             }
         }
     });
     slots
         .into_iter()
-        .map(|s| match s {
-            Some(r) => r,
-            // Unreachable by construction (every index is dealt to exactly
-            // one queue); surfaced as a job failure rather than a panic.
-            None => Err(Box::new("job was never executed") as Panic),
-        })
-        .collect()
-}
-
-/// Runs `f` over every item, on `threads` workers, returning results in
-/// item order. `threads <= 1` degenerates to a serial loop with no thread
-/// spawns.
-///
-/// # Panics
-///
-/// If `f` panics for some item, the panic is re-raised on the calling
-/// thread *after* all other jobs have completed — the pool itself never
-/// deadlocks or poisons on a panicking job.
-pub fn run_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_caught(threads, items, 1, &f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(p) => resume_unwind(p),
-        })
-        .collect()
-}
-
-/// Like [`run_indexed`], but a panicking job is retried in place up to
-/// `attempts` total attempts and, if it keeps panicking, recorded as an
-/// `Err` carrying the panic message — the sweep always completes and
-/// every other job's result is preserved.
-pub fn run_indexed_isolated<T, R, F>(
-    threads: usize,
-    items: &[T],
-    attempts: usize,
-    f: F,
-) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_caught(threads, items, attempts, &f)
-        .into_iter()
-        .map(|r| r.map_err(|p| panic_message(&p)))
+        .map(|s| s.unwrap_or_else(|| Err("job was never executed".to_string())))
         .collect()
 }
 
@@ -191,11 +144,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The pool's results, none of which may have panicked.
+    fn run<T: Sync, R: Send>(
+        threads: usize,
+        items: &[T],
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        run_indexed_isolated(threads, items, 1, f)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect()
+    }
+
     #[test]
     fn results_arrive_in_item_order_for_any_thread_count() {
         let items: Vec<usize> = (0..97).collect();
         for threads in [1, 2, 3, 8, 128] {
-            let out = run_indexed(threads, &items, |i, v| {
+            let out = run(threads, &items, |i, v| {
                 assert_eq!(i, *v);
                 v * v
             });
@@ -206,7 +171,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        run_indexed(4, &(0..50).collect::<Vec<usize>>(), |_, v| {
+        run(4, &(0..50).collect::<Vec<usize>>(), |_, v| {
             counters[*v].fetch_add(1, Ordering::SeqCst)
         });
         for c in &counters {
@@ -216,7 +181,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u32> = run_indexed(8, &[] as &[u32], |_, v| *v);
+        let out: Vec<u32> = run(8, &[] as &[u32], |_, v| *v);
         assert!(out.is_empty());
     }
 
@@ -227,7 +192,7 @@ mod tests {
         // broken stealer the test would still pass serially, so also check
         // more than one worker participated when jobs outnumber threads.)
         let seen = Mutex::new(std::collections::HashSet::new());
-        run_indexed(2, &(0..64).collect::<Vec<usize>>(), |_, v| {
+        run(2, &(0..64).collect::<Vec<usize>>(), |_, v| {
             seen.lock().unwrap().insert(std::thread::current().id());
             if *v == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
@@ -278,20 +243,5 @@ mod tests {
         });
         assert_eq!(out[0].as_ref().unwrap(), &7);
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn non_isolated_pool_reraises_the_original_panic_after_the_sweep() {
-        let ran = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_indexed(2, &(0..16).collect::<Vec<usize>>(), |_, v| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                assert!(*v != 5, "boom at five");
-            });
-        }));
-        let payload = caught.unwrap_err();
-        assert!(panic_message(&payload).contains("boom at five"));
-        // Every other job still ran to completion before the re-raise.
-        assert_eq!(ran.load(Ordering::SeqCst), 16);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! - `--addr HOST:PORT`  listen address (default `127.0.0.1:7340`; port
 //!   `0` picks an ephemeral port — combine with `--print-addr`)
-//! - `--threads N`       worker threads per connection batch (default 4)
+//! - `--threads N`       worker threads shared by every connection (default 4)
 //! - `--dse-threads N`   worker threads inside one `dse` request
 //!   (default 2 — a serving daemon balances many requests rather than
 //!   racing one sweep)

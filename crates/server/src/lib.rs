@@ -12,9 +12,10 @@
 //!   validation, typed error codes, server [`protocol::Limits`].
 //! - [`service`] — the engine: method dispatch over the shared caches
 //!   with exactly-once deduplication of identical in-flight requests.
-//! - [`server`] — the TCP front: per-connection handlers, pipelined
-//!   request batching onto the work-stealing pool, and a minimal
-//!   [`server::Client`] for tests and the load harness.
+//! - [`server`] — the TCP front: per-connection handlers that answer
+//!   memo hits themselves and batch pipelined misses onto one set of
+//!   long-lived workers, and a minimal [`server::Client`] for tests and
+//!   the load harness.
 //! - [`retry`] — a retrying client ([`retry::RetryClient`]) that drives
 //!   every logical request to exactly one typed outcome across transport
 //!   faults and `EOVERLOAD` sheds (used by the chaos harness).

@@ -289,22 +289,6 @@ pub enum Method {
     Dse(DseRequest),
 }
 
-impl Method {
-    /// Whether this method does compile/simulate work that should be
-    /// deduplicated and memoized (the control methods are not).
-    #[must_use]
-    pub fn is_work(&self) -> bool {
-        matches!(
-            self,
-            Method::Compile(_)
-                | Method::Verify(_)
-                | Method::Simulate(_)
-                | Method::Dse(_)
-                | Method::TestPanic
-        )
-    }
-}
-
 fn proto(message: impl Into<String>) -> ErrorBody {
     ErrorBody::new(codes::PROTO, message)
 }

@@ -1,27 +1,31 @@
 //! The TCP front: newline-framed request lines in, response lines out.
 //!
 //! Each connection gets one handler thread that reads request lines and
-//! answers them **in request order**. Pipelined clients get batching for
-//! free: after the first blocking read, every complete line already
-//! sitting in the read buffer joins the same batch, and the batch is
-//! dispatched across the work-stealing pool ([`pphw_dse::pool`]) — so a
-//! client that writes ten requests before reading gets them evaluated
-//! concurrently, while a lock-step client costs no extra threads.
+//! answers them **in request order**. After the first blocking read,
+//! every complete line already sitting in the read buffer joins the same
+//! batch. The handler answers on its own thread every line that needs no
+//! evaluation — control methods, malformed lines, sheds and response-memo
+//! hits — and queues the rest on one set of long-lived workers shared by
+//! every connection. A client that pipelines ten misses gets them
+//! evaluated concurrently, a memo hit costs no hand-off, and the daemon
+//! evaluates on a fixed number of threads however many connections are
+//! open.
 //!
 //! Shutdown is cooperative: the `shutdown` method flips the service flag,
 //! each handler drains its current batch and closes (idle handlers notice
 //! within one [`SHUTDOWN_POLL`] interval, so a lingering peer cannot pin
 //! the daemon's exit), and the acceptor is woken by a loopback connection
-//! so `run` can return and the caller can persist the measurement cache.
+//! so `run` can join the handlers, then the workers, and return; the
+//! caller then persists the measurement cache.
 
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pphw_dse::pool;
-
+use crate::protocol::Request;
 use crate::service::{Service, ServiceStats};
 
 /// How long a connection may sit idle mid-line before the handler gives
@@ -43,13 +47,14 @@ const WRITE_TIMEOUT: Duration = Duration::from_mins(1);
 pub struct Server {
     service: Arc<Service>,
     listener: TcpListener,
-    /// Worker threads for intra-batch parallelism on each connection.
+    /// Worker threads shared by every connection: the only threads that
+    /// evaluate.
     batch_threads: usize,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and prepares to
-    /// serve with the given worker parallelism per connection batch.
+    /// serve with `batch_threads` workers shared by every connection.
     ///
     /// # Errors
     ///
@@ -72,18 +77,37 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Accepts connections until a `shutdown` request is served, then
-    /// joins every live handler and returns the final counters. The
-    /// caller owns persistence (saving the eval cache) after this
-    /// returns.
+    /// Starts the workers, accepts connections until a `shutdown` request
+    /// is served, then joins every live handler, then the workers, and
+    /// returns the final counters. The caller owns persistence (saving
+    /// the eval cache) after this returns.
     ///
     /// # Errors
     ///
-    /// Returns an accept error that is not a transient refusal.
+    /// Returns an accept error that is not a transient refusal, after
+    /// shutting down as a `shutdown` request would.
     pub fn run(self) -> io::Result<ServiceStats> {
+        let pool = Arc::new(Pool::default());
+        let workers: Vec<JoinHandle<()>> = (0..self.batch_threads)
+            .map(|_| {
+                let (pool, service) = (Arc::clone(&pool), Arc::clone(&self.service));
+                std::thread::spawn(move || pool.work(&service))
+            })
+            .collect();
+        let accepted = self.accept(&pool);
+        pool.close();
+        for w in workers {
+            let _ = w.join();
+        }
+        accepted.map(|()| self.service.stats())
+    }
+
+    /// The accept loop: one handler thread per admitted connection, all
+    /// joined before it returns.
+    fn accept(&self, pool: &Arc<Pool>) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
-        let live = Arc::new(AtomicUsize::new(0));
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+        let mut result = Ok(());
         for conn in self.listener.incoming() {
             if self.service.is_shutdown() {
                 break;
@@ -93,7 +117,13 @@ impl Server {
                 // A peer that vanished between accept and handshake is
                 // its own problem, not the daemon's.
                 Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                Err(e) => return Err(e),
+                Err(e) => {
+                    // Drain the handlers as for `shutdown`: their queued
+                    // work needs the workers `run` joins after them.
+                    self.service.request_shutdown();
+                    result = Err(e);
+                    break;
+                }
             };
             if !self.service.try_admit_connection() {
                 // Beyond the cap: one typed, retryable refusal line, then
@@ -103,15 +133,12 @@ impl Server {
                 continue;
             }
             let service = Arc::clone(&self.service);
-            let live = Arc::clone(&live);
-            let threads = self.batch_threads;
-            live.fetch_add(1, Ordering::SeqCst);
+            let pool = Arc::clone(pool);
             let handle = std::thread::spawn(move || {
                 // Connection errors only end this peer's session.
                 let was_shutdown = service.is_shutdown();
-                let _ = serve_connection(&service, stream, threads);
+                let _ = serve_connection(&service, &pool, stream);
                 service.connection_closed();
-                live.fetch_sub(1, Ordering::SeqCst);
                 // The handler that *served* the shutdown request wakes
                 // the acceptor with a loopback connection.
                 if !was_shutdown && service.is_shutdown() {
@@ -126,7 +153,102 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
-        Ok(self.service.stats())
+        result
+    }
+}
+
+/// The workers' one queue. It needs no bound of its own: a handler waits
+/// for its batch, so it holds at most one batch per admitted connection,
+/// and a batch at most the complete lines of one read buffer.
+#[derive(Default)]
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued or the pool closes.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+/// A request to evaluate and its slot in its batch's responses.
+struct Job {
+    req: Box<Request>,
+    slot: usize,
+    batch: Arc<Batch>,
+}
+
+/// One batch's evaluated responses, by slot, as the workers finish them.
+#[derive(Default)]
+struct Batch {
+    done: Mutex<Vec<(usize, String)>>,
+    finished: Condvar,
+}
+
+/// Every update to the pool's and batches' state is one push or pop, so
+/// the state stays valid even if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Pool {
+    /// A worker's life: evaluate queued jobs until the pool is closed and
+    /// drained. The service contains every panic of an evaluation.
+    fn work(&self, service: &Service) {
+        loop {
+            let job = {
+                let mut queue = lock(&self.queue);
+                loop {
+                    if let Some(job) = queue.jobs.pop_front() {
+                        break job;
+                    }
+                    if queue.closed {
+                        return;
+                    }
+                    queue = self
+                        .ready
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let response = service.evaluate(&job.req);
+            lock(&job.batch.done).push((job.slot, response));
+            job.batch.finished.notify_one();
+        }
+    }
+
+    /// Evaluates each miss on the workers into its slot of `responses`,
+    /// returning once all are in.
+    fn evaluate(&self, misses: Vec<(usize, Box<Request>)>, responses: &mut [Option<String>]) {
+        let (batch, n) = (Arc::new(Batch::default()), misses.len());
+        lock(&self.queue)
+            .jobs
+            .extend(misses.into_iter().map(|(slot, req)| Job {
+                req,
+                slot,
+                batch: Arc::clone(&batch),
+            }));
+        for _ in 0..n {
+            self.ready.notify_one();
+        }
+        let mut done = lock(&batch.done);
+        while done.len() < n {
+            done = batch
+                .finished
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        for (slot, response) in done.drain(..) {
+            responses[slot] = Some(response);
+        }
+    }
+
+    /// Lets the workers exit once the queue is empty.
+    fn close(&self) {
+        lock(&self.queue).closed = true;
+        self.ready.notify_all();
     }
 }
 
@@ -141,10 +263,10 @@ fn shed_connection(stream: &TcpStream, limit: usize) {
     let _ = stream.write_all(b"\n");
 }
 
-/// Serves one connection until EOF or shutdown: reads a batch of pipelined
-/// request lines, evaluates the batch on the pool, writes responses in
-/// request order.
-fn serve_connection(service: &Service, stream: TcpStream, threads: usize) -> io::Result<()> {
+/// Serves one connection until EOF, an oversized line or shutdown: reads
+/// a batch of pipelined request lines, answers it, writes the responses
+/// in request order.
+fn serve_connection(service: &Service, pool: &Pool, stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     stream.set_nodelay(true)?;
@@ -157,40 +279,61 @@ fn serve_connection(service: &Service, stream: TcpStream, threads: usize) -> io:
         batch.clear();
         // First line: block (bounded by the idle budget, waking at the
         // poll interval so a cooperative shutdown is noticed promptly).
-        match read_bounded_line(&mut reader, max_line, service)? {
-            ReadLine::Eof => return Ok(()),
-            ReadLine::TooLong => {
-                write_oversize_error(&mut writer, max_line)?;
-                return Ok(());
-            }
-            ReadLine::Line(l) => batch.push(l),
-        }
-        // Drain every *complete* line already buffered: these were
-        // pipelined by the client and can run concurrently.
-        while reader.buffer().contains(&b'\n') {
+        // Then drain every *complete* line already buffered: these were
+        // pipelined by the client and form one batch. An EOF or an
+        // oversized line ends the batch and, once it is answered, the
+        // connection.
+        let mut end = None;
+        loop {
             match read_bounded_line(&mut reader, max_line, service)? {
-                ReadLine::Eof => break,
-                ReadLine::TooLong => {
-                    write_oversize_error(&mut writer, max_line)?;
-                    return Ok(());
-                }
                 ReadLine::Line(l) => batch.push(l),
+                last => {
+                    end = Some(last);
+                    break;
+                }
+            }
+            if !reader.buffer().contains(&b'\n') {
+                break;
             }
         }
-        let responses: Vec<Option<String>> = if batch.len() == 1 {
-            vec![service.handle_line(&batch[0])]
-        } else {
-            pool::run_indexed(threads, &batch, |_, line| service.handle_line(line))
-        };
-        for resp in responses.into_iter().flatten() {
-            writer.write_all(resp.as_bytes())?;
-            writer.write_all(b"\n")?;
-        }
-        writer.flush()?;
-        if service.is_shutdown() {
-            return Ok(());
+        answer_batch(service, pool, &batch, &mut writer)?;
+        match end {
+            Some(ReadLine::TooLong) => return write_oversize_error(&mut writer, max_line),
+            Some(_) => return Ok(()),
+            None if service.is_shutdown() => return Ok(()),
+            None => {}
         }
     }
+}
+
+/// Answers one batch: on this thread every line that needs no
+/// evaluation, on the workers the rest; then writes every response in
+/// request order.
+fn answer_batch(
+    service: &Service,
+    pool: &Pool,
+    batch: &[String],
+    writer: &mut impl Write,
+) -> io::Result<()> {
+    let mut responses = Vec::with_capacity(batch.len());
+    let mut misses = Vec::new();
+    for line in batch {
+        match service.answer_now(line) {
+            Ok(response) => responses.push(response),
+            Err(req) => {
+                misses.push((responses.len(), req));
+                responses.push(None);
+            }
+        }
+    }
+    if !misses.is_empty() {
+        pool.evaluate(misses, &mut responses);
+    }
+    for response in responses.into_iter().flatten() {
+        writer.write_all(response.as_bytes())?;
+        writer.write_all(b"\n")?;
+    }
+    writer.flush()
 }
 
 enum ReadLine {
@@ -338,25 +481,31 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::json::parse_json;
-    use crate::protocol::Limits;
+    use crate::json::{parse_json, Json};
+    use crate::protocol::{codes, Limits};
     use pphw_dse::cache::EvalCache;
 
-    fn spawn_server() -> (SocketAddr, std::thread::JoinHandle<ServiceStats>) {
-        let service = Arc::new(Service::new(Limits::default(), 2, EvalCache::new()));
-        let server = Server::bind("127.0.0.1:0", service, 2).expect("bind");
+    fn spawn_server(limits: Limits) -> (SocketAddr, Arc<Service>, JoinHandle<ServiceStats>) {
+        let service = Arc::new(Service::new(limits, 1, EvalCache::new()));
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&service), 2).expect("bind");
         let addr = server.local_addr().expect("addr");
         let handle = std::thread::spawn(move || server.run().expect("run"));
-        (addr, handle)
+        (addr, service, handle)
+    }
+
+    fn error_code(resp: &str) -> Option<String> {
+        let v = parse_json(resp).expect("json");
+        let code = v.get("error").and_then(|e| e.get("code"));
+        code.and_then(Json::as_str).map(str::to_string)
     }
 
     #[test]
     fn ping_and_shutdown_over_tcp() {
-        let (addr, handle) = spawn_server();
+        let (addr, _, handle) = spawn_server(Limits::default());
         let mut c = Client::connect(&addr).expect("connect");
         let resp = c.call("{\"id\":1,\"method\":\"ping\"}").expect("ping");
         let v = parse_json(&resp).expect("json");
-        assert_eq!(v.get("ok").and_then(crate::json::Json::as_bool), Some(true));
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
         c.call("{\"id\":2,\"method\":\"shutdown\"}")
             .expect("shutdown");
         let stats = handle.join().expect("join");
@@ -365,7 +514,7 @@ mod tests {
 
     #[test]
     fn pipelined_batch_preserves_request_order() {
-        let (addr, handle) = spawn_server();
+        let (addr, _, handle) = spawn_server(Limits::default());
         let mut c = Client::connect(&addr).expect("connect");
         for id in 0..8 {
             c.send(&format!("{{\"id\":{id},\"method\":\"ping\"}}"))
@@ -373,26 +522,69 @@ mod tests {
         }
         for id in 0..8 {
             let v = parse_json(&c.recv().expect("recv")).expect("json");
-            assert_eq!(v.get("id").and_then(crate::json::Json::as_u64), Some(id));
+            assert_eq!(v.get("id").and_then(Json::as_u64), Some(id));
         }
         c.call("{\"id\":99,\"method\":\"shutdown\"}")
             .expect("shutdown");
         handle.join().expect("join");
     }
 
+    /// One batch mixing every kind of line: what needs no evaluation is
+    /// answered on the connection's thread, the misses on the workers,
+    /// and the responses still come back in request order.
+    #[test]
+    fn a_mixed_batch_answers_in_order_and_evaluates_each_miss_once() {
+        let (addr, service, handle) = spawn_server(Limits::default());
+        let simulate = |id: u32, m: u32| {
+            format!(
+                "{{\"id\":{id},\"method\":\"simulate\",\"bench\":\"sumrows\",\
+                 \"sizes\":{{\"m\":{m},\"n\":8}},\"inner_par\":4}}"
+            )
+        };
+        let mut c = Client::connect(&addr).expect("connect");
+        assert!(c
+            .call(&simulate(0, 8))
+            .expect("warm")
+            .contains("\"ok\":true"));
+        let before = service.stats();
+        let batch = [
+            "{\"id\":1,\"method\":\"ping\"}".to_string(),
+            simulate(2, 8),
+            simulate(3, 16),
+            simulate(4, 16),
+            "{\"id\":5,".to_string(),
+            simulate(6, 32),
+        ];
+        c.writer
+            .write_all(format!("{}\n", batch.join("\n")).as_bytes())
+            .expect("one write");
+        let ids: Vec<Json> = (0..batch.len())
+            .map(|_| {
+                let resp = c.recv().expect("recv");
+                let v = parse_json(&resp).expect("json");
+                let ok = v.get("ok").and_then(Json::as_bool);
+                assert_eq!(ok, Some(error_code(&resp).is_none()), "{resp}");
+                v.get("id").cloned().expect("id")
+            })
+            .collect();
+        let n = Json::Num;
+        assert_eq!(ids, [n(1.0), n(2.0), n(3.0), n(4.0), Json::Null, n(6.0)]);
+        let after = service.stats();
+        assert_eq!(after.dedup_builds, before.dedup_builds + 2, "m=16 and m=32");
+        assert_eq!(after.dedup_hits, before.dedup_hits + 2, "id 2 and id 4");
+        assert_eq!(after.requests, before.requests + 6);
+        assert_eq!(after.errors, before.errors + 1, "the malformed line");
+        c.call("{\"id\":7,\"method\":\"shutdown\"}")
+            .expect("shutdown");
+        handle.join().expect("join");
+    }
+
     #[test]
     fn connection_cap_sheds_with_one_typed_line_and_daemon_survives() {
-        let service = Arc::new(Service::new(
-            Limits {
-                max_connections: 1,
-                ..Limits::default()
-            },
-            1,
-            EvalCache::new(),
-        ));
-        let server = Server::bind("127.0.0.1:0", Arc::clone(&service), 1).expect("bind");
-        let addr = server.local_addr().expect("addr");
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, _, handle) = spawn_server(Limits {
+            max_connections: 1,
+            ..Limits::default()
+        });
 
         // First connection occupies the only slot.
         let mut first = Client::connect(&addr).expect("connect");
@@ -402,16 +594,12 @@ mod tests {
         // Second connection: one EOVERLOAD line, then close.
         let mut second = Client::connect(&addr).expect("connect");
         let refusal = second.recv().expect("shed line");
+        assert_eq!(error_code(&refusal).as_deref(), Some(codes::OVERLOAD));
         let v = parse_json(&refusal).expect("json");
-        let code = v
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(crate::json::Json::as_str);
-        assert_eq!(code, Some(crate::protocol::codes::OVERLOAD));
         assert_eq!(
             v.get("error")
                 .and_then(|e| e.get("retryable"))
-                .and_then(crate::json::Json::as_bool),
+                .and_then(Json::as_bool),
             Some(true)
         );
         assert!(second.recv().is_err(), "shed connection must close");
@@ -437,28 +625,25 @@ mod tests {
 
     #[test]
     fn oversized_line_gets_a_bounded_refusal() {
-        let service = Arc::new(Service::new(
-            Limits {
-                max_line_bytes: 64,
-                ..Limits::default()
-            },
-            1,
-            EvalCache::new(),
-        ));
-        let server = Server::bind("127.0.0.1:0", Arc::clone(&service), 1).expect("bind");
-        let addr = server.local_addr().expect("addr");
-        let handle = std::thread::spawn(move || server.run().expect("run"));
-        let mut c = Client::connect(&addr).expect("connect");
+        let (addr, _, handle) = spawn_server(Limits {
+            max_line_bytes: 64,
+            ..Limits::default()
+        });
         let long = format!("{{\"id\":1,\"junk\":\"{}\"}}", "x".repeat(256));
-        let resp = c.call(&long).expect("call");
-        let v = parse_json(&resp).expect("json");
-        assert_eq!(
-            v.get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(crate::json::Json::as_str),
-            Some(crate::protocol::codes::LIMIT)
-        );
-        // The refusal closes only this connection; the daemon lives on.
+        // Alone, and after a request pipelined in the same write, which
+        // is answered before the refusal.
+        for before in [None, Some("{\"id\":0,\"method\":\"ping\"}")] {
+            let mut c = Client::connect(&addr).expect("connect");
+            let wire = before.map_or(format!("{long}\n"), |b| format!("{b}\n{long}\n"));
+            c.writer.write_all(wire.as_bytes()).expect("one write");
+            if before.is_some() {
+                assert!(c.recv().expect("pong").contains("\"pong\":true"));
+            }
+            let refusal = c.recv().expect("refusal");
+            assert_eq!(error_code(&refusal).as_deref(), Some(codes::LIMIT));
+            assert!(c.recv().is_err(), "the refusal closes the connection");
+        }
+        // The refusal closes only its connection; the daemon lives on.
         let mut c2 = Client::connect(&addr).expect("reconnect");
         c2.call("{\"id\":2,\"method\":\"shutdown\"}")
             .expect("shutdown");

@@ -41,7 +41,7 @@ use pphw_dse::pool::panic_message;
 use pphw_dse::space::Candidate;
 use pphw_dse::{DseConfig, EvalOutcome, Evaluate, SearchSpace};
 use pphw_frontend::ParseOutput;
-use pphw_ir::json::{self, Obj};
+use pphw_ir::json::{self, Json, Obj};
 use pphw_sim::{SimConfig, SimError};
 use pphw_verify::VerifyConfig;
 
@@ -280,75 +280,93 @@ impl Service {
     /// (no trailing newline). Blank lines get no response. Never panics:
     /// every failure renders as a typed error response.
     pub fn handle_line(&self, line: &str) -> Option<String> {
+        match self.answer_now(line) {
+            Ok(response) => response,
+            Err(req) => Some(self.evaluate(&req)),
+        }
+    }
+
+    /// Answers `line` if that takes no evaluation: a blank line (no
+    /// response), an undecodable one, a control method, a shed, or a work
+    /// request whose response is already in the memo. Anything else comes
+    /// back decoded, for [`Service::evaluate`].
+    pub(crate) fn answer_now(&self, line: &str) -> Result<Option<String>, Box<Request>> {
         let line = line.trim();
         if line.is_empty() {
-            return None;
+            return Ok(None);
         }
         self.requests.fetch_add(1, Ordering::Relaxed);
         let req = match Request::decode(line, &self.limits) {
             Ok(req) => req,
             Err((id, err)) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                return Some(err_line(&id, &err));
+                return Ok(Some(err_line(&id, &err)));
             }
         };
-        let id = req.id.clone();
-        let (ok, body) = if req.method.is_work() {
-            match self.try_acquire_work() {
-                // Budget full: shed with a typed, retryable refusal.
-                // Nothing was evaluated and nothing entered the memo, so
-                // a retry after backoff gets a full evaluation.
-                None => (false, overload_inflight(self.limits.max_inflight).to_json()),
-                Some(_guard) => {
-                    // Exactly-once evaluation per fingerprint: concurrent
-                    // duplicates block on the slot, later repeats hit the
-                    // memo. A panicking handler unwinds out of
-                    // `get_or_compute` leaving the slot uninitialized
-                    // (std's `OnceLock` does not poison), so the panic is
-                    // contained as a typed `EINTERNAL` that is never
-                    // memoized — a retry re-runs the work — and the
-                    // connection survives.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.memo
-                            .get_or_compute(req.fingerprint(), || self.run_work(&req.method))
-                    }));
-                    match outcome {
-                        Ok(memoized) => (*memoized).clone(),
-                        Err(payload) => {
-                            self.panics.fetch_add(1, Ordering::Relaxed);
-                            let what = panic_message(&payload);
-                            (
-                                false,
-                                ErrorBody::new(
-                                    codes::INTERNAL,
-                                    format!("request handler panicked: {what}"),
-                                )
-                                .to_json(),
-                            )
-                        }
-                    }
-                }
+        let body = match &req.method {
+            Method::Ping => flag("pong"),
+            Method::Stats => self.stats().to_json(),
+            Method::Health => self.health_json(),
+            Method::Shutdown => {
+                self.request_shutdown();
+                flag("shutting_down")
             }
-        } else {
-            match &req.method {
-                Method::Ping => (true, flag("pong")),
-                Method::Stats => (true, self.stats().to_json()),
-                Method::Health => (true, self.health_json()),
-                Method::Shutdown => {
-                    self.request_shutdown();
-                    (true, flag("shutting_down"))
-                }
-                // is_work() covered the rest.
-                _ => (
-                    false,
-                    ErrorBody::new(codes::METHOD, "unreachable method").to_json(),
-                ),
+            // A work request: shed, a memo hit, or left to evaluate.
+            _ => {
+                let Some(_guard) = self.try_acquire_work() else {
+                    return Ok(Some(self.shed(&req.id)));
+                };
+                return match self.memo.get(req.fingerprint()) {
+                    Some(memo) => Ok(Some(self.respond(&req.id, memo.0, &memo.1))),
+                    None => Err(Box::new(req)),
+                };
             }
         };
+        Ok(Some(response_line(&req.id, true, &body)))
+    }
+
+    /// Evaluates a work request [`Service::answer_now`] handed back and
+    /// renders its response.
+    pub(crate) fn evaluate(&self, req: &Request) -> String {
+        let Some(_guard) = self.try_acquire_work() else {
+            return self.shed(&req.id);
+        };
+        // Exactly-once evaluation per fingerprint: concurrent duplicates
+        // block on the slot, later repeats hit the memo. A panicking
+        // handler unwinds out of `get_or_compute` leaving the slot
+        // uninitialized (std's `OnceLock` does not poison), so the panic is
+        // contained as a typed `EINTERNAL` that is never memoized — a retry
+        // re-runs the work — and the connection survives.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.memo
+                .get_or_compute(req.fingerprint(), || self.run_work(&req.method))
+        }));
+        match outcome {
+            Ok(memo) => self.respond(&req.id, memo.0, &memo.1),
+            Err(payload) => {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                let what = panic_message(&payload);
+                let err =
+                    ErrorBody::new(codes::INTERNAL, format!("request handler panicked: {what}"));
+                self.respond(&req.id, false, &err.to_json())
+            }
+        }
+    }
+
+    /// The in-flight budget is full: a typed, retryable refusal. Nothing
+    /// was evaluated and nothing entered the memo, so a retry after
+    /// backoff gets a full evaluation.
+    fn shed(&self, id: &Json) -> String {
+        let err = overload_inflight(self.limits.max_inflight);
+        self.respond(id, false, &err.to_json())
+    }
+
+    /// A work request's response line, counting it if it is an error.
+    fn respond(&self, id: &Json, ok: bool, body: &str) -> String {
         if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        Some(response_line(&id, ok, &body))
+        response_line(id, ok, body)
     }
 
     fn run_work(&self, method: &Method) -> MemoBody {
@@ -360,7 +378,7 @@ impl Service {
             // Deliberate crash to prove containment (decoded only when
             // `Limits::debug_methods` is on).
             Method::TestPanic => panic!("injected panic (__panic debug method)"),
-            // is_work() gates this path to the five above.
+            // `answer_now` answers the control methods.
             _ => Err(ErrorBody::new(codes::METHOD, "not a work method")),
         };
         let (ok, mut body) = match out {
