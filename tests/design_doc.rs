@@ -133,7 +133,9 @@ fn exists(files: &[String], path: &str) -> bool {
 }
 
 /// Backticked repo paths must exist, unless the sentence around them says
-/// the file was deleted or removed.
+/// the file was deleted or removed. A token containing `*`, `<`, `{` or `…`
+/// is a pattern (`crates/*/src`, `src/bin/<name>.rs`), not a path, and is
+/// not checked.
 #[test]
 fn every_repo_path_the_docs_name_exists() {
     let files = repo_files();
@@ -162,7 +164,11 @@ fn every_repo_path_the_docs_name_exists() {
             }
         }
     }
-    assert!(missing.is_empty(), "no such path:\n{}", missing.join("\n"));
+    assert!(
+        missing.is_empty(),
+        "no such path (spell a file pattern with a wildcard, e.g. `*.rs`):\n{}",
+        missing.join("\n")
+    );
 }
 
 /// In fenced commands, `--bin X` and `--test NAME` must name a bin and a
