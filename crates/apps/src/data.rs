@@ -39,12 +39,3 @@ pub fn rand_labels(rng: &mut Rng, n: usize, bound: i64) -> Value {
 pub fn rng(seed: u64) -> Rng {
     Rng::seed_from_u64(seed)
 }
-
-/// Compares two flat f32 sequences with relative tolerance.
-pub fn approx_slices(a: &[f32], b: &[f32], tol: f32) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            (x - y).abs() <= tol * scale
-        })
-}

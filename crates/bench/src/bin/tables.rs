@@ -16,7 +16,7 @@
 //! `tables: unknown flag …` and exits 2.
 
 use pphw::{compile, CompileOptions, OptLevel};
-use pphw_ir::pretty::print_program;
+use pphw_ir::pretty::emit_program;
 use pphw_ir::size::Size;
 use pphw_sim::SimConfig;
 use pphw_transform::cost::analyze_cost;
@@ -73,10 +73,10 @@ fn table1() {
     println!(
         "\n--- T[ Map(d)(m) ] => MultiFold(d/b)(d)(zeros){{ ii => (ii*b, acc => Map(b)) }}(_)"
     );
-    println!("before:\n{}", print_program(&prog));
+    println!("before:\n{}", emit_program(&prog));
     println!(
         "after:\n{}",
-        print_program(&strip_mine_program(&prog, &cfg).unwrap())
+        emit_program(&strip_mine_program(&prog, &cfg).unwrap())
     );
 
     // MultiFold (fold special case)
@@ -87,7 +87,7 @@ fn table1() {
     );
     println!(
         "after:\n{}",
-        print_program(&strip_mine_program(&prog, &cfg).unwrap())
+        emit_program(&strip_mine_program(&prog, &cfg).unwrap())
     );
 
     // FlatMap
@@ -96,7 +96,7 @@ fn table1() {
     println!("\n--- T[ FlatMap(d)(f) ] => FlatMap(d/b){{ FlatMap(b) }}");
     println!(
         "after:\n{}",
-        print_program(&strip_mine_program(&prog, &cfg).unwrap())
+        emit_program(&strip_mine_program(&prog, &cfg).unwrap())
     );
 
     // GroupByFold
@@ -105,7 +105,7 @@ fn table1() {
     println!("\n--- T[ GroupByFold(d)(z)(h)(c) ] => GroupByFold(d/b){{ merge GroupByFold(b) }}(c)");
     println!(
         "after:\n{}",
-        print_program(&strip_mine_program(&prog, &cfg).unwrap())
+        emit_program(&strip_mine_program(&prog, &cfg).unwrap())
     );
 }
 
@@ -142,7 +142,7 @@ fn table2() {
     for (name, prog, tiles, sizes) in cases {
         let cfg = TileConfig::new(&tiles, &sizes);
         let tiled = tile_program_no_interchange(&prog, &cfg).unwrap();
-        println!("\n--- {name}\n{}", print_program(&tiled));
+        println!("\n--- {name}\n{}", emit_program(&tiled));
     }
 }
 
@@ -154,8 +154,8 @@ fn table3() {
     let cfg = TileConfig::new(&[("m", 16), ("n", 16), ("p", 16)], &sizes);
     let strip = tile_program_no_interchange(&prog, &cfg).unwrap();
     let inter = tile_program(&prog, &cfg).unwrap();
-    println!("\n--- strip mined\n{}", print_program(&strip));
-    println!("\n--- interchanged\n{}", print_program(&inter));
+    println!("\n--- strip mined\n{}", emit_program(&strip));
+    println!("\n--- interchanged\n{}", emit_program(&inter));
 }
 
 /// Table 4: template inventory, plus instance counts per benchmark design.
@@ -213,8 +213,8 @@ fn fig5() {
     let (prog, _, cfg) = kmeans_cfg();
     let strip = tile_program_no_interchange(&prog, &cfg).unwrap();
     let inter = tile_program(&prog, &cfg).unwrap();
-    println!("\n--- (a) strip mined\n{}", print_program(&strip));
-    println!("\n--- (b) split + interchanged\n{}", print_program(&inter));
+    println!("\n--- (a) strip mined\n{}", emit_program(&strip));
+    println!("\n--- (b) split + interchanged\n{}", emit_program(&inter));
 }
 
 /// Figure 5c: DRAM reads and on-chip storage per structure per variant.

@@ -274,6 +274,40 @@ fn parse_emit_prints_the_benchmark_file() {
     );
 }
 
+/// Every program `tables` prints for Tables 1–3 and Figure 5 is PPL text:
+/// each block from a `program ` line to the next bare `}` parses.
+#[test]
+fn tables_print_programs_the_frontend_parses() {
+    let stdout = run(&mut cli(
+        env!("CARGO_BIN_EXE_tables"),
+        "--table1 --table2 --table3 --fig5",
+    ));
+    let mut blocks: Vec<String> = Vec::new();
+    let mut open: Option<String> = None;
+    for line in stdout.lines() {
+        if line.starts_with("program ") {
+            open = Some(String::new());
+        }
+        if let Some(block) = open.as_mut() {
+            block.push_str(line);
+            block.push('\n');
+            if line == "}" {
+                blocks.extend(open.take());
+            }
+        }
+    }
+    assert_eq!(blocks.len(), 13, "{stdout}");
+    for (i, text) in blocks.iter().enumerate() {
+        if let Err(errs) = pphw_frontend::parse_program(text, "tables.ppl") {
+            let rendered: Vec<String> = errs.iter().map(|e| e.render(text, "tables")).collect();
+            panic!(
+                "program {i} does not parse:\n{}\n{text}",
+                rendered.join("\n")
+            );
+        }
+    }
+}
+
 #[test]
 fn every_example_ppl_parses_and_verifies_clean() {
     let files = example_ppl_files();

@@ -128,8 +128,8 @@ fn interchange_toggle_changes_the_ir() {
     let with_ic = compile(&prog, &base.clone()).expect("interchange on");
     let without = compile(&prog, &base.clone().interchange(false)).expect("interchange off");
     assert_ne!(
-        pphw_ir::pretty::print_program(&with_ic.program),
-        pphw_ir::pretty::print_program(&without.program)
+        pphw_ir::pretty::emit_program(&with_ic.program),
+        pphw_ir::pretty::emit_program(&without.program)
     );
 }
 

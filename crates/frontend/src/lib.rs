@@ -11,8 +11,8 @@
 //!    relating verifier pattern paths back to byte spans.
 //!
 //! The surface syntax is exactly what [`pphw_ir::pretty::emit_program`]
-//! prints, so `parse(pretty(p))` is structurally equal to `p` and
-//! `pretty(parse(text))` is a canonical form of `text`.
+//! prints, so `parse(emit(p))` is structurally equal to `p` and
+//! `emit(parse(text))` is a canonical form of `text`.
 //!
 //! The single entry point is [`parse_program`]; everything it reports goes
 //! through [`ParseError`], whose `PPLP0xx` codes are listed in [`codes`].

@@ -768,9 +768,12 @@ impl Lowerer {
             let c = self
                 .clause_for(combines, |c| c.acc.as_ref(), &pacc.name, "combine", span)?
                 .clone();
-            self.map.record(&cpath, c.span);
+            // `combine acc _` has no scope, so no path to record a span for.
             match &c.lambda {
-                Some(l) => lowered_combines.push(Some(self.combine_lambda(l, &acc.elem, &cpath)?)),
+                Some(l) => {
+                    self.map.record(&cpath, c.span);
+                    lowered_combines.push(Some(self.combine_lambda(l, &acc.elem, &cpath)?));
+                }
                 None => lowered_combines.push(None),
             }
         }

@@ -93,14 +93,6 @@ impl Op {
             _ => None,
         }
     }
-
-    /// Mutable variant of [`Op::as_pattern`].
-    pub fn as_pattern_mut(&mut self) -> Option<&mut Pattern> {
-        match self {
-            Op::Pattern(p) => Some(p),
-            _ => None,
-        }
-    }
 }
 
 /// A statement binding `syms` to the result(s) of `op`.

@@ -21,16 +21,21 @@ pub enum Lit {
     Bool(bool),
 }
 
+/// Re-parseable spelling: floats use the shortest round-trip form (always
+/// with `.` or an exponent), non-finite values the `inf` / `-inf` / `nan`
+/// keywords.
 impl fmt::Display for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Lit::F32(v) => {
-                if *v == f32::MAX {
-                    write!(f, "max")
-                } else if *v == f32::MIN {
-                    write!(f, "min")
+                if v.is_nan() {
+                    write!(f, "nan")
+                } else if *v == f32::INFINITY {
+                    write!(f, "inf")
+                } else if *v == f32::NEG_INFINITY {
+                    write!(f, "-inf")
                 } else {
-                    write!(f, "{v}")
+                    write!(f, "{v:?}")
                 }
             }
             Lit::I32(v) => write!(f, "{v}"),
@@ -74,7 +79,7 @@ impl BinOp {
         matches!(self, BinOp::Lt | BinOp::Le | BinOp::Eq)
     }
 
-    /// Infix symbol used by the pretty printer.
+    /// Infix symbol, as the printer writes it and the parser reads it.
     pub fn symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",

@@ -29,19 +29,6 @@ pub enum ScalarVal {
 }
 
 impl ScalarVal {
-    /// Extracts a float (converting integers).
-    ///
-    /// # Panics
-    ///
-    /// Panics on booleans or tuples.
-    pub fn as_f32(&self) -> f32 {
-        match self {
-            ScalarVal::F(v) => *v,
-            ScalarVal::I(v) => *v as f32,
-            other => panic!("not a float: {other:?}"),
-        }
-    }
-
     /// Extracts an integer.
     ///
     /// # Panics
@@ -189,22 +176,6 @@ impl Value {
             Value::Dict(_) => panic!("as_f32_slice on Dict"),
         }
         out
-    }
-
-    /// Returns the scalar, if this is a scalar value.
-    pub fn as_scalar(&self) -> Option<&ScalarVal> {
-        match self {
-            Value::Scalar(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the tensor, if this is a tensor value.
-    pub fn as_tensor(&self) -> Option<&TensorVal> {
-        match self {
-            Value::Tensor(t) => Some(t),
-            _ => None,
-        }
     }
 
     /// Compares numeric contents against another value within `tol`,

@@ -1,8 +1,8 @@
 //! Human-readable paths to IR nodes.
 //!
-//! Diagnostics (and the annotated pretty-printer) name nodes by *path* —
-//! e.g. `kmeans/sums[2]/pre/best[1]/combine[0]` — instead of a bare symbol
-//! id. Each statement segment is the base name of the first symbol the
+//! Diagnostics name nodes by *path* — e.g.
+//! `kmeans/sums[2]/pre/best[1]/combine[0]` — instead of a bare symbol id.
+//! Each statement segment is the base name of the first symbol the
 //! statement binds plus the statement's index in its block; descending into
 //! a pattern appends the sub-scope names the traversal passes through
 //! (the `Display` of [`Seg`](crate::pattern::Seg): `pre`, `update[k]`,

@@ -224,7 +224,7 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Short name used in diagnostics and the pretty-printer.
+    /// Short name used in diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {
             Pattern::Map(_) => "map",

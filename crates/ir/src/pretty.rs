@@ -1,351 +1,14 @@
-//! Pretty-printer producing paper-style PPL text.
-//!
-//! The output mirrors the notation of the paper's figures: patterns print
-//! as `multiFold(n/b0)((k,d),k)(init){ ii => … }{ (a,b) => … }`, copies as
-//! `points.copy(ii*b0 :+ b0, *)`, and slices as `points.slice(i, *)`.
+//! The program printer: [`emit_program`] writes canonical PPL text, the
+//! surface syntax the `pphw-frontend` parser reads, for source and tiled
+//! programs alike.
 
 use std::fmt::Write as _;
 
 use crate::block::{Block, Op, SliceDim, Stmt};
 use crate::expr::{BinOp, Expr, UnOp};
-use crate::path::IrPath;
-use crate::pattern::{GbfBody, Pattern, Seg};
+use crate::pattern::{GbfBody, Pattern};
 use crate::program::Program;
 use crate::types::{Sym, SymTable};
-
-/// Renders a whole program.
-pub fn print_program(prog: &Program) -> String {
-    render_program(prog, None)
-}
-
-/// Like [`print_program`] but annotates every pattern statement with its
-/// [`IrPath`] (`// at kmeans/sums[2]`) — the same paths verifier
-/// diagnostics carry, so an error can be matched to a line of output.
-pub fn print_program_with_paths(prog: &Program) -> String {
-    render_program(prog, Some(IrPath::root(&prog.name)))
-}
-
-fn render_program(prog: &Program, path: Option<IrPath>) -> String {
-    let mut p = Printer::new(&prog.syms);
-    p.path = path;
-    let _ = writeln!(p.out, "// program {}", prog.name);
-    for i in &prog.inputs {
-        let _ = writeln!(p.out, "{}: {}", prog.syms.name(*i), prog.syms.ty(*i));
-    }
-    p.block_stmts(&prog.body);
-    let results: Vec<String> = prog.body.result.iter().map(|s| p.name(*s)).collect();
-    let _ = writeln!(p.out, "return ({})", results.join(", "));
-    p.out
-}
-
-/// Renders a single block (at indent level 0).
-pub fn print_block(block: &Block, syms: &SymTable) -> String {
-    let mut p = Printer::new(syms);
-    p.block_stmts(block);
-    p.out
-}
-
-struct Printer<'a> {
-    syms: &'a SymTable,
-    out: String,
-    indent: usize,
-    /// When set, pattern statements are annotated with their path and the
-    /// path is threaded through nested blocks.
-    path: Option<IrPath>,
-}
-
-impl<'a> Printer<'a> {
-    fn new(syms: &'a SymTable) -> Self {
-        Printer {
-            syms,
-            out: String::new(),
-            indent: 0,
-            path: None,
-        }
-    }
-
-    /// Descends the path by one segment for the duration of `f`.
-    fn scoped(&mut self, seg: Seg, f: impl FnOnce(&mut Self)) {
-        let saved = self.path.clone();
-        if let Some(p) = &self.path {
-            self.path = Some(p.child(seg.to_string()));
-        }
-        f(self);
-        self.path = saved;
-    }
-
-    fn name(&self, s: Sym) -> String {
-        self.syms.name(s)
-    }
-
-    fn pad(&mut self) {
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-    }
-
-    fn line(&mut self, text: &str) {
-        self.pad();
-        self.out.push_str(text);
-        self.out.push('\n');
-    }
-
-    fn block_stmts(&mut self, block: &Block) {
-        for (i, stmt) in block.stmts.iter().enumerate() {
-            self.stmt(stmt, i);
-        }
-    }
-
-    fn stmt(&mut self, stmt: &Stmt, index: usize) {
-        let lhs = stmt
-            .syms
-            .iter()
-            .map(|s| self.name(*s))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let lhs = if stmt.syms.len() > 1 {
-            format!("({lhs})")
-        } else {
-            lhs
-        };
-        match &stmt.op {
-            Op::Expr(e) => {
-                let e = self.expr(e);
-                self.line(&format!("{lhs} = {e}"));
-            }
-            Op::Slice(s) => {
-                let dims = self.dims(&s.dims);
-                self.line(&format!("{lhs} = {}.slice({dims})", self.name(s.tensor)));
-            }
-            Op::Copy(c) => {
-                let dims = self.dims(&c.dims);
-                let reuse = if c.reuse > 1 {
-                    format!(" /* reuse {} */", c.reuse)
-                } else {
-                    String::new()
-                };
-                self.line(&format!(
-                    "{lhs} = {}.copy({dims}){reuse}",
-                    self.name(c.tensor)
-                ));
-            }
-            Op::VarVec(items) => {
-                let parts: Vec<String> = items
-                    .iter()
-                    .map(|it| match &it.guard {
-                        Some(g) => format!("if ({}) {}", self.expr(g), self.expr(&it.value)),
-                        None => self.expr(&it.value),
-                    })
-                    .collect();
-                self.line(&format!("{lhs} = [{}]", parts.join(", ")));
-            }
-            Op::Pattern(p) => {
-                let at = self.path.as_ref().map(|b| b.stmt(self.syms, stmt, index));
-                match at {
-                    Some(at) => {
-                        self.line(&format!("// at {at}"));
-                        let saved = self.path.replace(at);
-                        self.pattern(&lhs, p);
-                        self.path = saved;
-                    }
-                    None => self.pattern(&lhs, p),
-                }
-            }
-        }
-    }
-
-    fn dims(&self, dims: &[SliceDim]) -> String {
-        dims.iter()
-            .map(|d| match d {
-                SliceDim::Point(e) => self.expr(e),
-                SliceDim::Window { start, len } => {
-                    format!("{} :+ {}", self.expr(start), len)
-                }
-                SliceDim::Full => "*".to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-
-    fn sizes(sizes: &[crate::size::Size]) -> String {
-        sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
-    fn pattern(&mut self, lhs: &str, p: &Pattern) {
-        match p {
-            Pattern::Map(m) => {
-                let params = m
-                    .body
-                    .params
-                    .iter()
-                    .map(|s| self.name(*s))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                self.line(&format!(
-                    "{lhs} = map({}){{ ({params}) =>",
-                    Self::sizes(&m.domain)
-                ));
-                self.scoped(Seg::Body, |p| p.nested(&m.body.body, true));
-                self.line("}");
-            }
-            Pattern::MultiFold(mf) => {
-                let accs = mf
-                    .accs
-                    .iter()
-                    .map(|a| {
-                        if a.shape.is_empty() {
-                            "1".to_string()
-                        } else {
-                            format!("({})", Self::sizes(&a.shape))
-                        }
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let idx = mf
-                    .idx
-                    .iter()
-                    .map(|s| self.name(*s))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                self.line(&format!(
-                    "{lhs} = multiFold({})({accs})(init){{ ({idx}) =>",
-                    Self::sizes(&mf.domain)
-                ));
-                self.indent += 1;
-                self.scoped(Seg::Pre, |p| p.block_stmts(&mf.pre));
-                for (k, u) in mf.updates.iter().enumerate() {
-                    let loc = u
-                        .loc
-                        .iter()
-                        .map(|e| self.expr(e))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    let loc = if u.loc.is_empty() {
-                        "·".to_string()
-                    } else {
-                        loc
-                    };
-                    self.line(&format!(
-                        "upd[{k}] @({loc}) : {} =>",
-                        self.name(u.acc_param)
-                    ));
-                    self.scoped(Seg::Update(Some(k)), |p| p.nested(&u.body, true));
-                }
-                self.indent -= 1;
-                self.line("}{ (a,b) =>");
-                self.indent += 1;
-                for (k, c) in mf.combines.iter().enumerate() {
-                    match c {
-                        Some(l) => {
-                            let params = l
-                                .params
-                                .iter()
-                                .map(|s| self.name(*s))
-                                .collect::<Vec<_>>()
-                                .join(",");
-                            self.line(&format!("combine({params}):"));
-                            self.scoped(Seg::Combine(Some(k)), |p| p.nested(&l.body, true));
-                        }
-                        None => self.line("_"),
-                    }
-                }
-                self.indent -= 1;
-                self.line("}");
-            }
-            Pattern::FlatMap(fm) => {
-                let i = self.name(fm.body.params[0]);
-                self.line(&format!("{lhs} = flatMap({}){{ {i} =>", fm.domain));
-                self.scoped(Seg::Body, |p| p.nested(&fm.body.body, true));
-                self.line("}");
-            }
-            Pattern::GroupByFold(g) => {
-                let i = self.name(g.idx);
-                self.line(&format!("{lhs} = groupByFold({})(init){{ {i} =>", g.domain));
-                self.indent += 1;
-                self.scoped(Seg::Pre, |p| p.block_stmts(&g.pre));
-                match &g.body {
-                    GbfBody::Element { key, update } => {
-                        let key = self.expr(key);
-                        self.line(&format!("key = {key}; {} =>", self.name(update.acc_param)));
-                        self.scoped(Seg::Update(None), |p| p.nested(&update.body, true));
-                    }
-                    GbfBody::Merge { dict } => {
-                        self.line(&format!("merge {}", self.name(*dict)));
-                    }
-                }
-                self.indent -= 1;
-                self.line("}{ combine }");
-            }
-        }
-    }
-
-    fn nested(&mut self, block: &Block, with_result: bool) {
-        self.indent += 1;
-        self.block_stmts(block);
-        if with_result && !block.result.is_empty() {
-            let results: Vec<String> = block.result.iter().map(|s| self.name(*s)).collect();
-            self.line(&format!("-> {}", results.join(", ")));
-        }
-        self.indent -= 1;
-    }
-
-    fn expr(&self, e: &Expr) -> String {
-        match e {
-            Expr::Lit(l) => l.to_string(),
-            Expr::Var(s) => self.name(*s),
-            Expr::SizeOf(s) => s.to_string(),
-            Expr::Un(op, a) => {
-                let a = self.expr(a);
-                match op {
-                    UnOp::Neg => format!("-{a}"),
-                    UnOp::Not => format!("!{a}"),
-                    UnOp::Sqrt => format!("sqrt({a})"),
-                    UnOp::Ln => format!("ln({a})"),
-                    UnOp::Exp => format!("exp({a})"),
-                    UnOp::Abs => format!("abs({a})"),
-                    UnOp::Square => format!("square({a})"),
-                    UnOp::ToF32 => format!("float({a})"),
-                    UnOp::ToI32 => format!("int({a})"),
-                }
-            }
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (self.expr(a), self.expr(b));
-                match op {
-                    BinOp::Min => format!("min({a}, {b})"),
-                    BinOp::Max => format!("max({a}, {b})"),
-                    _ => format!("({a} {} {b})", op.symbol()),
-                }
-            }
-            Expr::Select {
-                cond,
-                if_true,
-                if_false,
-            } => format!(
-                "if ({}) {} else {}",
-                self.expr(cond),
-                self.expr(if_true),
-                self.expr(if_false)
-            ),
-            Expr::Tuple(es) => {
-                let parts: Vec<String> = es.iter().map(|e| self.expr(e)).collect();
-                format!("({})", parts.join(", "))
-            }
-            Expr::Field(a, i) => format!("{}._{}", self.expr(a), i + 1),
-            Expr::Read { tensor, index } => {
-                let idx: Vec<String> = index.iter().map(|e| self.expr(e)).collect();
-                format!("{}({})", self.name(*tensor), idx.join(", "))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Faithful emitter: canonical `.ppl` surface syntax
-// ---------------------------------------------------------------------------
 
 /// Reserved words of the textual PPL surface syntax. The frontend lexer
 /// treats these as keywords; the emitter renames any symbol whose base name
@@ -397,12 +60,11 @@ pub fn is_keyword(s: &str) -> bool {
 /// Emits the program in the canonical textual PPL surface syntax accepted
 /// by the `pphw-frontend` parser.
 ///
-/// Unlike [`print_program`] (a human-oriented rendering in the paper's
-/// notation), this output is *faithful*: parsing it back yields a program
-/// structurally equal to `prog` (see [`crate::equiv`]), and re-emitting the
-/// parsed program reproduces the text byte-for-byte. Symbols are given
-/// globally unique identifier names derived from their base names, so the
-/// text carries no symbol ids.
+/// The output is *faithful*: parsing it back yields a program structurally
+/// equal to `prog` (see [`crate::equiv`]), and re-emitting the parsed
+/// program reproduces the text byte-for-byte. Symbols are given globally
+/// unique identifier names derived from their base names, so the text
+/// carries no symbol ids.
 #[must_use]
 pub fn emit_program(prog: &Program) -> String {
     let mut e = Emitter {
@@ -433,6 +95,14 @@ pub fn emit_program(prog: &Program) -> String {
     e.out
 }
 
+/// The same text as [`emit_program`]. Kept only because the benchmark
+/// harness's compile suite imports this name; everything else calls
+/// `emit_program`.
+#[must_use]
+pub fn print_program(prog: &Program) -> String {
+    emit_program(prog)
+}
+
 /// Forces `raw` into a non-keyword identifier shape.
 fn sanitize_ident(raw: &str) -> String {
     let mut base: String = raw
@@ -454,35 +124,13 @@ fn sanitize_ident(raw: &str) -> String {
     base
 }
 
-fn dtype_text(d: crate::types::DType) -> &'static str {
-    match d {
-        crate::types::DType::F32 => "Float",
-        crate::types::DType::I32 => "Int",
-        crate::types::DType::Bool => "Bool",
-    }
-}
-
-fn scalar_ty_text(st: &crate::types::ScalarType) -> String {
-    match st {
-        crate::types::ScalarType::Prim(d) => dtype_text(*d).to_string(),
-        crate::types::ScalarType::Tuple(fs) => {
-            let parts: Vec<&str> = fs.iter().map(|d| dtype_text(*d)).collect();
-            format!("({})", parts.join(", "))
-        }
-    }
-}
-
 fn ty_text(ty: &crate::types::Type) -> String {
     use crate::types::Type;
     match ty {
-        Type::Scalar(s) => scalar_ty_text(s),
-        Type::Tensor { elem, shape } => {
-            format!("{}[{}]", scalar_ty_text(elem), sizes_text(shape))
-        }
-        Type::DynVec { elem } => format!("{}[?]", scalar_ty_text(elem)),
-        Type::Dict { key, value } => {
-            format!("Dict[{} -> {}]", scalar_ty_text(key), ty_text(value))
-        }
+        Type::Scalar(s) => s.to_string(),
+        Type::Tensor { elem, shape } => format!("{elem}[{}]", sizes_text(shape)),
+        Type::DynVec { elem } => format!("{elem}[?]"),
+        Type::Dict { key, value } => format!("Dict[{key} -> {}]", ty_text(value)),
     }
 }
 
@@ -503,28 +151,6 @@ fn size_text(s: &crate::size::Size) -> String {
 
 fn sizes_text(sizes: &[crate::size::Size]) -> String {
     sizes.iter().map(size_text).collect::<Vec<_>>().join(", ")
-}
-
-/// Literals in re-parseable form: floats use the shortest round-trip
-/// representation (always with `.` or an exponent), non-finite values the
-/// `inf` / `-inf` / `nan` keywords.
-fn lit_text(l: &crate::expr::Lit) -> String {
-    use crate::expr::Lit;
-    match l {
-        Lit::F32(v) => {
-            if v.is_nan() {
-                "nan".to_string()
-            } else if *v == f32::INFINITY {
-                "inf".to_string()
-            } else if *v == f32::NEG_INFINITY {
-                "-inf".to_string()
-            } else {
-                format!("{v:?}")
-            }
-        }
-        Lit::I32(v) => v.to_string(),
-        Lit::Bool(v) => v.to_string(),
-    }
 }
 
 struct Emitter<'a> {
@@ -637,11 +263,11 @@ impl Emitter<'_> {
 
     fn acc_decl(&mut self, a: &crate::pattern::AccDef) -> String {
         let ty = if a.shape.is_empty() {
-            scalar_ty_text(&a.elem)
+            a.elem.to_string()
         } else {
-            format!("{}[{}]", scalar_ty_text(&a.elem), sizes_text(&a.shape))
+            format!("{}[{}]", a.elem, sizes_text(&a.shape))
         };
-        let lits: Vec<String> = a.init.splat.iter().map(lit_text).collect();
+        let lits: Vec<String> = a.init.splat.iter().map(ToString::to_string).collect();
         format!(
             "acc {}: {} = splat({})",
             sanitize_ident(&a.name),
@@ -788,7 +414,7 @@ impl Emitter<'_> {
     /// (a bare `-` always denotes a negative literal in the grammar).
     fn expr_text(&self, e: &Expr) -> String {
         match e {
-            Expr::Lit(l) => lit_text(l),
+            Expr::Lit(l) => l.to_string(),
             Expr::Var(s) => self.name(*s),
             Expr::SizeOf(s) => format!("size({})", size_text(s)),
             Expr::Un(op, a) => {

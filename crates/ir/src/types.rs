@@ -280,7 +280,7 @@ impl fmt::Display for Sym {
 /// Per-symbol metadata.
 #[derive(Debug, Clone)]
 pub struct SymInfo {
-    /// Human-readable name used by the pretty-printer.
+    /// Base name: the printer and diagnostic paths derive identifiers from it.
     pub name: String,
     /// Value type.
     pub ty: Type,
@@ -326,7 +326,7 @@ impl SymTable {
         &self.info(sym).ty
     }
 
-    /// The symbol's display name (`name%id`).
+    /// The symbol's display name in diagnostics (`name_id`).
     pub fn name(&self, sym: Sym) -> String {
         format!("{}_{}", self.entries[sym.index()].name, sym.0)
     }

@@ -1,9 +1,9 @@
-//! The paper-notation printer and the faithful `.ppl` emitter on programs
-//! written as PPL text.
+//! The program printer, `emit_program`, on programs written as PPL text:
+//! what it spells, and how it renames symbols the text could not bind.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pphw_ir::pretty::{emit_program, print_program, print_program_with_paths};
+use pphw_ir::pretty::emit_program;
 use pphw_ir::types::{Sym, SymTable};
 use pphw_ir::Program;
 
@@ -32,28 +32,16 @@ fn prints_map_program() {
            return (y)
          }",
     );
-    let text = print_program(&prog);
+    let text = emit_program(&prog);
     assert!(text.contains("map(d)"), "got:\n{text}");
-    assert!(text.contains("x_0("), "got:\n{text}");
+    assert!(text.contains("x(i)"), "got:\n{text}");
 }
 
 #[test]
 fn prints_fold_with_combine() {
-    let text = print_program(&parse(SUM));
+    let text = emit_program(&parse(SUM));
     assert!(text.contains("multiFold(d)"), "got:\n{text}");
     assert!(text.contains("combine"), "got:\n{text}");
-}
-
-#[test]
-fn path_annotated_print_marks_patterns() {
-    let prog = parse(SUM);
-    let plain = print_program(&prog);
-    assert!(
-        !plain.contains("// at "),
-        "default output unchanged:\n{plain}"
-    );
-    let annotated = print_program_with_paths(&prog);
-    assert!(annotated.contains("// at sum/sum[0]"), "got:\n{annotated}");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pretty::print_program;
+use pphw_ir::pretty::emit_program;
 use pphw_ir::{Block, Op, Program};
 use pphw_transform::copies::insert_copies;
 use pphw_transform::cse::cse_program;
@@ -74,7 +74,7 @@ fn copy_insertion_on_untiled_program_preloads_small_tensors() {
     let cfg = TileConfig::new(&[("d", 16)], &[("d", 64)]);
     assert_eq!(count_copies(&prog), 0);
     let preloaded = insert_copies(&prog, &cfg);
-    assert_eq!(count_copies(&preloaded), 1, "{}", print_program(&preloaded));
+    assert_eq!(count_copies(&preloaded), 1, "{}", emit_program(&preloaded));
     // With no budget, nothing is preloaded.
     let tight = TileConfig::new(&[("d", 16)], &[("d", 64)]).with_budget(4);
     let untouched = insert_copies(&prog, &tight);
@@ -91,9 +91,9 @@ fn strip_mined_program_gets_window_copies() {
         count_copies(&with_copies),
         1,
         "{}",
-        print_program(&with_copies)
+        emit_program(&with_copies)
     );
-    let text = print_program(&with_copies);
+    let text = emit_program(&with_copies);
     assert!(
         text.contains(":+ 16"),
         "expected a 16-wide window:
@@ -142,7 +142,7 @@ fn small_resident_tensor_is_preloaded_at_top_level() {
     );
     let cfg = TileConfig::new(&[("n", 8)], &[("n", 32), ("k", 16)]);
     let tiled = tile_program(&prog, &cfg).unwrap();
-    let text = print_program(&tiled);
+    let text = emit_program(&tiled);
     assert!(text.contains("lutTile"), "lut should be preloaded:\n{text}");
     // Semantics preserved.
     let lut_v = Value::tensor_f32(&[16], (0..16).map(|i| i as f32).collect());
@@ -169,7 +169,7 @@ fn data_dependent_tensor_is_not_copied() {
     );
     let cfg = TileConfig::new(&[("n", 8)], &[("n", 64), ("m", 256)]);
     let tiled = tile_program(&prog, &cfg).unwrap();
-    let text = print_program(&tiled);
+    let text = emit_program(&tiled);
     assert!(
         text.contains("idxTile"),
         "the affine idx stream should be tiled:\n{text}"
@@ -188,7 +188,7 @@ fn cleanup_passes_are_idempotent() {
     let tiled = tile_program(&prog, &cfg).unwrap();
     let once = dce_program(&cse_program(&hoist_program(&tiled)));
     let twice = dce_program(&cse_program(&hoist_program(&once)));
-    assert_eq!(print_program(&once), print_program(&twice));
+    assert_eq!(emit_program(&once), emit_program(&twice));
 }
 
 #[test]
@@ -236,6 +236,6 @@ fn hoisting_enables_cse_of_duplicate_copies() {
     assert!(
         n <= 2,
         "duplicate copies survived: {n}\n{}",
-        print_program(&tiled)
+        emit_program(&tiled)
     );
 }

@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pretty::print_program;
+use pphw_ir::pretty::emit_program;
 use pphw_ir::Program;
 use pphw_transform::interchange::{interchange_program, split_multifolds};
 use pphw_transform::{strip_mine_program, TileConfig};
@@ -77,7 +77,7 @@ fn gemm_strip_mine_then_interchange() {
         base,
         after_inter,
         "interchange changed gemm:\n{}",
-        print_program(&inter)
+        emit_program(&inter)
     );
 }
 
@@ -90,12 +90,15 @@ fn gemm_interchange_restructures() {
     let cfg = TileConfig::new(&[("m", 4), ("n", 4), ("p", 4)], &sizes);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
     let inter = interchange_program(&tiled, &cfg);
-    let before = print_program(&tiled);
-    let after = print_program(&inter);
+    let before = emit_program(&tiled);
+    let after = emit_program(&inter);
     assert_ne!(before, after, "interchange did not fire");
     // The interchanged form has a p/4-strided multiFold carrying a (4,4)
     // tensor accumulator (the partial output tile).
-    assert!(after.contains("multiFold(p/4)((4,4))"), "got:\n{after}");
+    assert!(
+        after.contains("multiFold((p / 4)) {\n        acc dot_vec: Float[4, 4]"),
+        "got:\n{after}"
+    );
 }
 
 /// Interchange without any strided pattern is the identity.
@@ -105,7 +108,7 @@ fn interchange_noop_on_untiled() {
     let sizes = [("m", 4), ("n", 4), ("p", 4)];
     let cfg = TileConfig::new(&[], &sizes);
     let inter = interchange_program(&prog, &cfg);
-    assert_eq!(print_program(&prog), print_program(&inter));
+    assert_eq!(emit_program(&prog), emit_program(&inter));
 }
 
 /// A k-means-shaped kernel: for each point, find the closest centroid
@@ -183,7 +186,7 @@ fn kmeans_split_and_interchange_preserve_semantics() {
         base,
         run_assign(&split, &sizes),
         "split broke kmeans:\n{}",
-        print_program(&split)
+        emit_program(&split)
     );
 
     let inter = interchange_program(&split, &cfg);
@@ -192,7 +195,7 @@ fn kmeans_split_and_interchange_preserve_semantics() {
         base,
         run_assign(&inter, &sizes),
         "interchange broke kmeans:\n{}",
-        print_program(&inter)
+        emit_program(&inter)
     );
 }
 
@@ -206,14 +209,14 @@ fn kmeans_split_extracts_intermediate() {
     let cfg = TileConfig::new(&[("n", 4), ("k", 4)], &sizes);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
     let split = split_multifolds(&tiled, &cfg);
-    let text = print_program(&split);
+    let text = emit_program(&split);
     // A new map over the point tile domain (4) computing the per-point best
     // appears before the counting fold.
     assert!(text.contains("bests"), "split did not extract:\n{text}");
     let inter = interchange_program(&split, &cfg);
-    let itext = print_program(&inter);
+    let itext = emit_program(&inter);
     assert!(
-        itext.contains("multiFold(k/4)((4))"),
+        itext.contains("multiFold((k / 4)) {\n        acc best_vec: (Float, Int)[4]"),
         "interchange did not produce the per-tile argmin vector:\n{itext}"
     );
 }
@@ -227,8 +230,8 @@ fn split_respects_budget() {
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
     let split = split_multifolds(&tiled, &cfg);
     assert_eq!(
-        print_program(&tiled),
-        print_program(&split),
+        emit_program(&tiled),
+        emit_program(&split),
         "split fired despite tiny budget"
     );
 }
@@ -272,13 +275,13 @@ fn rule2_strided_multifold_moves_out_of_fold() {
     let cfg = TileConfig::new(&[], &sizes);
     let inter = interchange_program(&prog, &cfg);
     inter.validate().unwrap();
-    let before = print_program(&prog);
-    let after = print_program(&inter);
+    let before = emit_program(&prog);
+    let after = emit_program(&inter);
     assert_ne!(before, after, "rule 2 did not fire:\n{before}");
     // The strided tile domain is now outermost (a d/4-strided multiFold
     // carrying 4-wide regions of scalar folds over n).
     assert!(
-        after.contains("multiFold(d/4)"),
+        after.contains("multiFold((d / 4))"),
         "expected strided outer loop:\n{after}"
     );
 }
@@ -297,6 +300,6 @@ fn rule2_preserves_semantics() {
     assert!(
         base[0].approx_eq(&got[0], 1e-4),
         "rule 2 broke semantics:\n{}",
-        print_program(&inter)
+        emit_program(&inter)
     );
 }

@@ -57,7 +57,7 @@ fn check_equiv(prog: &Program, cfg: &TileConfig, sizes: &[(&str, i64)], inputs: 
         assert!(
             a.approx_eq(b, 1e-5),
             "strip-mined output differs:\noriginal: {a:?}\ntiled: {b:?}\n\ntiled IR:\n{}",
-            pphw_ir::pretty::print_program(&tiled)
+            pphw_ir::pretty::emit_program(&tiled)
         );
     }
 }
@@ -285,8 +285,8 @@ fn strip_mine_noop_without_config() {
     let cfg = TileConfig::new(&[], &[("d", 16)]);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
     assert_eq!(
-        pphw_ir::pretty::print_program(&tiled),
-        pphw_ir::pretty::print_program(&prog)
+        pphw_ir::pretty::emit_program(&tiled),
+        pphw_ir::pretty::emit_program(&prog)
     );
 }
 
@@ -304,8 +304,8 @@ fn strip_mine_introduces_strided_domain() {
     let prog = map_1d("double", "2.0 * x(i)");
     let cfg = TileConfig::new(&[("d", 16)], &[("d", 64)]);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
-    let text = pphw_ir::pretty::print_program(&tiled);
-    assert!(text.contains("multiFold(d/16)"), "got:\n{text}");
+    let text = pphw_ir::pretty::emit_program(&tiled);
+    assert!(text.contains("multiFold((d / 16))"), "got:\n{text}");
     assert!(text.contains("map(16)"), "got:\n{text}");
 }
 
@@ -334,7 +334,7 @@ fn strip_mine_full_tile_is_noop() {
     let prog = map_1d("fulltile", "x(i)");
     let cfg = TileConfig::new(&[("d", 16)], &[("d", 16)]);
     let tiled = strip_mine_program(&prog, &cfg).unwrap();
-    let text = pphw_ir::pretty::print_program(&tiled);
+    let text = pphw_ir::pretty::emit_program(&tiled);
     assert!(text.contains("map(d)"), "got:\n{text}");
 }
 

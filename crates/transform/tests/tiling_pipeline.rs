@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pphw_ir::interp::{Interpreter, Value};
-use pphw_ir::pretty::print_program;
+use pphw_ir::pretty::emit_program;
 use pphw_ir::size::Size;
 use pphw_ir::Program;
 use pphw_transform::cost::analyze_cost;
@@ -64,7 +64,7 @@ fn gemm_full_pipeline_preserves_semantics() {
     assert!(
         base[0].approx_eq(&out[0], 1e-5),
         "pipeline broke gemm:\n{}",
-        print_program(&tiled)
+        emit_program(&tiled)
     );
 }
 
@@ -99,7 +99,7 @@ fn gemm_pipeline_inserts_tile_copies() {
     let sizes = [("m", 8), ("n", 12), ("p", 16)];
     let cfg = TileConfig::new(&[("m", 4), ("n", 4), ("p", 4)], &sizes);
     let tiled = tile_program(&prog, &cfg).unwrap();
-    let text = print_program(&tiled);
+    let text = emit_program(&tiled);
     assert!(text.contains("xTile"), "no x tile copy:\n{text}");
     assert!(text.contains("yTile"), "no y tile copy:\n{text}");
     assert!(text.contains(".copy("), "no copy ops:\n{text}");
@@ -154,7 +154,7 @@ fn kmeans_full_pipeline_preserves_semantics() {
     assert!(
         base[0].approx_eq(&out[0], 1e-5),
         "pipeline broke kmeans:\n{}",
-        print_program(&tiled)
+        emit_program(&tiled)
     );
 }
 
@@ -167,7 +167,7 @@ fn kmeans_pipeline_copies_both_inputs() {
     let sizes = [("n", 16), ("k", 8), ("d", 4)];
     let cfg = TileConfig::new(&[("n", 4), ("k", 4)], &sizes);
     let tiled = tile_program(&prog, &cfg).unwrap();
-    let text = print_program(&tiled);
+    let text = emit_program(&tiled);
     assert!(text.contains("pointsTile"), "no points tile:\n{text}");
     assert!(text.contains("centroidsTile"), "no centroids tile:\n{text}");
 }

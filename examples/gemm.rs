@@ -54,6 +54,6 @@ fn main() {
     // Show the interchanged IR (Table 3).
     println!(
         "\n=== tiled + interchanged IR (Table 3) ===\n{}",
-        pphw_ir::pretty::print_program(&compiled.program)
+        pphw_ir::pretty::emit_program(&compiled.program)
     );
 }

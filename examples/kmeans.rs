@@ -9,7 +9,7 @@
 
 use pphw::{compile, evaluate, CompileOptions, OptLevel};
 use pphw_apps::kmeans::{kmeans_golden, kmeans_inputs, kmeans_program};
-use pphw_ir::pretty::print_program;
+use pphw_ir::pretty::emit_program;
 use pphw_ir::size::Size;
 use pphw_sim::SimConfig;
 use pphw_transform::cost::analyze_cost;
@@ -25,15 +25,15 @@ fn main() {
 
     if !hw_only {
         println!("=== Figure 4: fused k-means in PPL ===");
-        println!("{}", print_program(&prog));
+        println!("{}", emit_program(&prog));
 
         let strip = tile_program_no_interchange(&prog, &cfg).expect("strip mines");
-        println!("=== Figure 5a: strip mined ===\n{}", print_program(&strip));
+        println!("=== Figure 5a: strip mined ===\n{}", emit_program(&strip));
 
         let inter = tile_program(&prog, &cfg).expect("tiles");
         println!(
             "=== Figure 5b: split + interchanged ===\n{}",
-            print_program(&inter)
+            emit_program(&inter)
         );
 
         println!("=== Figure 5c: memory traffic and on-chip storage ===");

@@ -37,7 +37,7 @@ fn main() {
     };
     println!(
         "=== PPL program ===\n{}",
-        pphw_ir::pretty::print_program(&prog)
+        pphw_ir::pretty::emit_program(&prog)
     );
 
     // 2. Compile at each optimization level for a 1M-element workload.

@@ -48,7 +48,7 @@ fn check_benchmark(spec: &BenchSpec, level: OptLevel) {
             "{} at {level}: compiled output diverges from golden\n\
              transformed IR:\n{}",
             spec.name,
-            pphw_ir::pretty::print_program(&compiled.program)
+            pphw_ir::pretty::emit_program(&compiled.program)
         );
     }
     // The design must be non-trivial.

@@ -1,7 +1,8 @@
 //! Round trips between text and IR. Every `examples/*.ppl` file is the
-//! pretty-printer's output of its own parse, byte for byte; and for a
-//! seeded family of random PPL texts, the parse `p` satisfies
-//! `parse(pretty(p)) == p` structurally and prints back byte-identically
+//! printer's output of its own parse, byte for byte; and for every
+//! benchmark's compiled program at each `OptLevel`, and for a seeded
+//! family of random PPL texts, the program `p` satisfies
+//! `parse(emit(p)) == p` structurally and prints back byte-identically
 //! (emitter idempotence).
 //! Every key of a parse's source map must be *exactly* a path the scope
 //! walk enumerates — `SourceMap::lookup`'s ancestor fallback would
@@ -71,7 +72,7 @@ fn check_round_trip(p: &Program, label: &str) -> Result<(), String> {
     let second = emit_program(&out.program);
     if text != second {
         return Err(format!(
-            "{label}: second pretty-print is not byte-identical\n--- first ---\n{text}\n--- second ---\n{second}"
+            "{label}: second print is not byte-identical\n--- first ---\n{text}\n--- second ---\n{second}"
         ));
     }
     Ok(())
@@ -99,6 +100,20 @@ fn benchmarks_round_trip() {
         );
         if let Some(stray) = stray_source_map_key(&out) {
             panic!("{name}: source map records `{stray}`, which is no path of the program");
+        }
+    }
+}
+
+/// What the compiler hands on, strip mined and interchanged, prints as text
+/// that parses back: six benchmarks at every `OptLevel`, default options.
+#[test]
+fn tiled_benchmarks_round_trip() {
+    for spec in pphw_apps::all_benchmarks() {
+        for level in pphw::OptLevel::all() {
+            let compiled = pphw::compile(&(spec.program)(), &spec.options().opt(level))
+                .unwrap_or_else(|e| panic!("{} {level:?}: {e}", spec.name));
+            let label = format!("{}_{level:?}", spec.name);
+            check_round_trip(&compiled.program, &label).unwrap_or_else(|msg| panic!("{msg}"));
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Cross-crate reporting-surface tests: the artifacts a user reads
-//! (pretty-printed IR, design diagrams, MaxJ, cost tables, simulation
+//! (printed programs, design diagrams, MaxJ, cost tables, simulation
 //! reports) stay well-formed for every benchmark.
 
 use pphw::{compile, CompileOptions, OptLevel};
@@ -31,8 +31,8 @@ fn small_opts(name: &str) -> (pphw_ir::Program, CompileOptions) {
 fn pretty_printed_ir_is_stable_under_reprint() {
     for spec in all_benchmarks() {
         let prog = (spec.program)();
-        let a = pphw_ir::pretty::print_program(&prog);
-        let b = pphw_ir::pretty::print_program(&prog);
+        let a = pphw_ir::pretty::emit_program(&prog);
+        let b = pphw_ir::pretty::emit_program(&prog);
         assert_eq!(a, b, "{} printing is nondeterministic", spec.name);
         assert!(!a.is_empty());
     }
